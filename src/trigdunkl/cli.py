@@ -10,7 +10,14 @@ import sys
 from fractions import Fraction
 
 from .coeff import K, KP, couplings
-from .dunkl import SymH, dunkl_apply, hamiltonian_apply, invariant_apply, jacobi
+from .dunkl import (
+    ResonanceError,
+    SymH,
+    dunkl_apply,
+    hamiltonian_apply,
+    invariant_apply,
+    jacobi,
+)
 from .laurent import Laurent, Localized, orbit_sum
 from .rootsys import root_system
 from .special import (
@@ -19,7 +26,7 @@ from .special import (
     special_exponents,
     verify_quadratic,
 )
-from .verify import PROP32_TYPES, SUITES, run_all, run_suite
+from .verify import PROP32_TYPES, SUITE_TYPES, SUITES, covers, run_all, run_suite
 
 _TYPE_RE = re.compile(r"^(BC|[ABCDEFG])(\d*)$")
 
@@ -272,8 +279,15 @@ def _cmd_verify(args):
     types = set(t.upper() for t in args.type) if args.type else None
     if args.suite == "all":
         results = run_all(types)
-    else:
+        if not results:
+            raise ValueError(f"no suite covers {', '.join(sorted(types))}")
+    elif covers(args.suite, types):
         results = [run_suite(args.suite, types)]
+    elif SUITE_TYPES[args.suite]:
+        raise ValueError(f"suite {args.suite} covers only "
+                         + ", ".join(SUITE_TYPES[args.suite]))
+    else:
+        raise ValueError(f"suite {args.suite} takes no --type")
     doc = _suite_doc(results)
     _emit(doc, args, _suite_text)
     if not doc["ok"]:
@@ -331,7 +345,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, IndexError, ZeroDivisionError) as exc:
+    except (ValueError, IndexError, ArithmeticError, ResonanceError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

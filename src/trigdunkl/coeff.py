@@ -1,14 +1,19 @@
 """Exact rational functions in the two coupling variables k and kp over Q.
 
-Polynomials are dicts mapping exponent pairs (deg_k, deg_kp) to Fraction
-coefficients.  RatFunc keeps num/den coprime with the denominator monic under
-graded lex order (k > kp), so equal values have identical representations.
+A Poly maps exponent pairs (deg_k, deg_kp) to nonzero Python ints.  A RatFunc
+is num/den with num and den in Z[k, kp], coprime over Z (integer content
+included), and den's leading coefficient under graded lex order (k > kp)
+positive, so equal values have identical representations.  A constant p/q
+keeps num and den as the ints p and q and is computed on as a Fraction is;
+every other value keeps two Polys.  str() divides by den's leading
+coefficient, so the text shows a monic denominator and rational coefficients.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
-Monomial = tuple  # (deg_k, deg_kp)
+_C = (0, 0)  # the constant monomial
 
 
 class EvaluationError(ZeroDivisionError):
@@ -20,41 +25,32 @@ def _grlex_key(m):
 
 
 class Poly:
-    """Polynomial in k, kp with Fraction coefficients (internal to RatFunc)."""
+    """Polynomial in k, kp with int coefficients (internal to RatFunc)."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for m, c in terms.items():
-                if c:
-                    self.terms[m] = c if isinstance(c, Fraction) else Fraction(c)
+    def __init__(self, terms):
+        self.terms = terms  # no zero coefficients
 
     @classmethod
     def const(cls, c):
-        p = cls.__new__(cls)
-        c = c if isinstance(c, Fraction) else Fraction(c)
-        p.terms = {(0, 0): c} if c else {}
-        return p
+        return cls({_C: c} if c else {})
 
     @classmethod
     def var(cls, name):
-        p = cls.__new__(cls)
-        p.terms = {(1, 0) if name == "k" else (0, 1): Fraction(1)}
-        return p
+        return cls({(1, 0) if name == "k" else (0, 1): 1})
 
-    def is_zero(self):
-        return not self.terms
+    def __bool__(self):
+        return bool(self.terms)
 
     def is_one(self):
-        return self.terms == {(0, 0): Fraction(1)}
+        return len(self.terms) == 1 and self.terms.get(_C) == 1
 
     def is_const(self):
-        return not self.terms or set(self.terms) == {(0, 0)}
+        return len(self.terms) < 2 and (not self.terms or _C in self.terms)
 
     def const_value(self):
-        return self.terms.get((0, 0), Fraction(0))
+        return self.terms.get(_C, 0)
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.terms == other.terms
@@ -68,28 +64,12 @@ class Poly:
             s = res.get(m, 0) + c
             if s:
                 res[m] = s
-            elif m in res:
-                del res[m]
-        p = Poly.__new__(Poly)
-        p.terms = res
-        return p
-
-    def __sub__(self, other):
-        res = dict(self.terms)
-        for m, c in other.terms.items():
-            s = res.get(m, 0) - c
-            if s:
-                res[m] = s
-            elif m in res:
-                del res[m]
-        p = Poly.__new__(Poly)
-        p.terms = res
-        return p
+            else:
+                res.pop(m, None)
+        return Poly(res)
 
     def __neg__(self):
-        p = Poly.__new__(Poly)
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
+        return Poly({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         res = {}
@@ -99,38 +79,23 @@ class Poly:
                 s = res.get(m, 0) + c1 * c2
                 if s:
                     res[m] = s
-                elif m in res:
-                    del res[m]
-        p = Poly.__new__(Poly)
-        p.terms = res
-        return p
+                else:
+                    res.pop(m, None)
+        return Poly(res)
 
-    def scale(self, c):
-        if not c:
-            return Poly.const(0)
-        p = Poly.__new__(Poly)
-        p.terms = {m: c * v for m, v in self.terms.items()}
-        return p
-
-    def __pow__(self, n):
-        result = Poly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+    def content(self):
+        """Positive gcd of the coefficients (0 for the zero polynomial)."""
+        c = 0
+        for v in self.terms.values():
+            c = gcd(c, v)
+            if c == 1:
+                break
+        return c
 
     def lead(self):
         """Leading (monomial, coeff) in graded lex order with k > kp."""
         m = max(self.terms, key=_grlex_key)
         return m, self.terms[m]
-
-    def degree(self, var_index):
-        if not self.terms:
-            return -1
-        return max(m[var_index] for m in self.terms)
 
     def evaluate(self, kv, kpv):
         total = Fraction(0)
@@ -142,281 +107,297 @@ class Poly:
         return f"Poly({format_poly(self)})"
 
 
-def _divmonomial(m1, m2):
-    a, b = m1[0] - m2[0], m1[1] - m2[1]
-    if a < 0 or b < 0:
-        return None
-    return (a, b)
+_ONE = Poly.const(1)
+
+
+def _positive(p):
+    """p or -p, whichever has a positive leading coefficient."""
+    return -p if p.terms and p.lead()[1] < 0 else p
 
 
 def poly_divexact(a, b):
-    """Exact division a / b; raises ArithmeticError if b does not divide a."""
-    if b.is_zero():
+    """Exact quotient a / b in Z[k, kp]; ArithmeticError if there is none."""
+    if not b.terms:
         raise ZeroDivisionError("polynomial division by zero")
-    if b.is_const():
-        return a.scale(1 / b.const_value())
     quo = {}
     rem = dict(a.terms)
-    bm, bc = b.lead()
+    (bi, bj), bc = b.lead()
     while rem:
         m = max(rem, key=_grlex_key)
-        qm = _divmonomial(m, bm)
-        if qm is None:
+        qi, qj = m[0] - bi, m[1] - bj
+        qc, r = divmod(rem[m], bc)
+        if qi < 0 or qj < 0 or r:
             raise ArithmeticError("inexact polynomial division")
-        qc = rem[m] / bc
-        quo[qm] = qc
-        for m2, c2 in b.terms.items():
-            mm = (qm[0] + m2[0], qm[1] + m2[1])
-            s = rem.get(mm, 0) - qc * c2
+        quo[(qi, qj)] = qc
+        for (i, j), c in b.terms.items():
+            mm = (qi + i, qj + j)
+            s = rem.get(mm, 0) - qc * c
             if s:
                 rem[mm] = s
-            elif mm in rem:
+            else:
                 del rem[mm]
     return Poly(quo)
 
 
-# --- gcd machinery: primitive PRS over Z after clearing denominators ---
-from math import gcd as _int_gcd
+# --- gcd: one primitive PRS in (Z[kp])[k] (Knuth, TAOCP vol. 2, 4.6.1) ---
+# A polynomial in kp is a list of ints, lowest degree first, with no trailing
+# zero; a polynomial in k over Z[kp] is a dict deg_k -> nonempty such list.
 
 
-def _zuni_trim(u):
+def _trim(u):
     while u and not u[-1]:
         u.pop()
     return u
 
 
-def _zuni_mul(u, v):
-    if not u or not v:
-        return []
+def _uni_mul(u, v):
     res = [0] * (len(u) + len(v) - 1)
     for i, a in enumerate(u):
         if a:
             for j, b in enumerate(v):
                 res[i + j] += a * b
-    return _zuni_trim(res)
+    return res
 
 
-def _zuni_primitive(u):
+def _uni_primitive(u):
+    """u over its integer content, with a positive leading coefficient."""
     c = 0
     for x in u:
-        c = _int_gcd(c, x)
+        c = gcd(c, x)
         if c == 1:
             break
-    if c > 1:
-        u = [x // c for x in u]
-    if u and u[-1] < 0:
-        u = [-x for x in u]
-    return u
+    if u[-1] < 0:
+        c = -c
+    return u if c == 1 else [x // c for x in u]
 
 
-def _zuni_prem(u, v):
-    """Pseudo-remainder of integer coefficient lists."""
+def _uni_prem(u, v):
+    """Pseudo-remainder of u by v."""
     r = list(u)
     dv = len(v) - 1
     lv = v[-1]
-    while len(r) - 1 >= dv and r:
+    while len(r) > dv:
         lr = r[-1]
         off = len(r) - 1 - dv
         r = [x * lv for x in r]
         for i, c in enumerate(v):
             r[off + i] -= lr * c
-        _zuni_trim(r)
+        _trim(r)
     return r
 
 
-def _zuni_gcd(u, v):
-    u = _zuni_primitive(_zuni_trim(list(u)))
-    v = _zuni_primitive(_zuni_trim(list(v)))
-    if not u:
-        return v
-    if not v:
-        return u
+def _uni_gcd(u, v):
+    """gcd in Z[kp], with a positive leading coefficient."""
+    if not u or not v:
+        w = u or v
+        return [-x for x in w] if w[-1] < 0 else w
+    c = gcd(*u, *v)
+    if len(u) == 1 or len(v) == 1:
+        return [c]
+    u, v = _uni_primitive(u), _uni_primitive(v)
     if len(u) < len(v):
         u, v = v, u
     while v:
-        r = _zuni_prem(u, v)
-        u, v = v, _zuni_primitive(r)
-    return u
+        if len(v) == 1:  # a unit: the primitive parts are coprime
+            u = [1]
+            break
+        u, v = v, _trim(_uni_prem(u, v))
+        if v:
+            v = _uni_primitive(v)
+    return u if c == 1 else [c * x for x in u]
 
 
-def _zuni_divexact(u, v):
-    """Exact division of integer lists (v divides u over Z)."""
-    if not u:
-        return []
+def _uni_divexact(u, v):
+    """Exact quotient u / v in Z[kp]."""
     if len(v) == 1:
-        d = v[0]
-        return [x // d for x in u]
+        return [x // v[0] for x in u]
     q = [0] * (len(u) - len(v) + 1)
     r = list(u)
     for pos in range(len(q) - 1, -1, -1):
-        top = r[pos + len(v) - 1]
-        if top % v[-1]:
+        c, rest = divmod(r[pos + len(v) - 1], v[-1])
+        if rest:
             raise ArithmeticError("inexact integer polynomial division")
-        c = top // v[-1]
         q[pos] = c
         if c:
             for i, b in enumerate(v):
                 r[pos + i] -= c * b
     if any(r):
         raise ArithmeticError("inexact integer polynomial division")
-    return _zuni_trim(q)
+    return q
 
 
-def _poly_to_int_kcoeffs(p):
-    """Clear denominators; return dict deg_k -> integer kp-coefficient list."""
-    denlcm = 1
-    for c in p.terms.values():
-        d = c.denominator
-        denlcm = denlcm * d // _int_gcd(denlcm, d)
+def _in_k(p):
+    """p as a polynomial in k over Z[kp]."""
     out = {}
     for (a, b), c in p.terms.items():
-        u = out.setdefault(a, {})
-        u[b] = int(c * denlcm)
-    return {a: _zuni_trim([u.get(i, 0) for i in range(max(u) + 1)])
-            for a, u in out.items()}
-
-
-def _zcont_k(d):
-    """(integer content, primitive kp-poly content) over all k-coefficients."""
-    cint = 0
-    for u in d.values():
-        for x in u:
-            cint = _int_gcd(cint, x)
-        if cint == 1:
-            break
-    g = []
-    for u in d.values():
-        g = _zuni_gcd(g, u)
-        if len(g) == 1:
-            break
-    return (cint if cint else 1), g
-
-
-def _zpp_k(d, cont):
-    cint, g = cont
-    trivial_int = cint == 1
-    trivial_poly = len(g) == 1 and g[0] == 1
-    if trivial_int and trivial_poly:
-        return d
-    out = {}
-    for a, u in d.items():
-        if not trivial_int:
-            u = [x // cint for x in u]
-        if not trivial_poly:
-            u = _zuni_divexact(u, g)
-        out[a] = u
+        u = out.setdefault(a, [])
+        if len(u) <= b:
+            u.extend([0] * (b + 1 - len(u)))
+        u[b] = c
     return out
 
 
-def _zprem(u, v):
-    """Pseudo-remainder in (Z[kp])[k], dicts deg_k -> integer list."""
+def _primitive_in_k(d):
+    """(content in Z[kp], primitive part) of a polynomial in k over Z[kp]."""
+    g = []
+    for u in d.values():
+        g = _uni_gcd(g, u)
+        if g == [1]:
+            return g, d
+    return g, {a: _uni_divexact(u, g) for a, u in d.items()}
+
+
+def _prem_in_k(u, v):
+    """Pseudo-remainder of u by v in (Z[kp])[k]."""
     dv = max(v)
     lv = v[dv]
-    r = {a: list(c) for a, c in u.items()}
+    r = u
     while r and max(r) >= dv:
         dr = max(r)
         lr = r[dr]
-        nr = {a: _zuni_mul(c, lv) for a, c in r.items()}
+        nr = {a: _uni_mul(c, lv) for a, c in r.items()}
         for a, c in v.items():
             shift = a + dr - dv
-            sub = _zuni_mul(c, lr)
+            sub = _uni_mul(c, lr)
             cur = nr.get(shift, [])
             res = [0] * max(len(cur), len(sub))
             for i, x in enumerate(cur):
                 res[i] += x
             for i, x in enumerate(sub):
                 res[i] -= x
-            res = _zuni_trim(res)
-            if res:
+            if _trim(res):
                 nr[shift] = res
-            elif shift in nr:
-                del nr[shift]
+            else:
+                nr.pop(shift, None)
         r = nr
     return r
 
 
-def _poly_from_int_kcoeffs(d):
-    terms = {}
-    for a, u in d.items():
-        for b, c in enumerate(u):
-            if c:
-                terms[(a, b)] = Fraction(c)
-    p = Poly.__new__(Poly)
-    p.terms = terms
-    return p
-
-
-def _is_univar_kp(p):
-    return all(m[0] == 0 for m in p.terms)
-
-
-def _is_univar_k(p):
-    return all(m[1] == 0 for m in p.terms)
-
-
-def _poly_from_zuni(u, var_index):
-    terms = {}
-    for i, c in enumerate(u):
-        if c:
-            terms[(i, 0) if var_index == 0 else (0, i)] = Fraction(c)
-    p = Poly.__new__(Poly)
-    p.terms = terms
-    return p
-
-
-def _poly_to_zuni(p, var_index):
-    denlcm = 1
-    for c in p.terms.values():
-        d = c.denominator
-        denlcm = denlcm * d // _int_gcd(denlcm, d)
-    u = [0] * (p.degree(var_index) + 1)
-    for m, c in p.terms.items():
-        u[m[var_index]] = int(c * denlcm)
-    return u
-
-
 def poly_gcd(a, b):
-    """Monic gcd of two polynomials in Q[k, kp]."""
-    if a.is_zero():
-        return _monic(b)
-    if b.is_zero():
-        return _monic(a)
+    """The gcd of a and b in Z[k, kp], with a positive leading coefficient."""
+    if not a.terms or a == b:
+        return _positive(b)
+    if not b.terms:
+        return _positive(a)
     if a.is_const() or b.is_const():
-        return Poly.const(1)
-    if _is_univar_k(a) and _is_univar_k(b):
-        g = _zuni_gcd(_poly_to_zuni(a, 0), _poly_to_zuni(b, 0))
-        return _monic(_poly_from_zuni(g, 0))
-    if _is_univar_kp(a) and _is_univar_kp(b):
-        g = _zuni_gcd(_poly_to_zuni(a, 1), _poly_to_zuni(b, 1))
-        return _monic(_poly_from_zuni(g, 1))
-    return _monic(_bivar_gcd(a, b))
-
-
-def _monic(p):
-    if p.is_zero():
-        return p
-    _, lc = p.lead()
-    return p.scale(1 / lc) if lc != 1 else p
-
-
-def _bivar_gcd(a, b):
-    da, db = _poly_to_int_kcoeffs(a), _poly_to_int_kcoeffs(b)
-    ca, cb = _zcont_k(da), _zcont_k(db)
-    cont = _zuni_gcd(ca[1], cb[1])
-    u, v = _zpp_k(da, ca), _zpp_k(db, cb)
+        return Poly.const(gcd(a.content(), b.content()))
+    ca, u = _primitive_in_k(_in_k(a))
+    cb, v = _primitive_in_k(_in_k(b))
     if max(u) < max(v):
         u, v = v, u
     while v:
-        r = _zprem(u, v)
-        u, v = v, (_zpp_k(r, _zcont_k(r)) if r else {})
-    gp = _poly_from_int_kcoeffs(u)
-    if len(cont) > 1 or cont[0] != 1:
-        gp = gp * _poly_from_zuni(cont, 1)
-    return gp
+        if max(v) == 0:  # a unit: the primitive parts are coprime
+            u = {0: [1]}
+            break
+        r = _prem_in_k(u, v)
+        u, v = v, (_primitive_in_k(r)[1] if r else {})
+    cont = _uni_gcd(ca, cb)
+    terms = {}
+    for i, w in u.items():
+        for j, c in enumerate(_uni_mul(w, cont)):
+            if c:
+                terms[(i, j)] = c
+    return _positive(Poly(terms))
 
 
-_ZERO = Poly.const(0)
-_ONE = Poly.const(1)
+# --- RatFunc ---
+
+_new = object.__new__
+
+
+def _rf(num, den):
+    r = _new(RatFunc)
+    r.num = num
+    r.den = den
+    return r
+
+
+def _poly(x):
+    return x if x.__class__ is Poly else (_ONE if x == 1 else Poly.const(x))
+
+
+def _finish(num, den):
+    """RatFunc from coprime num, den (den's lead positive): constants as ints."""
+    if num.is_const() and den.is_const():
+        return _rf(num.const_value(), den.const_value())
+    return _rf(num, den)
+
+
+def _reduce(num, den, rest=_ONE):
+    """num / (den * rest) in canonical form, given gcd(num, rest) = 1 and
+    den, rest with positive leading coefficients."""
+    if not num.terms:
+        return RF_ZERO
+    if not den.is_one():
+        g = poly_gcd(num, den)
+        if not g.is_one():
+            num, den = poly_divexact(num, g), poly_divexact(den, g)
+    return _finish(num, den if rest is _ONE else den * rest)
+
+
+def _sum(n1, d1, n2, d2):
+    """n1/d1 + n2/d2 for the num and den of two canonical RatFuncs."""
+    if n1.__class__ is int and n2.__class__ is int:
+        if d1 == d2 == 1:
+            return _rf(n1 + n2, 1)
+        g = gcd(d1, d2)
+        if g == 1:
+            return _rf(n1 * d2 + n2 * d1, d1 * d2)
+        s = d1 // g
+        t = n1 * (d2 // g) + n2 * s
+        g2 = gcd(t, g)
+        if g2 == 1:
+            return _rf(t, s * d2)
+        return _rf(t // g2, s * (d2 // g2))
+    a, b, c, d = _poly(n1), _poly(d1), _poly(n2), _poly(d2)
+    if b == d:
+        return _reduce(a + c, b)
+    g = poly_gcd(b, d)
+    if g.is_one():  # already reduced, since both summands are
+        return _finish(a * d + c * b, b * d)
+    b, d = poly_divexact(b, g), poly_divexact(d, g)
+    # Henrici: only g can share a factor with the new numerator
+    return _reduce(a * d + c * b, g, b * d)
+
+
+def _prod(n1, d1, n2, d2):
+    """n1/d1 * n2/d2 for the num and den of two canonical RatFuncs."""
+    if n1.__class__ is int and n2.__class__ is int:
+        g1 = gcd(n1, d2)
+        g2 = gcd(n2, d1)
+        if g1 == 1 and g2 == 1:
+            return _rf(n1 * n2, d1 * d2)
+        return _rf((n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1))
+    if not n1 or not n2:
+        return RF_ZERO
+    if n2.__class__ is int:
+        return _scale(n1, d1, n2, d2)
+    if n1.__class__ is int:
+        return _scale(n2, d2, n1, d1)
+    a, b, c, d = n1, d1, n2, d2
+    if b.is_one() and d.is_one():
+        return _rf(a * c, b)
+    # cross-cancel keeps products of reduced fractions reduced
+    g1 = poly_gcd(a, d)
+    if not g1.is_one():
+        a, d = poly_divexact(a, g1), poly_divexact(d, g1)
+    g2 = poly_gcd(c, b)
+    if not g2.is_one():
+        c, b = poly_divexact(c, g2), poly_divexact(b, g2)
+    return _finish(a * c, b * d)
+
+
+def _scale(num, den, p, q):
+    """num/den * p/q for a non-constant canonical num/den and p/q nonzero; the
+    integer cross-cancel of Fraction multiplication, applied to the contents."""
+    g1 = 1 if q == 1 else gcd(num.content(), q)
+    g2 = 1 if den.is_one() else gcd(p, den.content())
+    p, q = p // g2, q // g1
+    if p != 1 or g1 != 1:
+        num = Poly({m: c // g1 * p for m, c in num.terms.items()})
+    if q != 1 or g2 != 1:
+        den = Poly({m: c // g2 * q for m, c in den.terms.items()})
+    return _rf(num, den)
 
 
 class RatFunc:
@@ -424,147 +405,89 @@ class RatFunc:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None):
-        if not isinstance(num, Poly):
-            num = Poly.const(num)
-        if den is None:
-            den = _ONE
-        elif not isinstance(den, Poly):
-            den = Poly.const(den)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            self.num, self.den = _ZERO, _ONE
-            return
-        if not den.is_one():
-            g = poly_gcd(num, den)
-            if not g.is_one():
-                num = poly_divexact(num, g)
-                den = poly_divexact(den, g)
-            _, lc = den.lead()
-            if lc != 1:
-                num = num.scale(1 / lc)
-                den = den.scale(1 / lc)
-        self.num, self.den = num, den
-
-    @classmethod
-    def _raw(cls, num, den):
-        r = cls.__new__(cls)
-        r.num, r.den = num, den
-        return r
+    def __init__(self, num, den=1):
+        """num / den for ints, Fractions or Polys num and den."""
+        value = _lift(num) / _lift(den)
+        self.num, self.den = value.num, value.den
 
     @classmethod
     def const(cls, c):
-        return cls._raw(Poly.const(c), _ONE)
-
-    @classmethod
-    def var_k(cls):
-        return cls._raw(Poly.var("k"), _ONE)
-
-    @classmethod
-    def var_kp(cls):
-        return cls._raw(Poly.var("kp"), _ONE)
+        if isinstance(c, int):
+            return _rf(int(c), 1)
+        c = Fraction(c)
+        return _rf(c.numerator, c.denominator)
 
     def is_zero(self):
-        return self.num.is_zero()
+        return not self.num
 
     def is_const(self):
-        return self.num.is_const() and self.den.is_one()
+        return self.num.__class__ is int
 
     def const_value(self):
-        if not self.is_const():
+        if self.num.__class__ is not int:
             raise ValueError(f"not a constant: {self}")
-        return self.num.const_value()
+        return Fraction(self.num, self.den)
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not RatFunc:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash((self.num, self.den))
 
     def __bool__(self):
-        return not self.num.is_zero()
+        return bool(self.num)
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.den.is_one() and other.den.is_one():
-            return RatFunc._raw(self.num + other.num, _ONE)
-        if self.den == other.den:
-            return RatFunc(self.num + other.num, self.den)
-        g = poly_gcd(self.den, other.den)
-        if g.is_one():
-            return RatFunc(self.num * other.den + other.num * self.den,
-                           self.den * other.den)
-        dr = poly_divexact(other.den, g)
-        return RatFunc(self.num * dr + other.num * poly_divexact(self.den, g),
-                       self.den * dr)
+        if other.__class__ is not RatFunc:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _sum(self.num, self.den, other.num, other.den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.den.is_one() and other.den.is_one():
-            return RatFunc._raw(self.num - other.num, _ONE)
-        if self.den == other.den:
-            return RatFunc(self.num - other.num, self.den)
-        g = poly_gcd(self.den, other.den)
-        if g.is_one():
-            return RatFunc(self.num * other.den - other.num * self.den,
-                           self.den * other.den)
-        dr = poly_divexact(other.den, g)
-        return RatFunc(self.num * dr - other.num * poly_divexact(self.den, g),
-                       self.den * dr)
+        if other.__class__ is not RatFunc:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _sum(self.num, self.den, -other.num, other.den)
 
     def __rsub__(self, other):
-        return _coerce(other).__sub__(self)
+        other = _coerce(other)
+        return NotImplemented if other is NotImplemented else other - self
 
     def __neg__(self):
-        return RatFunc._raw(-self.num, self.den)
+        return _rf(-self.num, self.den)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.num.is_zero() or other.num.is_zero():
-            return RF_ZERO
-        if self.den.is_one() and other.den.is_one():
-            return RatFunc._raw(self.num * other.num, _ONE)
-        # cross-cancel keeps products of reduced fractions reduced
-        g1 = poly_gcd(self.num, other.den)
-        g2 = poly_gcd(other.num, self.den)
-        n1 = self.num if g1.is_one() else poly_divexact(self.num, g1)
-        d2 = other.den if g1.is_one() else poly_divexact(other.den, g1)
-        n2 = other.num if g2.is_one() else poly_divexact(other.num, g2)
-        d1 = self.den if g2.is_one() else poly_divexact(self.den, g2)
-        den = d1 * d2
-        num = n1 * n2
-        if den.is_one():
-            return RatFunc._raw(num, den)
-        _, lc = den.lead()
-        if lc != 1:
-            num = num.scale(1 / lc)
-            den = den.scale(1 / lc)
-        return RatFunc._raw(num, den)
+        if other.__class__ is not RatFunc:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _prod(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.num.is_zero():
+        if other.__class__ is not RatFunc:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        num, den = other.num, other.den
+        if not num:
             raise ZeroDivisionError("division by zero rational function")
-        return self * RatFunc(other.den, other.num)
+        if (num < 0) if num.__class__ is int else (num.lead()[1] < 0):
+            num, den = -num, -den
+        return self * _rf(den, num)
 
     def __rtruediv__(self, other):
-        return _coerce(other).__truediv__(self)
+        other = _coerce(other)
+        return NotImplemented if other is NotImplemented else other / self
 
     def __pow__(self, n):
         if n < 0:
@@ -580,6 +503,8 @@ class RatFunc:
 
     def substitute(self, k_val, kp_val=0):
         """Exact evaluation at rational (k, kp); raises EvaluationError at poles."""
+        if self.num.__class__ is int:
+            return Fraction(self.num, self.den)
         k_val = Fraction(k_val)
         kp_val = Fraction(kp_val)
         d = self.den.evaluate(k_val, kp_val)
@@ -588,34 +513,47 @@ class RatFunc:
         return self.num.evaluate(k_val, kp_val) / d
 
     def __str__(self):
-        if self.den.is_one():
-            return format_poly(self.num)
-        return f"({format_poly(self.num)}) / ({format_poly(self.den)})"
+        if self.num.__class__ is int:
+            return str(Fraction(self.num, self.den))
+        lc = self.den.lead()[1]
+        if self.den.is_const():
+            return format_poly(self.num, lc)
+        return f"({format_poly(self.num, lc)}) / ({format_poly(self.den, lc)})"
 
     def __repr__(self):
         return f"RatFunc({self})"
 
 
 def _coerce(x):
-    if isinstance(x, RatFunc):
+    if x.__class__ is RatFunc:
         return x
     if isinstance(x, (int, Fraction)):
-        return RatFunc._raw(Poly.const(x), _ONE)
+        return RatFunc.const(x)
     return NotImplemented
 
 
-RF_ZERO = RatFunc._raw(_ZERO, _ONE)
-RF_ONE = RatFunc._raw(_ONE, _ONE)
-K = RatFunc.var_k()
-KP = RatFunc.var_kp()
+def _lift(x):
+    if isinstance(x, Poly):
+        return _finish(x, _ONE) if x.terms else RF_ZERO
+    x = _coerce(x)
+    if x is NotImplemented:
+        raise TypeError("RatFunc takes ints, Fractions or Polys")
+    return x
 
 
-def format_poly(p):
-    if p.is_zero():
+RF_ZERO = _rf(0, 1)
+RF_ONE = _rf(1, 1)
+K = _rf(Poly.var("k"), _ONE)
+KP = _rf(Poly.var("kp"), _ONE)
+
+
+def format_poly(p, scale=1):
+    """Text of p / scale, terms in decreasing graded lex order."""
+    if not p.terms:
         return "0"
     parts = []
     for m in sorted(p.terms, key=_grlex_key, reverse=True):
-        c = p.terms[m]
+        c = p.terms[m] if scale == 1 else Fraction(p.terms[m], scale)
         factors = []
         if m[0] == 1:
             factors.append("k")

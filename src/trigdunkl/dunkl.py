@@ -412,7 +412,7 @@ def _le_plus_sort_key(rs, nu):
     return (-sum(rs.acoords_of(nup)), sum(rs.acoords_of(nu)), nu)
 
 
-def jacobi(rs, mu, kvec, max_tries=None):
+def jacobi(rs, mu, kvec):
     """The eigenfunction e^mu + (lower <_+ terms) of all Dunkl operators."""
     mu = tuple(mu)
     order = sorted(rs.saturated_set(mu), key=lambda nu: _le_plus_sort_key(rs, nu))
@@ -422,33 +422,32 @@ def jacobi(rs, mu, kvec, max_tries=None):
         return Laurent.monomial(mu)
     tilde = {nu: mu_tilde(rs, nu, kvec) for nu in below}
     tilde[mu] = mu_tilde(rs, mu, kvec)
-    if max_tries is None:
-        max_tries = len(order) + rs.rank + 4
-    for t in range(1, max_tries + 1):
-        xi = tuple(t + i + 1 for i in range(rs.rank))
+    # On the moment curve xi(t) = (1, t, ..., t^(n-1)), <mu~ - nu~, xi(t)> is a
+    # polynomial of degree < n in t, nonzero unless mu~ = nu~; so at most
+    # (n-1)|below| values of t make a denominator vanish.
+    for t in range(2, 3 + (rs.rank - 1) * len(below)):
+        xi = tuple(t**i for i in range(rs.rank))
         top = pair_with_xi(rs, tilde[mu], xi)
         denoms = {}
-        ok = True
         for nu in below:
             d = top - pair_with_xi(rs, tilde[nu], xi)
             if d.is_zero():
-                ok = False
                 break
             denoms[nu] = d
-        if not ok:
-            continue
-        coeffs = {mu: RF_ONE}
-        running = dunkl_apply(rs, xi, Laurent.monomial(mu), kvec)
-        for nu in below:
-            num = running.terms.get(nu)
-            if num is None:
-                continue
-            c = num / denoms[nu]
-            if not c:
-                continue
-            coeffs[nu] = c
-            contrib = dunkl_apply(rs, xi, Laurent.monomial(nu), kvec)
-            running = running + contrib.scale(c)
-        return Laurent(coeffs)
+        else:
+            coeffs = {mu: RF_ONE}
+            running = dunkl_apply(rs, xi, Laurent.monomial(mu), kvec)
+            for nu in below:
+                num = running.terms.get(nu)
+                if num is None:
+                    continue
+                c = num / denoms[nu]
+                if not c:
+                    continue
+                coeffs[nu] = c
+                contrib = dunkl_apply(rs, xi, Laurent.monomial(nu), kvec)
+                running = running + contrib.scale(c)
+            return Laurent(coeffs)
     raise ResonanceError(
-        f"no generic direction found for the eigen-solve at mu={mu}")
+        f"resonant eigen-solve at mu={mu}: mu~ equals nu~ for a weight nu "
+        "below mu")

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -122,3 +123,46 @@ def test_laurent_json_round_trip_via_cli():
     first = laurent_from_json(json.loads(out))
     code, out2, _ = run_cli("jacobi", "--type", "B2", "--mu=-1,0")
     assert laurent_from_json(json.loads(out2)) == first
+
+
+def test_resonance_and_arithmetic_errors_exit_two():
+    code, out, err = run_cli("jacobi", "--type", "A1", "--mu=-1", "--k=-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: resonant eigen-solve")
+    assert "Traceback" not in err
+
+
+def test_jacobi_a3_nonresonant_weight():
+    code, out, _ = run_cli("jacobi", "--type", "A3", "--mu", "0,-1,0")
+    assert code == 0
+    assert laurent_from_json(json.loads(out)).terms[(0, -1, 0)] == 1
+
+
+def test_verify_with_no_cases_exits_two():
+    from trigdunkl.verify import SuiteResult
+    assert not SuiteResult("empty").ok
+    code, out, err = run_cli("verify", "--suite", "eigen", "--type", "A3")
+    assert code == 2 and out == ""
+    assert err == "error: suite eigen covers only A1, A2, B2\n"
+    code, _, err = run_cli("verify", "--suite", "all", "--type", "Z9")
+    assert code == 2 and "no suite covers Z9" in err
+    code, _, err = run_cli("verify", "--suite", "schwarz", "--type", "A1")
+    assert code == 2
+
+
+def test_verify_all_with_a_type_runs_the_suites_that_cover_it():
+    code, out, _ = run_cli("verify", "--suite", "all", "--type", "G2",
+                           "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert [s["suite"] for s in doc["suites"]] == [
+        "commute", "triangular", "cross", "prop32", "relations", "compat"]
+    assert all(s["cases"] for s in doc["suites"])
+
+
+def test_verify_all_default_output_is_unchanged():
+    # sha256 of the text output of `trigdunkl verify --suite all` (305 lines)
+    code, out, _ = run_cli("verify", "--suite", "all")
+    assert code == 0 and out.count("\n") == 305
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fc6838cd92b9c4e808411b1f12a5243037da0cdbcda3f71475590f3f08c05179")

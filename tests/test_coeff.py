@@ -100,3 +100,24 @@ def test_coupling_vectors():
     assert kvbc.value(0) == K and kvbc.value(1) == KP
     with pytest.raises(ValueError):
         couplings(a2, Fraction(1, 2)).integer_values()
+
+
+def test_printed_forms_are_unchanged():
+    assert str(K / (2 * K + 2)) == "(1/2*k) / (k + 1)"
+    assert str((K + KP) / (3 * K - 6 * KP)) == "(1/3*k + 1/3*kp) / (k - 2*kp)"
+    assert str(RatFunc.const(Fraction(-3, 4))) == "-3/4"
+    assert str(K / 2 - KP / 3) == "1/2*k - 1/3*kp"
+    assert str((2 * K * KP - 4) / (6 * K * K + 3)) == "(1/3*k*kp - 2/3) / (k^2 + 1/2)"
+    assert str(1 / (KP - 2)) == "(1) / (kp - 2)"
+    assert str(-K / (-3 * K + 1)) == "(1/3*k) / (k - 1/3)"
+    assert str((K * K - KP * KP) / (4 * K + 4 * KP)) == "1/4*k - 1/4*kp"
+    assert str((3 * K + 1) / (2 * K * KP - 5 * KP**2 + 7)) \
+        == "(3/2*k + 1/2) / (k*kp - 5/2*kp^2 + 7/2)"
+
+
+def test_constants_stay_integer_pairs():
+    c = RatFunc.const(Fraction(6, -4)) * 2 + Fraction(1, 3)
+    assert (c.num, c.den) == (-8, 3)
+    assert c.const_value() == Fraction(-8, 3)
+    assert (K - K).is_const() and (K / K) == RF_ONE
+    assert ((2 * K + 1) / 2 - K).const_value() == Fraction(1, 2)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -136,6 +137,29 @@ def test_jacobi_orthogonality_characterization(fam, n, kval):
             if rs.le_plus(nu, mu) == "less":
                 assert inner_product(rs, E, Laurent.monomial(nu), kvn,
                                      delta).is_zero()
+
+
+def test_jacobi_solves_every_a3_weight_in_the_unit_box():
+    # no two weights in these saturated sets share mu~, so none is resonant;
+    # (0,-1,0) has mu~ - nu~ orthogonal to every direction on one line
+    a3 = root_system("A", 3)
+    kv = couplings(a3)
+    for mu in itertools.product((-1, 0, 1), repeat=3):
+        E = jacobi(a3, mu, kv)
+        assert E.terms[mu] == RF_ONE
+        if mu == (0, -1, 0):
+            mt = mu_tilde(a3, mu, kv)
+            for i in range(3):
+                xi = tuple(int(j == i) for j in range(3))
+                assert dunkl_apply(a3, xi, E, kv) == E.scale(
+                    pair_with_xi(a3, mt, xi))
+
+
+def test_jacobi_resonance_is_reported():
+    from trigdunkl import ResonanceError
+    a1 = root_system("A", 1)
+    with pytest.raises(ResonanceError):
+        jacobi(a1, (-1,), couplings(a1, -1))
 
 
 def test_jacobi_bc1_with_doubled_root_coupling():
