@@ -15,6 +15,7 @@ from .laurent import (
     is_w_invariant,
     one_minus_exp,
 )
+from .rootsys import unit
 
 
 class ResonanceError(RuntimeError):
@@ -58,12 +59,6 @@ def rho_norm(rs, kvec):
     return norm_sq(rs, rho(rs, kvec))
 
 
-@dataclass(frozen=True)
-class EigenData:
-    mu: tuple
-    mu_tilde: tuple
-
-
 def mu_tilde(rs, mu, kvec):
     """The shifted eigenvalue weight: mu + (1/2) sum k_a eps(mu(a^vee)) a."""
     half = Fraction(1, 2)
@@ -78,10 +73,6 @@ def mu_tilde(rs, mu, kvec):
             if w[j]:
                 coords[j] = coords[j] + ka * (half * sign * w[j])
     return tuple(coords)
-
-
-def eigen_data(rs, mu, kvec):
-    return EigenData(tuple(mu), mu_tilde(rs, mu, kvec))
 
 
 def pair_with_xi(rs, v, xi):
@@ -118,7 +109,7 @@ def dunkl_apply(rs, xi, f, kvec):
         ka = kvec.value(rs.pos_class[r])
         if not ka:
             continue
-        axi = _root_xi(rs, r, xi)
+        axi = rs.root_xi(r, xi)
         if isinstance(axi, (int, Fraction)) and not axi:
             continue
         scale = ka * axi
@@ -126,19 +117,6 @@ def dunkl_apply(rs, xi, f, kvec):
             continue
         out = out + divided_difference(rs, r, f).scale(scale)
     return out
-
-
-def _root_xi(rs, r, xi):
-    row = rs.pos_simple_pair[r]
-    total = None
-    for x, p in zip(xi, row):
-        if p:
-            total = x * p if total is None else total + x * p
-    return 0 if total is None else total
-
-
-def _unit_xi(rs, j):
-    return tuple(int(i == j) for i in range(rs.rank))
 
 
 # --- degree <= 2 elements of Sym(h) ---
@@ -266,7 +244,7 @@ def symh_apply(rs, p, f, kvec):
         g = {}
         for j in range(n):
             if any(p.quadratic[i][j] for i in range(n)):
-                g[j] = dunkl_apply(rs, _unit_xi(rs, j), f, kvec)
+                g[j] = dunkl_apply(rs, unit(rs.rank, j), f, kvec)
         for i in range(n):
             combo = Laurent.zero()
             for j, gj in g.items():
@@ -274,7 +252,7 @@ def symh_apply(rs, p, f, kvec):
                 if q:
                     combo = combo + gj.scale(q)
             if not combo.is_zero():
-                out = out + dunkl_apply(rs, _unit_xi(rs, i), combo, kvec)
+                out = out + dunkl_apply(rs, unit(rs.rank, i), combo, kvec)
     return out
 
 
@@ -319,11 +297,6 @@ def _lk_localized(rs, F, kvec, check=False):
     return out
 
 
-def _laplacian_coroot_matrix(rs):
-    p = SymH.laplacian(rs)
-    return p.quadratic
-
-
 def partial_quadratic(rs, q, F):
     """sum q_ij partial_i partial_j on a localized element (q symmetric)."""
     n = rs.rank
@@ -344,7 +317,7 @@ def partial_quadratic(rs, q, F):
                 if s:
                     res[mu] = s
         return Localized(Laurent._raw(res))
-    derivs = [F.derivative(rs, _unit_xi(rs, j)) for j in range(n)]
+    derivs = [F.derivative(rs, unit(rs.rank, j)) for j in range(n)]
     out = Localized(Laurent.zero())
     for i in range(n):
         combo = Localized(Laurent.zero())
@@ -352,12 +325,12 @@ def partial_quadratic(rs, q, F):
             if q[i][j]:
                 combo = combo.add(derivs[j].scale(q[i][j]), rs)
         if not combo.is_zero():
-            out = out.add(combo.derivative(rs, _unit_xi(rs, i)), rs)
+            out = out.add(combo.derivative(rs, unit(rs.rank, i)), rs)
     return out
 
 
 def _partial_c_localized(rs, F):
-    return partial_quadratic(rs, _laplacian_coroot_matrix(rs), F)
+    return partial_quadratic(rs, SymH.laplacian(rs).quadratic, F)
 
 
 def hamiltonian_apply(rs, F, kvec):

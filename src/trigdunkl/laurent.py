@@ -353,11 +353,11 @@ class Localized:
         rhs = other.num * self.den_laurent(rs)
         return lhs == rhs
 
-    def derivative(self, rs, xi, rank_pairing=None):
+    def derivative(self, rs, xi):
         """partial(xi) with xi in simple-coroot coordinates, by quotient rule."""
         out = Localized(_partial(rs, xi, self.num), dict(self.den))
         for r, m in self.den.items():
-            axi = _root_pair_xi(rs, r, xi)
+            axi = rs.root_xi(r, xi)
             if not axi:
                 continue
             coeff = axi * (-m)
@@ -404,13 +404,3 @@ def _partial(rs, xi, f):
         if s:
             res[mu] = s
     return Laurent._raw(res)
-
-
-def _root_pair_xi(rs, r, xi):
-    """alpha_r(xi) for xi in simple-coroot coordinates."""
-    row = rs.pos_simple_pair[r]
-    total = None
-    for x, p in zip(xi, row):
-        if p:
-            total = x * p if total is None else total + x * p
-    return 0 if total is None else total

@@ -21,7 +21,7 @@ from .dunkl import (
     rho_norm,
 )
 from .laurent import Laurent, Localized, orbit_sum, weight_function, inner_product
-from .rootsys import root_system
+from .rootsys import root_system, unit
 from .special import (
     INFINITY,
     consecutive_relations,
@@ -75,10 +75,6 @@ class SuiteResult:
         }
 
 
-def _unit(n, j):
-    return tuple(int(i == j) for i in range(n))
-
-
 def _sides(lhs, rhs):
     return f"lhs = {lhs!r}; rhs = {rhs!r}"
 
@@ -110,7 +106,7 @@ def run_commute(types=None):
         sat = sorted(rs.saturated_set(mu0))
         for i in range(n):
             for j in range(i, n):
-                xi, eta = _unit(n, i), _unit(n, j)
+                xi, eta = unit(n, i), unit(n, j)
                 bad = None
                 for mu in sat:
                     f = Laurent.monomial(mu)
@@ -140,7 +136,7 @@ def run_triangular(types=None):
         for mu in sat:
             f = Laurent.monomial(mu)
             for i in range(n):
-                out = dunkl_apply(rs, _unit(n, i), f, kv)
+                out = dunkl_apply(rs, unit(n, i), f, kv)
                 for nu in out.terms:
                     if rs.le_plus(nu, mu) not in ("less", "equal"):
                         bad = (mu, i, nu)
@@ -184,7 +180,7 @@ def run_eigen(types=None):
                     break
             mt = mu_tilde(rs, mu, kv)
             for i in range(n):
-                xi = _unit(n, i)
+                xi = unit(n, i)
                 lhs = dunkl_apply(rs, xi, E, kv)
                 rhs = E.scale(pair_with_xi(rs, mt, xi))
                 if lhs != rhs:
@@ -210,7 +206,7 @@ def run_eigen(types=None):
         for mu in _coord_box(n, 1):
             f = Laurent.monomial(mu)
             for i in range(n):
-                lhs = dunkl_apply(rs, _unit(n, i), f, kv0)
+                lhs = dunkl_apply(rs, unit(n, i), f, kv0)
                 rhs = f.scale(rs.pairing(mu, i))
                 if lhs != rhs:
                     bad = (mu, i)
@@ -239,7 +235,7 @@ def run_cross(types=None):
             k2 = kv.value(rs.pos_class[dbl]) if dbl is not None else RF_ZERO
             ki = kv.value(rs.pos_class[si])
             for jj in range(n):
-                xi = _unit(n, jj)
+                xi = unit(n, jj)
                 sxi = list(xi)
                 sxi[i] -= sum(rs.cartan[j][i] * xi[j] for j in range(n))
                 a_xi = rs.pos_simple_pair[si][jj]
@@ -275,7 +271,7 @@ def run_hermitian(types=None):
             delta = weight_function(rs, kv)
             monos = [Laurent.monomial(mu) for mu in _coord_box(n)]
             # T(xi) f for each monomial and simple coroot, applied once
-            tf = [[dunkl_apply(rs, _unit(n, i), f, kv) for i in range(n)]
+            tf = [[dunkl_apply(rs, unit(n, i), f, kv) for i in range(n)]
                   for f in monos]
             bad = None
             for f, tfs in zip(monos, tf):
@@ -308,7 +304,7 @@ def run_thm23(types=None):
         kv = couplings(rs)
         C = SymH.laplacian(rs)
         rn = rho_norm(rs, kv)
-        for mu in [_unit(n, 0), (1,) * n]:
+        for mu in [unit(n, 0), (1,) * n]:
             f = orbit_sum(rs, mu)
             lhs = invariant_apply(rs, C, f, kv)
             rhs = lk_apply(rs, f, kv) + f.scale(rn)
@@ -329,7 +325,7 @@ def run_conjugation(types=None):
         kv = couplings(rs, 2, 2)
         tests = [
             ("1", Localized.from_laurent(Laurent.one(n))),
-            ("e^w1", Localized.from_laurent(Laurent.monomial(_unit(n, 0)))),
+            ("e^w1", Localized.from_laurent(Laurent.monomial(unit(n, 0)))),
             ("1/(1-e^-a1)", Localized(Laurent.one(n), {rs.simple_index[0]: 1})),
         ]
         for label, F in tests:
@@ -398,7 +394,7 @@ def run_compat(types=None):
         rs = root_system(fam, n)
         kv = couplings(rs)
         C = SymH.laplacian(rs)
-        for mu in [_unit(n, 0), (1,) * n]:
+        for mu in [unit(n, 0), (1,) * n]:
             f = orbit_sum(rs, mu)
             via_inv = invariant_apply(rs, C, f, kv)
             via_dk2 = dk2_apply(rs, C, Localized.from_laurent(f), kv)
@@ -420,14 +416,25 @@ def run_compat(types=None):
 _SCHWARZ_EXPECTED = ((1, INFINITY), (2, 10), (3, 6), (5, 4), (9, 3))
 
 
+def _schwarz_closed_form(n_max):
+    """Rows (n, 2/(n+3), q): q = inf at n = 1, else q = (1/2 - 2/(n+3))^-1
+    = 2(n+3)/(n-1) = 2 + 8/(n-1), an integer iff (n-1) | 8."""
+    rows = [(1, Fraction(1, 2), INFINITY)]
+    rows += [(n, Fraction(2, n + 3), 2 * (n + 3) // (n - 1))
+             for n in range(2, n_max + 1) if 8 % (n - 1) == 0]
+    return rows
+
+
 def run_schwarz(types=None):
     res = SuiteResult("schwarz")
     table = schwarz_table()
     got = tuple((n, q) for n, _, q in table)
     res.add("table equals ((1,inf),(2,10),(3,6),(5,4),(9,3))",
             got == _SCHWARZ_EXPECTED, f"got {got}")
-    res.add("table stable when scanning n <= 100",
-            tuple((n, q) for n, _, q in schwarz_table(100)) == _SCHWARZ_EXPECTED)
+    scanned, closed = schwarz_table(100), _schwarz_closed_form(100)
+    ok = scanned == closed
+    res.add("table stable when scanning n <= 100", ok,
+            "" if ok else f"scanned {scanned}, closed form {closed}")
     diff, qdiff = e8_exponent_difference(Fraction(1, 6))
     res.add("E8 exponent difference at k=1/6 is (-4, -2)",
             (diff, qdiff) == (Fraction(-4), Fraction(-2)))

@@ -33,6 +33,7 @@ from trigdunkl import (
     verify_quadratic,
     weight_squared,
 )
+from trigdunkl import verify
 from trigdunkl.verify import PROP32_TYPES
 
 HALF = RatFunc.const(Fraction(1, 2))
@@ -296,6 +297,22 @@ def test_schwarz_table():
     # n = 4 is excluded: q = 14/3 is not an integer
     assert all(n != 4 for n, _, _ in table)
     assert schwarz_table(250) == table
+
+
+def test_schwarz_suite_catches_a_table_and_expectation_that_agree_wrongly(
+        monkeypatch):
+    # the table and the expected pairs both drop n = 9; only the closed form
+    # 2(n+3)/(n-1), (n-1) | 8, still lists it
+    scan = verify.schwarz_table
+    monkeypatch.setattr(verify, "schwarz_table",
+                        lambda n_max=100: [r for r in scan(n_max) if r[0] != 9])
+    monkeypatch.setattr(verify, "_SCHWARZ_EXPECTED",
+                        tuple(r for r in verify._SCHWARZ_EXPECTED if r[0] != 9))
+    cases = {c.case_id: c for c in verify.run_schwarz().cases}
+    assert cases["table equals ((1,inf),(2,10),(3,6),(5,4),(9,3))"].ok
+    stable = cases["table stable when scanning n <= 100"]
+    assert not stable.ok
+    assert "(9, Fraction(1, 6), 3)" in stable.detail
 
 
 def test_e8_exponent_difference():
