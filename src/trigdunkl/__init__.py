@@ -58,7 +58,6 @@ from .dunkl import (
 from .special import (
     INFINITY,
     SpecialExponentReport,
-    SymTwoDual,
     c_dual,
     c_dual_pairing,
     consecutive_relations,

@@ -277,24 +277,27 @@ def _lk_localized(rs, F, kvec, check=False):
     """partial(C) + (1/2) sum k_a (a,a) (1+e^-a)/(1-e^-a) partial(a^vee)."""
     out = _partial_c_localized(rs, F)
     half = Fraction(1, 2)
-    rank = rs.rank
     for r in range(rs.n_positive):
         ka = kvec.value(rs.pos_class[r])
         if not ka:
             continue
         scale = ka * (half * rs.pos_norms[r])
-        g = F.derivative(rs, rs.pos_coroot_scoords[r])
-        onep = Laurent._raw({(0,) * rank: RF_ONE,
-                             tuple(-a for a in rs.pos_wcoords[r]): RF_ONE})
-        num = g.num * onep
-        den = dict(g.den)
-        den[r] = den.get(r, 0) + 1
-        out = out.add(Localized(num, den).scale(scale), rs)
+        out = out.add(_coth_partial(rs, F, r).scale(scale), rs)
     out = out.normalize(rs)
     if check and out.den:
         raise DivisibilityError("localized sum did not normalize; "
                                 "input was not an invariant element")
     return out
+
+
+def _coth_partial(rs, F, r):
+    """(1 + e^-a)/(1 - e^-a) partial(a^vee) F for the positive root a = r."""
+    g = F.derivative(rs, rs.pos_coroot_scoords[r])
+    onep = Laurent._raw({(0,) * rs.rank: RF_ONE,
+                         tuple(-a for a in rs.pos_wcoords[r]): RF_ONE})
+    den = dict(g.den)
+    den[r] = den.get(r, 0) + 1
+    return Localized(g.num * onep, den)
 
 
 def partial_quadratic(rs, q, F):

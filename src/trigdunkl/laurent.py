@@ -306,17 +306,15 @@ class Localized:
         den = dict(self.den)
         for r, m in other.den.items():
             den[r] = max(den.get(r, 0), m)
-        fn = self.num
-        for r, m in den.items():
-            extra = m - self.den.get(r, 0)
-            if extra:
-                fn = fn * one_minus_exp(rs, r, extra)
-        gn = other.num
-        for r, m in den.items():
-            extra = m - other.den.get(r, 0)
-            if extra:
-                gn = gn * one_minus_exp(rs, r, extra)
-        return Localized(fn + gn, den)
+        nums = []
+        for x in (self, other):
+            num = x.num
+            for r, m in den.items():
+                extra = m - x.den.get(r, 0)
+                if extra:
+                    num = num * one_minus_exp(rs, r, extra)
+            nums.append(num)
+        return Localized(nums[0] + nums[1], den)
 
     def sub(self, other, rs):
         return self.add(-other, rs)

@@ -6,55 +6,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .coeff import RF_ONE, RF_ZERO, RatFunc, _coerce, couplings
-from .dunkl import SymH, pair_with_xi, rho
-from .laurent import Laurent, Localized
+from .coeff import RF_ZERO, RatFunc, couplings
+from .dunkl import SymH, _coth_partial, pair_with_xi, partial_quadratic, rho
 
 INFINITY = "inf"
 
 _E_TABLE_A = {6: 6, 7: 12, 8: 30}
 
 
-class SymTwoDual:
-    """Symmetric matrix of a quadratic expression on h, in the convention
-    where mu^2 has entries mu(a_i^vee) mu(a_j^vee)."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix):
-        self.matrix = tuple(tuple(_coerce(x) for x in row) for row in matrix)
-        n = len(self.matrix)
-        for i in range(n):
-            for j in range(n):
-                if self.matrix[i][j] != self.matrix[j][i]:
-                    raise ValueError("matrix must be symmetric")
-
-    def is_zero(self):
-        return all(not x for row in self.matrix for x in row)
-
-    def add(self, other):
-        return SymTwoDual(tuple(
-            tuple(a + b for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.matrix, other.matrix)))
-
-    def scale(self, c):
-        c = _coerce(c)
-        return SymTwoDual(tuple(tuple(c * x for x in row) for row in self.matrix))
-
-    def __eq__(self, other):
-        return isinstance(other, SymTwoDual) and self.matrix == other.matrix
-
-
 def weight_squared(rs, v):
-    """mu^2 as a SymTwoDual (rank-one in the coroot pairings of mu)."""
+    """mu^2 as a SymH, with entries mu(a_i^vee) mu(a_j^vee)."""
     y = [rs.pairing_general(v, i) for i in range(rs.rank)]
-    return SymTwoDual(tuple(tuple(y[i] * y[j] for j in range(rs.rank))
-                            for i in range(rs.rank)))
+    return SymH.make(rs, quadratic=[[a * b for b in y] for a in y])
 
 
 def c_dual(rs):
     """The dual quadratic form: Gram matrix of the simple coroots."""
-    return SymTwoDual(rs.gram_coroot)
+    return SymH.make(rs, quadratic=rs.gram_coroot)
 
 
 @dataclass
@@ -184,11 +152,11 @@ def special_exponents(rs, kvec):
 
 
 def quadratic_residual(rs, v, kvec, a_value):
-    """mu^2 + (1/2) sum mu(k a^vee [+ k' a']) a^2 + a C^vee, as a matrix."""
+    """mu^2 + (1/2) sum mu(k a^vee [+ k' a']) a^2 + a C^vee, as a SymH."""
     n = rs.rank
     family = rs.spec.family
     k_extra = kvec.extra if family == "A" else RF_ZERO
-    res = [list(row) for row in weight_squared(rs, v).matrix]
+    res = [list(row) for row in weight_squared(rs, v).quadratic]
     half = Fraction(1, 2)
     # alpha' vanishes identically for A_1 (e_i + e_j projects to zero)
     use_alpha_prime = family == "A" and rs.rank >= 2
@@ -216,7 +184,7 @@ def quadratic_residual(rs, v, kvec, a_value):
             g = rs.gram_coroot[i][j]
             if g:
                 res[i][j] = res[i][j] + a_value * g
-    return SymTwoDual(res)
+    return SymH.make(rs, quadratic=res)
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
@@ -329,25 +297,16 @@ def dk2_apply(rs, p, F, kvec):
         raise ValueError("the degree-2 map is defined for reduced systems only")
     if p.constant or any(p.linear):
         raise ValueError("dk2_apply expects a purely quadratic element")
-    from .dunkl import partial_quadratic
-
     out = partial_quadratic(rs, p.quadratic, F)
     half = Fraction(1, 2)
     k_extra = kvec.extra if rs.spec.family == "A" and rs.rank >= 2 else RF_ZERO
-    rank = rs.rank
     for r in range(rs.n_positive):
         p_alpha = p.value_at(rs, rs.pos_wcoords[r])
         if not p_alpha:
             continue
         ka = kvec.value(rs.pos_class[r])
         if ka:
-            g = F.derivative(rs, rs.pos_coroot_scoords[r])
-            onep = Laurent._raw({(0,) * rank: RF_ONE,
-                                 tuple(-a for a in rs.pos_wcoords[r]): RF_ONE})
-            den = dict(g.den)
-            den[r] = den.get(r, 0) + 1
-            out = out.add(Localized(g.num * onep, den).scale(p_alpha * ka * half),
-                          rs)
+            out = out.add(_coth_partial(rs, F, r).scale(p_alpha * ka * half), rs)
         if k_extra:
             gp = F.derivative(rs, rs.alpha_prime_pairing(r))
             out = out.add(gp.scale(p_alpha * k_extra * half), rs)

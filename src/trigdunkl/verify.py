@@ -59,13 +59,14 @@ class SuiteResult:
         return bool(self.cases) and all(c.ok for c in self.cases)
 
     def first_failure(self):
-        for c in self.cases:
-            if not c.ok:
-                return c
-        return None
+        return next((c for c in self.cases if not c.ok), None)
 
     def add(self, case_id, ok, detail=""):
         self.cases.append(Case(case_id, bool(ok), detail))
+
+    def record(self, case_id, counterexample):
+        """Add a case from its first counterexample; None means it holds."""
+        self.add(case_id, counterexample is None, counterexample or "")
 
     def to_json(self):
         return {
@@ -75,8 +76,28 @@ class SuiteResult:
         }
 
 
+def _systems(rows, types):
+    """Yield (root system, *rest) for each type-table row (family, rank, *rest)
+    whose type is in `types`; every row when `types` is empty."""
+    for fam, n, *rest in rows:
+        if not types or f"{fam}{n}" in types:
+            yield root_system(fam, n), *rest
+
+
+def _first(details):
+    """The first detail that is not None, or None; stops the search there."""
+    return next((d for d in details if d is not None), None)
+
+
 def _sides(lhs, rhs):
-    return f"lhs = {lhs!r}; rhs = {rhs!r}"
+    """None when the two sides agree, else both of them."""
+    return None if lhs == rhs else f"lhs = {lhs!r}; rhs = {rhs!r}"
+
+
+def _above(rs, f, mu):
+    """The first support weight of f that is not <=+ mu, or None."""
+    return _first(nu for nu in f.terms
+                  if rs.le_plus(nu, mu) not in ("less", "equal"))
 
 
 # per-type fixed data: commutativity family, dominant anchor of height <= 3
@@ -96,61 +117,45 @@ def _suite_couplings(rs):
     return couplings(rs)
 
 
+def _commute_failure(rs, kv, xi, eta, mu):
+    f = Laurent.monomial(mu)
+    lhs = dunkl_apply(rs, xi, dunkl_apply(rs, eta, f, kv), kv)
+    rhs = dunkl_apply(rs, eta, dunkl_apply(rs, xi, f, kv), kv)
+    detail = _sides(lhs, rhs)
+    return detail and f"at e^{list(mu)}: {detail}"
+
+
 def run_commute(types=None):
     res = SuiteResult("commute")
-    for fam, n, mu0 in _COMMUTE_TYPES:
-        if types and f"{fam}{n}" not in types:
-            continue
-        rs = root_system(fam, n)
+    for rs, mu0 in _systems(_COMMUTE_TYPES, types):
         kv = _suite_couplings(rs)
         sat = sorted(rs.saturated_set(mu0))
+        n = rs.rank
         for i in range(n):
             for j in range(i, n):
                 xi, eta = unit(n, i), unit(n, j)
-                bad = None
-                for mu in sat:
-                    f = Laurent.monomial(mu)
-                    lhs = dunkl_apply(rs, xi, dunkl_apply(rs, eta, f, kv), kv)
-                    rhs = dunkl_apply(rs, eta, dunkl_apply(rs, xi, f, kv), kv)
-                    if lhs != rhs:
-                        bad = (mu, lhs, rhs)
-                        break
-                cid = f"{fam}{n}:[T(a{i + 1}^v),T(a{j + 1}^v)]"
-                if bad:
-                    res.add(cid, False,
-                            f"at e^{list(bad[0])}: " + _sides(bad[1], bad[2]))
-                else:
-                    res.add(cid, True)
+                res.record(f"{rs.spec}:[T(a{i + 1}^v),T(a{j + 1}^v)]",
+                           _first(_commute_failure(rs, kv, xi, eta, mu)
+                                  for mu in sat))
     return res
+
+
+def _triangular_failure(rs, kv, mu):
+    f = Laurent.monomial(mu)
+    for i in range(rs.rank):
+        nu = _above(rs, dunkl_apply(rs, unit(rs.rank, i), f, kv), mu)
+        if nu is not None:
+            return f"T(a{i + 1}^v) e^{list(mu)} hits {list(nu)}"
+    return None
 
 
 def run_triangular(types=None):
     res = SuiteResult("triangular")
-    for fam, n, mu0 in _COMMUTE_TYPES:
-        if types and f"{fam}{n}" not in types:
-            continue
-        rs = root_system(fam, n)
+    for rs, mu0 in _systems(_COMMUTE_TYPES, types):
         kv = _suite_couplings(rs)
-        sat = sorted(rs.saturated_set(mu0))
-        bad = None
-        for mu in sat:
-            f = Laurent.monomial(mu)
-            for i in range(n):
-                out = dunkl_apply(rs, unit(n, i), f, kv)
-                for nu in out.terms:
-                    if rs.le_plus(nu, mu) not in ("less", "equal"):
-                        bad = (mu, i, nu)
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        cid = f"{fam}{n}:support(T e^mu) <=+ mu"
-        if bad:
-            res.add(cid, False,
-                    f"T(a{bad[1] + 1}^v) e^{list(bad[0])} hits {list(bad[2])}")
-        else:
-            res.add(cid, True)
+        res.record(f"{rs.spec}:support(T e^mu) <=+ mu",
+                   _first(_triangular_failure(rs, kv, mu)
+                          for mu in sorted(rs.saturated_set(mu0))))
     return res
 
 
@@ -161,111 +166,97 @@ def _coord_box(n, bound=2):
     return sorted(product(range(-bound, bound + 1), repeat=n))
 
 
+def _eigen_failure(rs, kv, mu):
+    """The first failing check on E(mu): leading term, support, eigenvalue."""
+    E = jacobi(rs, mu, kv)
+    if E.terms.get(mu) != RatFunc.const(1):
+        return f"mu={mu}: leading coefficient is not 1"
+    nu = _above(rs, E, mu)
+    if nu is not None:
+        return f"mu={mu}: support weight {list(nu)} is not <=+ mu"
+    mt = mu_tilde(rs, mu, kv)
+    detail = _first(_sides(dunkl_apply(rs, xi, E, kv),
+                           E.scale(pair_with_xi(rs, mt, xi)))
+                    for xi in (unit(rs.rank, i) for i in range(rs.rank)))
+    return detail and f"mu={mu}: {detail}"
+
+
+def _k0_failure(rs, kv0, mu):
+    """At k = 0, T(xi) e^mu = mu(xi) e^mu and E(mu) = e^mu."""
+    f = Laurent.monomial(mu)
+    for i in range(rs.rank):
+        lhs = dunkl_apply(rs, unit(rs.rank, i), f, kv0)
+        if lhs != f.scale(rs.pairing(mu, i)):
+            return str((mu, i))
+    return None if jacobi(rs, mu, kv0) == f else str((mu, "E_0"))
+
+
 def run_eigen(types=None):
     res = SuiteResult("eigen")
-    for fam, n in _EIGEN_TYPES:
-        if types and f"{fam}{n}" not in types:
-            continue
-        rs = root_system(fam, n)
+    for (rs,) in _systems(_EIGEN_TYPES, types):
         kv = couplings(rs)
-        bad = None
-        for mu in _coord_box(n):
-            E = jacobi(rs, mu, kv)
-            if E.terms.get(mu) != RatFunc.const(1):
-                bad = (mu, "leading coefficient is not 1", "")
-                break
-            for nu in E.terms:
-                if rs.le_plus(nu, mu) not in ("less", "equal"):
-                    bad = (mu, f"support weight {list(nu)} is not <=+ mu", "")
-                    break
-            mt = mu_tilde(rs, mu, kv)
-            for i in range(n):
-                xi = unit(n, i)
-                lhs = dunkl_apply(rs, xi, E, kv)
-                rhs = E.scale(pair_with_xi(rs, mt, xi))
-                if lhs != rhs:
-                    bad = (mu, _sides(lhs, rhs), i)
-                    break
-            if bad:
-                break
-        cid = f"{fam}{n}:T E(mu) = mu~ E(mu), |coords|<=2"
-        res.add(cid, bad is None, "" if bad is None else f"mu={bad[0]}: {bad[1]}")
-    if not types or "A1" in types:
-        rs = root_system("A", 1)
+        res.record(f"{rs.spec}:T E(mu) = mu~ E(mu), |coords|<=2",
+                   _first(_eigen_failure(rs, kv, mu)
+                          for mu in _coord_box(rs.rank)))
+    for (rs,) in _systems((("A", 1),), types):
         kv = couplings(rs)
         res.add("A1:E(0) = 1", jacobi(rs, (0,), kv) == Laurent.one(1))
         closed = Laurent({(-1,): RatFunc.const(1), (1,): K / (1 + K)})
         res.add("A1:E(-w) = e^-w + k/(1+k) e^w", jacobi(rs, (-1,), kv) == closed)
     # degenerate couplings: the operator reduces to the plain derivative
-    for fam, n in _EIGEN_TYPES:
-        if types and f"{fam}{n}" not in types:
-            continue
-        rs = root_system(fam, n)
+    for (rs,) in _systems(_EIGEN_TYPES, types):
         kv0 = couplings(rs, 0, 0, 0)
-        bad = None
-        for mu in _coord_box(n, 1):
-            f = Laurent.monomial(mu)
-            for i in range(n):
-                lhs = dunkl_apply(rs, unit(n, i), f, kv0)
-                rhs = f.scale(rs.pairing(mu, i))
-                if lhs != rhs:
-                    bad = (mu, i)
-                    break
-            if jacobi(rs, mu, kv0) != f:
-                bad = (mu, "E_0")
-            if bad:
-                break
-        res.add(f"{fam}{n}:k=0 reduces to the derivative", bad is None,
-                "" if bad is None else str(bad))
+        res.record(f"{rs.spec}:k=0 reduces to the derivative",
+                   _first(_k0_failure(rs, kv0, mu)
+                          for mu in _coord_box(rs.rank, 1)))
     return res
+
+
+def _cross_failures(rs, kv, sat):
+    """s_i T(xi) e^mu - T(s_i xi) s_i e^mu + (k_i + 2k_2i) a_i(xi) e^mu,
+    per simple reflection i, simple coroot xi and mu: None or (i, jj, mu)."""
+    n = rs.rank
+    for i in range(n):
+        si = rs.simple_index[i]
+        dbl = rs.double_root[si]
+        k2 = kv.value(rs.pos_class[dbl]) if dbl is not None else RF_ZERO
+        ki = kv.value(rs.pos_class[si])
+
+        def reflect(w, i=i):
+            return rs.reflect_weight(i, w)
+
+        for jj in range(n):
+            xi = unit(n, jj)
+            sxi = list(xi)
+            sxi[i] -= sum(rs.cartan[j][i] * xi[j] for j in range(n))
+            a_xi = rs.pos_simple_pair[si][jj]
+            for mu in sat:
+                f = Laurent.monomial(mu)
+                t1 = dunkl_apply(rs, xi, f, kv).map_weights(reflect)
+                t2 = dunkl_apply(rs, tuple(sxi), f.map_weights(reflect), kv)
+                t3 = f.scale((ki + 2 * k2) * a_xi)
+                yield None if (t1 - t2 + t3).is_zero() else str((i, jj, mu))
 
 
 def run_cross(types=None):
     res = SuiteResult("cross")
-    for fam, n, mu0 in _COMMUTE_TYPES:
-        if types and f"{fam}{n}" not in types:
-            continue
-        rs = root_system(fam, n)
-        kv = _suite_couplings(rs)
+    for rs, mu0 in _systems(_COMMUTE_TYPES, types):
         sat = sorted(rs.saturated_set(mu0))
-        bad = None
-        for i in range(n):
-            si = rs.simple_index[i]
-            dbl = rs.double_root[si]
-            k2 = kv.value(rs.pos_class[dbl]) if dbl is not None else RF_ZERO
-            ki = kv.value(rs.pos_class[si])
-            for jj in range(n):
-                xi = unit(n, jj)
-                sxi = list(xi)
-                sxi[i] -= sum(rs.cartan[j][i] * xi[j] for j in range(n))
-                a_xi = rs.pos_simple_pair[si][jj]
-                for mu in sat:
-                    f = Laurent.monomial(mu)
-                    t1 = dunkl_apply(rs, xi, f, kv).map_weights(
-                        lambda w: rs.reflect_weight(i, w))
-                    t2 = dunkl_apply(rs, tuple(sxi),
-                                     f.map_weights(
-                                         lambda w: rs.reflect_weight(i, w)),
-                                     kv)
-                    t3 = f.scale((ki + 2 * k2) * a_xi)
-                    if not (t1 - t2 + t3).is_zero():
-                        bad = (i, jj, mu)
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        cid = f"{fam}{n}:s_i T(xi) - T(s_i xi) s_i + (k_i+2k_2i) a_i(xi)"
-        res.add(cid, bad is None, "" if bad is None else str(bad))
+        res.record(f"{rs.spec}:s_i T(xi) - T(s_i xi) s_i + (k_i+2k_2i) a_i(xi)",
+                   _first(_cross_failures(rs, _suite_couplings(rs), sat)))
     return res
+
+
+def _hermitian_failure(rs, kv, delta, f, tfs, g, tgs):
+    return _first(_sides(inner_product(rs, tfs[i], g, kv, delta),
+                         inner_product(rs, f, tgs[i], kv, delta))
+                  for i in range(rs.rank))
 
 
 def run_hermitian(types=None):
     res = SuiteResult("hermitian")
-    for fam, n in _EIGEN_TYPES:
-        if types and f"{fam}{n}" not in types:
-            continue
-        rs = root_system(fam, n)
+    for (rs,) in _systems(_EIGEN_TYPES, types):
+        n = rs.rank
         for kval in (1, 2):
             kv = couplings(rs, kval, kval)
             delta = weight_function(rs, kv)
@@ -273,22 +264,10 @@ def run_hermitian(types=None):
             # T(xi) f for each monomial and simple coroot, applied once
             tf = [[dunkl_apply(rs, unit(n, i), f, kv) for i in range(n)]
                   for f in monos]
-            bad = None
-            for f, tfs in zip(monos, tf):
-                for g, tgs in zip(monos, tf):
-                    for i in range(n):
-                        lhs = inner_product(rs, tfs[i], g, kv, delta)
-                        rhs = inner_product(rs, f, tgs[i], kv, delta)
-                        if lhs != rhs:
-                            bad = (f, g, i, lhs, rhs)
-                            break
-                    if bad:
-                        break
-                if bad:
-                    break
-            cid = f"{fam}{n}:(T f, g) = (f, T g) at k={kval}"
-            res.add(cid, bad is None,
-                    "" if bad is None else _sides(bad[3], bad[4]))
+            res.record(f"{rs.spec}:(T f, g) = (f, T g) at k={kval}",
+                       _first(_hermitian_failure(rs, kv, delta, f, tfs, g, tgs)
+                              for f, tfs in zip(monos, tf)
+                              for g, tgs in zip(monos, tf)))
     return res
 
 
@@ -297,10 +276,8 @@ _THM23_TYPES = (("A", 1), ("A", 2), ("A", 3), ("B", 2))
 
 def run_thm23(types=None):
     res = SuiteResult("thm23")
-    for fam, n in _THM23_TYPES:
-        if types and f"{fam}{n}" not in types:
-            continue
-        rs = root_system(fam, n)
+    for (rs,) in _systems(_THM23_TYPES, types):
+        n = rs.rank
         kv = couplings(rs)
         C = SymH.laplacian(rs)
         rn = rho_norm(rs, kv)
@@ -308,8 +285,9 @@ def run_thm23(types=None):
             f = orbit_sum(rs, mu)
             lhs = invariant_apply(rs, C, f, kv)
             rhs = lk_apply(rs, f, kv) + f.scale(rn)
-            cid = f"{fam}{n}:D(C) = L + (rho,rho) on orbit sum of {list(mu)}"
-            res.add(cid, lhs == rhs, "" if lhs == rhs else _sides(lhs, rhs))
+            res.record(
+                f"{rs.spec}:D(C) = L + (rho,rho) on orbit sum of {list(mu)}",
+                _sides(lhs, rhs))
     return res
 
 
@@ -318,10 +296,8 @@ _CONJUGATION_TYPES = (("A", 1), ("A", 2))
 
 def run_conjugation(types=None):
     res = SuiteResult("conjugation")
-    for fam, n in _CONJUGATION_TYPES:
-        if types and f"{fam}{n}" not in types:
-            continue
-        rs = root_system(fam, n)
+    for (rs,) in _systems(_CONJUGATION_TYPES, types):
+        n = rs.rank
         kv = couplings(rs, 2, 2)
         tests = [
             ("1", Localized.from_laurent(Laurent.one(n))),
@@ -330,9 +306,8 @@ def run_conjugation(types=None):
         ]
         for label, F in tests:
             ok = conjugation_check(rs, F, kv)
-            res.add(f"{fam}{n}:conjugation at k=2 on {label}", ok)
-    if not types or "A1" in types:
-        rs = root_system("A", 1)
+            res.add(f"{rs.spec}:conjugation at k=2 on {label}", ok)
+    for (rs,) in _systems((("A", 1),), types):
         F = Localized.from_laurent(Laurent.monomial((1,)))
         res.add("A1:conjugation at k=0 on e^w",
                 conjugation_check(rs, F, couplings(rs, 0)))
@@ -351,20 +326,18 @@ _STATED_A_VALUES.update({("E", 6): 6, ("E", 7): 12, ("E", 8): 30})
 
 def run_prop32(types=None):
     res = SuiteResult("prop32")
-    for fam, n in PROP32_TYPES:
-        if types and f"{fam}{n}" not in types:
-            continue
-        rs = root_system(fam, n)
+    for (rs,) in _systems(PROP32_TYPES, types):
+        fam, n = rs.spec.family, rs.rank
         kv = couplings(rs)
         rep = special_exponents(rs, kv)
         v = verify_quadratic(rs, rep)
-        res.add(f"{fam}{n}:quadratic residual zero for all {n + 1} exponents",
+        res.add(f"{rs.spec}:quadratic residual zero for all {n + 1} exponents",
                 all(v["quadratic"]), str(v["quadratic"]))
-        res.add(f"{fam}{n}:a = (mu_1, mu_(n+1))", v["a_equals_mu1_mun1"])
-        res.add(f"{fam}{n}:generic weight fails", v["exactness"])
+        res.add(f"{rs.spec}:a = (mu_1, mu_(n+1))", v["a_equals_mu1_mun1"])
+        res.add(f"{rs.spec}:generic weight fails", v["exactness"])
         if (fam, n) in _STATED_A_VALUES:
             expected = _STATED_A_VALUES[(fam, n)] * K * K
-            res.add(f"{fam}{n}:a matches the stated value",
+            res.add(f"{rs.spec}:a matches the stated value",
                     rep.a_value == expected,
                     f"a = {rep.a_value}, expected {expected}")
     return res
@@ -372,14 +345,11 @@ def run_prop32(types=None):
 
 def run_relations(types=None):
     res = SuiteResult("relations")
-    for fam, n in PROP32_TYPES:
-        if types and f"{fam}{n}" not in types:
-            continue
-        rs = root_system(fam, n)
+    for (rs,) in _systems(PROP32_TYPES, types):
         rep = special_exponents(rs, couplings(rs))
         v = consecutive_relations(rs, rep)
         for key, ok in v.items():
-            res.add(f"{fam}{n}:{key}", ok)
+            res.add(f"{rs.spec}:{key}", ok)
     return res
 
 
@@ -388,28 +358,22 @@ _COMPAT_TYPES = (("A", 1), ("A", 2), ("B", 2))
 
 def run_compat(types=None):
     res = SuiteResult("compat")
-    for fam, n in _COMPAT_TYPES:
-        if types and f"{fam}{n}" not in types:
-            continue
-        rs = root_system(fam, n)
+    for (rs,) in _systems(_COMPAT_TYPES, types):
         kv = couplings(rs)
         C = SymH.laplacian(rs)
-        for mu in [unit(n, 0), (1,) * n]:
+        for mu in [unit(rs.rank, 0), (1,) * rs.rank]:
             f = orbit_sum(rs, mu)
             via_inv = invariant_apply(rs, C, f, kv)
             via_dk2 = dk2_apply(rs, C, Localized.from_laurent(f), kv)
             ok = not via_dk2.den and via_dk2.num == via_inv
-            res.add(f"{fam}{n}:dk2(C) = invariant(C) on orbit sum of {list(mu)}",
+            res.add(f"{rs.spec}:dk2(C) = invariant(C) on orbit sum of {list(mu)}",
                     ok)
-    for fam, n in PROP32_TYPES:
-        if types and f"{fam}{n}" not in types:
-            continue
-        rs = root_system(fam, n)
+    for (rs,) in _systems(PROP32_TYPES, types):
         kv = couplings(rs)
         rep = special_exponents(rs, kv)
-        target = norm_sq(rs, rho(rs, kv)) - rep.a_value * n
+        target = norm_sq(rs, rho(rs, kv)) - rep.a_value * rs.rank
         ok = all(norm_sq(rs, lam) == target for lam in rep.spectral)
-        res.add(f"{fam}{n}:C(lambda_i) = C(rho) - a n", ok)
+        res.add(f"{rs.spec}:C(lambda_i) = C(rho) - a n", ok)
     return res
 
 

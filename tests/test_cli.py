@@ -1,10 +1,12 @@
 import hashlib
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 from trigdunkl import laurent_from_json, localized_from_json
 from trigdunkl.cli import main
+from trigdunkl.verify import SUITE_TYPES
 
 
 def run_cli(*argv):
@@ -166,3 +168,9 @@ def test_verify_all_default_output_is_unchanged():
     assert code == 0 and out.count("\n") == 305
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "fc6838cd92b9c4e808411b1f12a5243037da0cdbcda3f71475590f3f08c05179")
+    # the types each suite's case IDs name are the ones SUITE_TYPES declares
+    seen = {}
+    for suite, case_id in re.findall(r"^\S+ +\[(\w+)\] (.*)$", out, re.M):
+        t = re.match(r"^(BC|[A-G])\d+:", case_id)
+        seen.setdefault(suite, set()).update([t.group()[:-1]] if t else [])
+    assert seen == {name: set(types) for name, types in SUITE_TYPES.items()}

@@ -227,10 +227,10 @@ def test_special_system_eigenvalue(fam, n):
 
 def test_weight_squared_and_c_dual():
     a2 = root_system("A", 2)
-    m = weight_squared(a2, (1, -2)).matrix
+    m = weight_squared(a2, (1, -2)).quadratic
     assert m == ((RatFunc.const(1), RatFunc.const(-2)),
                  (RatFunc.const(-2), RatFunc.const(4)))
-    assert c_dual(a2).matrix[0][0] == RatFunc.const(2)  # coroot Gram = Cartan
+    assert c_dual(a2).quadratic[0][0] == RatFunc.const(2)  # coroot Gram = Cartan
 
 
 def test_reducibility_examples():
