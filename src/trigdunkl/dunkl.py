@@ -29,16 +29,14 @@ def epsilon(x):
 
 def rho(rs, kvec):
     """Half sum of positive roots weighted by the couplings (weight coords)."""
-    half = Fraction(1, 2)
     coords = [RF_ZERO] * rs.rank
-    for r in range(rs.n_positive):
-        ka = kvec.value(rs.pos_class[r])
+    for c, two_rho in enumerate(rs.class_two_rho):
+        ka = kvec.value(c)
         if not ka:
             continue
-        w = rs.pos_wcoords[r]
-        for j in range(rs.rank):
-            if w[j]:
-                coords[j] = coords[j] + ka * (half * w[j])
+        for j, t in enumerate(two_rho):
+            if t:
+                coords[j] = coords[j] + ka * Fraction(t, 2)
     return tuple(coords)
 
 
@@ -384,8 +382,9 @@ def conjugation_check(rs, F, kvec):
 
 
 def _le_plus_sort_key(rs, nu):
+    # heights scaled by det(cartan) > 0, which keeps their order
     nup = rs.dominant(nu)
-    return (-sum(rs.acoords_of(nup)), sum(rs.acoords_of(nu)), nu)
+    return (-sum(rs.det_acoords(nup)), sum(rs.det_acoords(nu)), nu)
 
 
 def jacobi(rs, mu, kvec):

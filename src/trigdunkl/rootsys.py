@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G", "BC")
 
@@ -151,19 +151,23 @@ def _ambient(acoords, cols2):
 
 
 def _mat_inv(m):
-    """Inverse of a square Fraction matrix by Gauss-Jordan."""
+    """Inverse and determinant of a square Fraction matrix by Gauss-Jordan."""
     n = len(m)
     a = [[Fraction(x) for x in row] + _frac_unit(n, i) for i, row in enumerate(m)]
+    det = Fraction(1)
     for col in range(n):
         piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
         f = a[col][col]
+        det *= f
         a[col] = [x / f for x in a[col]]
         for r in range(n):
             if r != col and a[r][col]:
                 g = a[r][col]
                 a[r] = [x - g * y if y else x for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+    return [row[n:] for row in a], det
 
 
 def _mat_vec(m, v):
@@ -239,7 +243,11 @@ class RootSystem:
         # cartan[i][j] = <alpha_j, alpha_i^vee>
         self.cartan = tuple(tuple(2 * gram2[i][j] // gram2[i][i]
                                   for j in range(n)) for i in range(n))
-        self._inv_cartan = _mat_inv(self.cartan)
+        inv_cartan, det = _mat_inv(self.cartan)
+        # det_acoords stays in integers: det(cartan) cartan^-1 is the adjugate
+        self._det_cartan = _as_int(det)
+        self._adj_cartan = tuple(tuple(_as_int(det * x) for x in row)
+                                 for row in inv_cartan)
 
         # pairing of the weight basis with the simple coroots:
         # wt_pair[i][j] = <FW_j, alpha_i^vee>.  The identity for reduced
@@ -249,11 +257,11 @@ class RootSystem:
         if family == "BC":
             wt_pair[n - 1][n - 1] = 2
         self.wt_pair = tuple(tuple(row) for row in wt_pair)
-        self._inv_wt_pair = _mat_inv(self.wt_pair)
+        self._inv_wt_pair = _mat_inv(self.wt_pair)[0]
         inv_wt_pair = [[_as_exact(x) for x in row] for row in self._inv_wt_pair]
 
         # fw_acoords[j] = FW_j in simple-root coordinates (cartan^-1 wt_pair)
-        fw_acoords = [tuple(_sparse_dot(col, row) for row in self._inv_cartan)
+        fw_acoords = [tuple(_sparse_dot(col, row) for row in inv_cartan)
                       for col in zip(*wt_pair)]
         self.fundamental_weights = tuple(_ambient(a, cols2) for a in fw_acoords)
         # pair2[j][l] = 2 (FW_j, alpha_l), an integer
@@ -301,6 +309,11 @@ class RootSystem:
         self.class_norms = tuple(class_norms)
         self.n_classes = len(class_norms)
         self.pos_class = tuple(class_norms.index(nb) for nb in self.pos_norms)
+        # class_two_rho[c] = sum of the positive roots of class c (weight coords)
+        two_rho = [[0] * n for _ in class_norms]
+        for c, w in zip(self.pos_class, self.pos_wcoords):
+            two_rho[c] = [t + x for t, x in zip(two_rho[c], w)]
+        self.class_two_rho = tuple(tuple(t) for t in two_rho)
 
         index_of = {w: r for r, w in enumerate(self.pos_wcoords)}
         self.double_root = tuple(index_of.get(tuple(2 * c for c in w))
@@ -413,16 +426,17 @@ class RootSystem:
                     queue.append(w)
         return seen
 
-    def acoords_of(self, v):
-        """Simple-root coordinates of a weight-basis vector (Fractions)."""
+    def det_acoords(self, v):
+        """det(cartan) times the simple-root coordinates of a weight-basis
+        vector: the integer adjugate of cartan applied to its pairings."""
         pair = [self.pairing(v, i) for i in range(self.rank)]
-        return _mat_vec(self._inv_cartan, pair)
+        return [_sparse_dot(row, pair) for row in self._adj_cartan]
 
     def dominance_le(self, mu, nu):
         """mu <= nu iff nu - mu is a nonnegative integer sum of simple roots."""
         diff = tuple(b - a for a, b in zip(mu, nu))
-        a = self.acoords_of(diff)
-        return all(x.denominator == 1 and x >= 0 for x in map(Fraction, a))
+        d = self._det_cartan
+        return all(t >= 0 and t % d == 0 for t in self.det_acoords(diff))
 
     def le_plus(self, mu, nu):
         """Verdict of the modified order: dominant orbits first, reversed inside."""
@@ -492,10 +506,53 @@ class RootSystem:
             raise ValueError("alpha' is defined for type A_n, n >= 2, only")
         return self._alpha_prime[r]
 
+    @cached_property
+    def _alpha_prime_pairs(self):
+        """d^2 FW_l(alpha'_r) for every positive root r and node l, in
+        integers: d FW_l and d alpha'_r are integer vectors, d = n + 1."""
+        d = self.rank + 1
+        aps = [[_as_int(d * x) for x in self.alpha_prime(r)]
+               for r in range(self.n_positive)]
+        fws = [[_as_int(d * x) for x in fw] for fw in self.fundamental_weights]
+        return tuple(tuple(_dot(fw, ap) for fw in fws) for ap in aps)
+
     def alpha_prime_pairing(self, r):
         """Fractions p with mu(alpha') = sum_j mu_j p_j in weight coordinates."""
-        ap = self.alpha_prime(r)
-        return tuple(_dot(fw, ap) for fw in self.fundamental_weights)
+        d2 = (self.rank + 1) ** 2
+        return tuple(Fraction(p, d2) for p in self._alpha_prime_pairs[r])
+
+    @cached_property
+    def residual_tensors(self):
+        """The tensors of special.quadratic_residual, built on first use.
+
+        One entry ((i, j), terms) per i <= j.  terms lists the nonzero
+        (c, l, s) with s = S_c[i][j][l] = sum over the positive roots r of
+        class c of w_r[i] w_r[j] <FW_l, alpha_r^vee>, w_r the weight
+        coordinates of r.  For A_n, n >= 2, it also lists, under
+        c = n_classes, the Fractions A[i][j][l] = sum_r w_r[i] w_r[j]
+        FW_l(alpha'_r).
+        """
+        n, prime = self.rank, self.n_classes
+        acc = {(i, j): {} for i in range(n) for j in range(i, n)}
+        for r in range(self.n_positive):
+            w = self.pos_wcoords[r]
+            nz = [i for i in range(n) if w[i]]
+            rows = [(self.pos_class[r], self.pos_pair[r])]
+            if self._alpha_prime is not None:
+                rows.append((prime, self._alpha_prime_pairs[r]))
+            for a, i in enumerate(nz):
+                for j in nz[a:]:
+                    ww = w[i] * w[j]
+                    terms = acc[i, j]
+                    for c, row in rows:
+                        for l, p in enumerate(row):
+                            if p:
+                                terms[c, l] = terms.get((c, l), 0) + ww * p
+        d2 = (n + 1) ** 2
+        return tuple(
+            (ij, tuple((c, l, Fraction(s, d2) if c == prime else s)
+                       for (c, l), s in sorted(terms.items()) if s))
+            for ij, terms in acc.items())
 
     def __repr__(self):
         return f"RootSystem({self.spec})"

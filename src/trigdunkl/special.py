@@ -152,38 +152,36 @@ def special_exponents(rs, kvec):
 
 
 def quadratic_residual(rs, v, kvec, a_value):
-    """mu^2 + (1/2) sum mu(k a^vee [+ k' a']) a^2 + a C^vee, as a SymH."""
+    """mu^2 + (1/2) sum mu(k a^vee [+ k' a']) a^2 + a C^vee, as a SymH.
+
+    Read off the per-type tensors of RootSystem.residual_tensors: with
+    y_i = mu(a_i^vee), w_r the weight coordinates of the positive root r,
+    S_c[i][j][l] = sum_{r in class c} w_r[i] w_r[j] <FW_l, a_r^vee> and, for
+    A_n with n >= 2, A[i][j][l] = sum_r w_r[i] w_r[j] FW_l(a'_r), entry (i, j)
+    is
+        y_i y_j + 1/2 sum_c k_c sum_l S_c[i][j][l] mu_l
+                + 1/2 k' sum_l A[i][j][l] mu_l + a C^vee_ij,
+    computed for i <= j and mirrored.
+    """
     n = rs.rank
-    family = rs.spec.family
-    k_extra = kvec.extra if family == "A" else RF_ZERO
-    res = [list(row) for row in weight_squared(rs, v).quadratic]
     half = Fraction(1, 2)
-    # alpha' vanishes identically for A_1 (e_i + e_j projects to zero)
-    use_alpha_prime = family == "A" and rs.rank >= 2
-    for r in range(rs.n_positive):
-        ka = kvec.value(rs.pos_class[r])
-        coef = ka * rs.root_pairing_general(v, r)
-        if use_alpha_prime and k_extra:
-            ap = rs.alpha_prime_pairing(r)
-            pairing = RF_ZERO
-            for c, p in zip(v, ap):
-                if p:
-                    pairing = pairing + c * p
-            coef = coef + k_extra * pairing
-        if not coef:
-            continue
-        coef = coef * half
-        w = rs.pos_wcoords[r]
-        for i in range(n):
-            if w[i]:
-                for j in range(n):
-                    if w[j]:
-                        res[i][j] = res[i][j] + coef * (w[i] * w[j])
-    for i in range(n):
-        for j in range(n):
-            g = rs.gram_coroot[i][j]
-            if g:
-                res[i][j] = res[i][j] + a_value * g
+    y = [rs.pairing_general(v, i) for i in range(n)]
+    # u[c][l] = (1/2) k_c mu_l, with c = n_classes for k'; None when zero
+    u = []
+    for kc in [kvec.value(c) for c in range(rs.n_classes)] + [kvec.extra]:
+        hk = kc * half if kc else None
+        u.append([hk * x if hk is not None and x else None for x in v])
+    res = [[None] * n for _ in range(n)]
+    for (i, j), terms in rs.residual_tensors:
+        total = y[i] * y[j]
+        for c, l, s in terms:
+            x = u[c][l]
+            if x is not None:
+                total = total + x * s
+        g = rs.gram_coroot[i][j]
+        if g:
+            total = total + a_value * g
+        res[i][j] = res[j][i] = total
     return SymH.make(rs, quadratic=res)
 
 

@@ -191,6 +191,33 @@ def test_alpha_prime_norm_identity(n):
                 assert sum(b * x for b, x in zip(beta, ap)) == 0
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_alpha_prime_pairing_is_the_ambient_dot(n):
+    rs = root_system("A", n)
+    for r in range(rs.n_positive):
+        ap = alpha_prime(rs, r)
+        assert rs.alpha_prime_pairing(r) == tuple(
+            sum(a * b for a, b in zip(fw, ap)) for fw in rs.fundamental_weights)
+    with pytest.raises(ValueError):
+        root_system("A", 1).alpha_prime_pairing(0)
+    with pytest.raises(ValueError):
+        root_system("E", 8).alpha_prime_pairing(0)
+
+
+@pytest.mark.parametrize("fam,n", ALL_SMALL + [("BC", 1), ("BC", 3)])
+def test_det_acoords_recovers_root_coordinates(fam, n):
+    rs = root_system(fam, n)
+    d = rs._det_cartan
+    for w, a in zip(rs.pos_wcoords, rs.pos_acoords):
+        assert rs.det_acoords(w) == [d * c for c in a]
+    for j in range(n):  # FW_j in simple-root coordinates, from the ambient
+        fw = [Fraction(t, d)
+              for t in rs.det_acoords(tuple(int(i == j) for i in range(n)))]
+        assert tuple(sum(c * x for c, x in zip(fw, col))
+                     for col in zip(*rs.simple_roots)) \
+            == rs.fundamental_weights[j]
+
+
 def test_w0_action():
     a3 = root_system("A", 3)
     assert a3.w0_sigma == (2, 1, 0)

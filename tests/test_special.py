@@ -152,6 +152,64 @@ def test_perturbed_exponent_fails_quadratic():
             assert not quadratic_residual(rs, bumped, kv, rep.a_value).is_zero()
 
 
+def _per_root_residual(rs, v, kvec, a_value):
+    """The quadratic residual summed root by root, as a reference: the
+    n_pos n^2 RatFunc loop that the per-type tensors replace."""
+    n = rs.rank
+    k_extra = kvec.extra if rs.spec.family == "A" and n >= 2 else RF_ZERO
+    res = [list(row) for row in weight_squared(rs, v).quadratic]
+    for r in range(rs.n_positive):
+        coef = kvec.value(rs.pos_class[r]) * rs.root_pairing_general(v, r)
+        if k_extra:
+            pairing = RF_ZERO
+            for c, p in zip(v, rs.alpha_prime_pairing(r)):
+                if p:
+                    pairing = pairing + c * p
+            coef = coef + k_extra * pairing
+        if not coef:
+            continue
+        coef = coef * HALF
+        w = rs.pos_wcoords[r]
+        nz = [i for i in range(n) if w[i]]
+        for i in nz:
+            for j in nz:
+                res[i][j] = res[i][j] + coef * (w[i] * w[j])
+    for i in range(n):
+        for j in range(n):
+            if rs.gram_coroot[i][j]:
+                res[i][j] = res[i][j] + a_value * rs.gram_coroot[i][j]
+    return SymH.make(rs, quadratic=res)
+
+
+@pytest.mark.parametrize("fam,n", PROP32_TYPES)
+def test_residual_tensors_match_the_per_root_sum(fam, n):
+    rs = root_system(fam, n)
+    generic = tuple(RatFunc.const(p) for p in (2, 3, 5, 7, 11, 13, 17, 19))
+    for kv in (couplings(rs), couplings(rs, Fraction(1, 6)),
+               couplings(rs, K, Fraction(1, 3))):
+        rep = special_exponents(rs, kv)
+        bumped = tuple(c + int(j == 0) for j, c in enumerate(rep.exponents[0]))
+        for v in rep.exponents + (generic[:n], bumped):
+            got = quadratic_residual(rs, v, kv, rep.a_value)
+            assert got == _per_root_residual(rs, v, kv, rep.a_value), (kv, v)
+
+
+def test_residual_tensors_live_and_die_with_the_root_system():
+    from trigdunkl.rootsys import _cached_system
+
+    rs, rep = _rep("A", 4)
+    verify_quadratic(rs, rep)
+    tensors = rs.__dict__["residual_tensors"]
+    verify_quadratic(rs, special_exponents(rs, couplings(rs, Fraction(1, 6))))
+    assert rs.residual_tensors is tensors  # built once per RootSystem
+    _cached_system.cache_clear()
+    fresh = root_system("A", 4)
+    assert fresh is not rs and "residual_tensors" not in fresh.__dict__
+    verify_quadratic(fresh, special_exponents(fresh, couplings(fresh)))
+    assert fresh.residual_tensors is not tensors
+    assert fresh.residual_tensors == tensors
+
+
 def test_relations_examples():
     # A3: lambda_{i+1} = s_i lambda_i
     rs, rep = _rep("A", 3)
