@@ -255,22 +255,29 @@ def _special_text(doc):
     return "\n".join(lines) + "\n"
 
 
+def _special_doc(rs, kv):
+    """The special report of one type as JSON, with the verdicts of
+    verify_quadratic and, under "relations", of consecutive_relations."""
+    rep = special_exponents(rs, kv)
+    verdicts = verify_quadratic(rs, rep)
+    verdicts["relations"] = consecutive_relations(rs, rep)
+    return dict(rep.to_json(), verdicts=verdicts)
+
+
 def _cmd_special(args):
     rs = _resolve_system(args)
-    kv = _coupling_vector(rs, args)
-    rep = special_exponents(rs, kv)
-    quad = verify_quadratic(rs, rep)
-    rel = consecutive_relations(rs, rep)
-    _emit(rep.to_json(), args, _special_text)
+    doc = _special_doc(rs, _coupling_vector(rs, args))
+    _emit(doc, args, _special_text)
     if args.verify:
-        quad_ok = all(quad["quadratic"]) and quad["a_equals_mu1_mun1"] \
-            and quad["exactness"]
-        rel_ok = all(rel.values())
+        v = doc["verdicts"]
+        quad_ok = all(v["quadratic"]) and v["a_equals_mu1_mun1"] \
+            and v["exactness"]
+        rel_ok = all(v["relations"].values())
         wanted = {"prop32": quad_ok, "relations": rel_ok,
                   "all": quad_ok and rel_ok}[args.verify]
         if not wanted:
             sys.stderr.write(f"verification {args.verify} failed: "
-                             f"{json.dumps(rep.verdicts, sort_keys=True)}\n")
+                             f"{json.dumps(v, sort_keys=True)}\n")
             return 1
     return 0
 
@@ -312,15 +319,9 @@ def _cmd_schwarz(args):
 
 def _cmd_report(args):
     results = run_all()
-    specials = []
-    for fam, n in PROP32_TYPES:
-        rs = root_system(fam, n)
-        rep = special_exponents(rs, couplings(rs))
-        verify_quadratic(rs, rep)
-        consecutive_relations(rs, rep)
-        specials.append(rep.to_json())
     doc = _suite_doc(results)
-    doc["special_reports"] = specials
+    doc["special_reports"] = [_special_doc(rs, couplings(rs)) for rs in
+                              (root_system(*t) for t in PROP32_TYPES)]
     doc["schwarz"] = [{"n": n, "k": str(k), "q": q} for n, k, q in schwarz_table()]
     _emit(doc, args, _suite_text)
     return 0 if doc["ok"] else 1

@@ -235,7 +235,8 @@ class RootSystem:
         simples = _simple_roots(family, n)
         self.simple_roots = tuple(simples)
         # cols2[k][l] = 2 (alpha_l)_k; every ambient entry is a half-integer
-        cols2 = [tuple(_as_int(2 * x) for x in col) for col in zip(*simples)]
+        self._cols2 = cols2 = [tuple(_as_int(2 * x) for x in col)
+                               for col in zip(*simples)]
         # gram2[l][m] = 2 (alpha_l, alpha_m), an integer in every realization
         rows2 = list(zip(*cols2))
         gram2 = [[_dot(s, t) // 2 for t in rows2] for s in rows2]
@@ -295,7 +296,6 @@ class RootSystem:
             tuple(_as_exact(Fraction(c * norms[l], nb)) for l, c in enumerate(a))
             for a, nb in zip(self.pos_acoords, self.pos_norms)
         )
-        self.positive_roots = tuple(_ambient(a, cols2) for a in self.pos_acoords)
 
         self.simple_index = tuple(self.pos_acoords.index(unit(n, i))
                                   for i in range(n))
@@ -505,6 +505,12 @@ class RootSystem:
         if self._alpha_prime is None:
             raise ValueError("alpha' is defined for type A_n, n >= 2, only")
         return self._alpha_prime[r]
+
+    @cached_property
+    def positive_roots(self):
+        """Ambient vectors of the positive roots, in pos_acoords order, built
+        on first use: no table of the root system is derived from them."""
+        return tuple(_ambient(a, self._cols2) for a in self.pos_acoords)
 
     @cached_property
     def _alpha_prime_pairs(self):

@@ -3,15 +3,13 @@ operator map and its spectral bookkeeping, reducibility and monodromy data,
 the Lorentzian parameter region, and the Schwarz-condition arithmetic."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeff import RF_ZERO, RatFunc, couplings
-from .dunkl import SymH, _coth_partial, pair_with_xi, partial_quadratic, rho
+from .dunkl import SymH, _coth_partial, partial_quadratic, rho
 
 INFINITY = "inf"
-
-_E_TABLE_A = {6: 6, 7: 12, 8: 30}
 
 
 def weight_squared(rs, v):
@@ -25,7 +23,7 @@ def c_dual(rs):
     return SymH.make(rs, quadratic=rs.gram_coroot)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpecialExponentReport:
     family: str
     rank: int
@@ -35,10 +33,9 @@ class SpecialExponentReport:
     y: RatFunc
     a_value: RatFunc
     kvec: object
-    verdicts: dict = field(default_factory=dict)
 
     def to_json(self):
-        out = {
+        return {
             "type": f"{self.family}{self.rank}",
             "rank": self.rank,
             "exponents": [[str(c) for c in mu] for mu in self.exponents],
@@ -46,20 +43,14 @@ class SpecialExponentReport:
             "y": str(self.y),
             "a": str(self.a_value),
         }
-        if self.verdicts:
-            out["verdicts"] = self.verdicts
-        return out
 
 
 def _case_couplings(rs, kvec):
-    """The (k, k') pair of the case formulas, read off the coupling vector."""
-    family = rs.spec.family
-    k = kvec.value(0)
-    if family == "A":
-        return k, kvec.extra
-    if family in ("D", "E"):
-        return k, None
-    return k, kvec.value(1)
+    """The (k, k') pair of the case formulas, read off the coupling vector:
+    k' is the A_n extra modulus on one-class types (0 on D and E)."""
+    if rs.n_classes == 1:
+        return kvec.value(0), kvec.extra
+    return kvec.value(0), kvec.value(1)
 
 
 def special_exponents(rs, kvec):
@@ -141,12 +132,7 @@ def special_exponents(rs, kvec):
         mus.append(mus[3])  # triple node 4 doubled
     rho_k = rho(rs, kvec)
     spectral = tuple(tuple(a + b for a, b in zip(mu, rho_k)) for mu in mus)
-    if family in ("A", "B", "C", "F", "G"):
-        a_val = x * y * rs.gram_fw[0][n - 1]
-    elif family == "D":
-        a_val = (n - 2) * k * k
-    else:
-        a_val = _E_TABLE_A[n] * k * k
+    a_val = x * y * rs.gram_fw[0][n - 1]  # = (mu_1, mu_(n+1))
     return SpecialExponentReport(family, n, tuple(mus), spectral, x, y,
                                  a_val, kvec)
 
@@ -208,13 +194,11 @@ def verify_quadratic(rs, report):
     generic = tuple(RatFunc.const(p) for p in _PRIMES[:rs.rank])
     exactness = not quadratic_residual(rs, generic, kvec,
                                        report.a_value).is_zero()
-    verdict = {
+    return {
         "quadratic": list(per_exponent),
         "a_equals_mu1_mun1": a_pairing_ok,
         "exactness": exactness,
     }
-    report.verdicts.update(verdict)
-    return verdict
 
 
 def _triple_node_distances(rs):
@@ -285,7 +269,6 @@ def consecutive_relations(rs, report):
             mus[n] == tuple(-report.y if j == n - 1 else RF_ZERO
                             for j in range(n)))
     verdict["endpoints"] = endpoint
-    report.verdicts["relations"] = verdict
     return verdict
 
 
@@ -335,10 +318,15 @@ def _require_reduced(rs):
         raise ValueError("defined for reduced root systems only")
 
 
+def _numeric_couplings(rs, k, kp):
+    """The coupling vector at rational (k, k'); k' = None reads as 0."""
+    return couplings(rs, Fraction(k), Fraction(kp or 0))
+
+
 def reducibility_check(rs, lam, k, kp=0):
     """Roots witnessing lambda(a^vee) + k_a in Z, over both signs of R_+."""
     _require_reduced(rs)
-    kv = couplings(rs, Fraction(k), Fraction(kp) if kp is not None else 0)
+    kv = _numeric_couplings(rs, k, kp)
     lam = tuple(Fraction(x) for x in lam)
     witnesses = []
     for r in range(rs.n_positive):
@@ -353,7 +341,7 @@ def reducibility_check(rs, lam, k, kp=0):
 def indicial_membership(rs, lam, mu, k, kp=0):
     """Whether mu solves the indicial equation, i.e. mu + rho_k lies in W lambda."""
     _require_reduced(rs)
-    kv = couplings(rs, Fraction(k), Fraction(kp) if kp is not None else 0)
+    kv = _numeric_couplings(rs, k, kp)
     rho_k = tuple(v.const_value() for v in rho(rs, kv))
     target = tuple(Fraction(m) + r for m, r in zip(mu, rho_k))
     lam = tuple(Fraction(x) for x in lam)
@@ -377,7 +365,7 @@ def monodromy_spec(rs, k, kp=0):
     Rotations r stand for the eigenvalue -e^(2 pi i r); no floats anywhere.
     """
     _require_reduced(rs)
-    kv = couplings(rs, Fraction(k), Fraction(kp) if kp is not None else 0)
+    kv = _numeric_couplings(rs, k, kp)
     out = []
     for i in range(rs.rank):
         ki = kv.value(rs.pos_class[rs.simple_index[i]]).const_value()
@@ -388,35 +376,17 @@ def monodromy_spec(rs, k, kp=0):
             "eigenvalue_one_multiplicity": rs.rank,
             "special_rotation": rot,
             "hecke_root_exp_minus": twice_integer,
-            "hecke_root_exp_plus": True,
         })
     return out
 
 
 def kplus_membership(rs, k, kp=0):
-    """Whether (k, k') lies in the Lorentzian coupling region, plus (x, y)."""
-    family, n = rs.spec.family, rs.rank
-    if family == "BC":
-        raise ValueError("the Lorentzian region is defined for reduced systems")
-    k = Fraction(k)
-    kp = Fraction(kp if kp is not None else 0)
-    if family == "D":
-        x, y = (n - 2) * k, 2 * k
-        return (0 < k < Fraction(1, n - 2)), x, y
-    if family == "E":
-        x, y = 3 * k, (n - 3) * k
-        return (0 < k < Fraction(1, n - 3)), x, y
-    if family == "A":
-        x = Fraction(n + 1, 2) * (k + kp)
-        y = Fraction(n + 1, 2) * (k - kp)
-    elif family == "B":
-        x, y = (n - 2) * k + kp, 2 * k
-    elif family == "C":
-        x, y = (n - 2) * k + 2 * kp, k
-    elif family == "F":
-        x, y = k + kp, 2 * k + kp
-    else:  # G
-        x, y = Fraction(1, 2) * (k + 3 * kp), Fraction(1, 2) * (k + kp)
+    """Whether (k, k') lies in the Lorentzian coupling region, plus (x, y):
+    -1/2 < k, k' < 1/2 and 0 < x, y < 1, with the (x, y) of
+    special_exponents and k' read as 0 on D and E."""
+    rep = special_exponents(rs, _numeric_couplings(rs, k, kp))
+    k, kp = (c.const_value() for c in _case_couplings(rs, rep.kvec))
+    x, y = rep.x.const_value(), rep.y.const_value()
     half = Fraction(1, 2)
     ok = (-half < k < half and -half < kp < half and 0 < x < 1 and 0 < y < 1)
     return ok, x, y

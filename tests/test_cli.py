@@ -4,9 +4,11 @@ import json
 import re
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
 from trigdunkl import laurent_from_json, localized_from_json
 from trigdunkl.cli import main
-from trigdunkl.verify import SUITE_TYPES
+from trigdunkl.verify import PROP32_TYPES, SUITE_TYPES
 
 
 def run_cli(*argv):
@@ -174,3 +176,82 @@ def test_verify_all_default_output_is_unchanged():
         t = re.match(r"^(BC|[A-G])\d+:", case_id)
         seen.setdefault(suite, set()).update([t.group()[:-1]] if t else [])
     assert seen == {name: set(types) for name, types in SUITE_TYPES.items()}
+
+
+# sha256 of the stdout of `trigdunkl special --type T --verify all` and of the
+# same command with `--k 1/6`, for every prop32 type
+SPECIAL_GOLDEN = {
+    "A1": ("1cfe1ee5ac6e204613e6dc75c55c7e1958b78d96fd4d4d94aad826214150d7ec",
+           "d3ab711182a679658a08c1969bdd33a03546b35b38efbd2405eedcda1d0aef8d"),
+    "A2": ("e35418cc3788be23b4fdd230ca1e8734c4bb7f814a55898d0e7717e82692661a",
+           "61009c45d929d37a4d6b72606cea2d39b66b463fdd0b3f68d268d0bfd68a4a77"),
+    "A3": ("6a4784d2714abdf4f823b407efd027ea45f7f7910da3499b4e75700142165147",
+           "73e4fb4d5f0ce43d3d584195b3f3c2c9c23864af3d5b5b972e2d2b6f085564c6"),
+    "A4": ("bd5ba23760b6165a43b736221c5e321667ff6ec68d3b2293c6fdf5bdd3a72cb1",
+           "608da439385c3ac8f53052671be0985b6d765867c17e0ccc0b4c8d21ce19fcab"),
+    "A5": ("0588c1c63b7c7ef056bc3b0245d92d5e22bf0683065f396e0940f582bb643d29",
+           "b5c522508800aeb292077b82df1200029561419292e48c0a17d88634fa52cf49"),
+    "A6": ("960c3f43112bfca412c50481702bda1c7e10d0fb71454d32f4cc56acba53c7c6",
+           "80b3d4c5cac87b51b9f9bfd9cab13e68c223554abba377baac2d2d1441e447e5"),
+    "A7": ("8141f570ac23aef070a6f487a6a97ff967765902b2dc396878baefee66330dbd",
+           "7cded62527f83ef4dfb597208dc8133cc49af47dec8d6779db7be9080f4b7931"),
+    "A8": ("52bbc015b731b8e2886f79ca49763009d7a004ed141dcd53299c7f8804a295dd",
+           "2fe4c705a18e952f2dcd9b7246fe70e30f3abfd2114bbb35f597a4057d5128c9"),
+    "B2": ("69c1e381c63ab2198be2cabac0896d5bf9f02289b9638a9f757d8085c32e5a80",
+           "ac686f58c33da8db563a1d155be0f62191ba3f93e13cfc9fa60d7fe0bcfbe0b1"),
+    "B3": ("05a951e9b00c236f4a67b798f25a3cc68bf1c684b19925bd978a4d83064d085a",
+           "617677d5f6005e71dd0f849a119f6a75f17bada4c84321d01bb9f73b933d183f"),
+    "B4": ("d12c2d181766307b33a5bebdf7c11dddf295dd9e1c95a504fb84c5f8b337b6cb",
+           "702ba97f843eb417764c123ba6450aee7225284989f5e7e291664c99cb47776c"),
+    "B5": ("b20daec35ed1999acac6f39894ca580e43a534577875ab68a9cc06a507f1ef51",
+           "a97e9340db1386f0cbf0d439220a08e59f74d15a441ef0eef38ef8759a782842"),
+    "B6": ("e5432c1292d9f6e23c5e297c2f588ff4b84a0d8e2edfe2f9f97d81289bfe535a",
+           "740fd9ac43f91a8fae2010ed6632887ea05c32fd5421b8a78594ba7ee3846c27"),
+    "B7": ("1f71529e8540748a8a03ad0a4896bc808185a67e572a1b7410317071b6fd5f79",
+           "6dd0dc0c3127db4f223987f8beccdbc94186aa2aa7f674d9e6199d711fc38f81"),
+    "B8": ("b74a89f60831907072977cda874bb4ac64140b6a749db94e96b9e7a5255ccd08",
+           "09135a7a88e11ba88faf5e45a580124b62bdd58b4bf0159f2eaa93da40444883"),
+    "C2": ("bdb845fa26ce8c67845e2d8dd83c0e19779152618662d2643447cfdd76e267ba",
+           "c1ee8036e9e43d59dfe8012d80feef07942e23cea2e3ba738a666fe6743ccfe1"),
+    "C3": ("1a510f72ed6af551902c2f81b7bd19039f4b2bba30dbcde40a0df03633c6ad65",
+           "312527ff3f6fb202948e909c0375a6025651c6f54e314eae88685d5c6661e495"),
+    "C4": ("d6809a8cfcc3431595de340f50f5f5d0c1bc901c7fb09ad731d062941f6da7fb",
+           "f68cdfbf1dd213e8537451942b5e4b505b8e4b5f73b53e56fefd3d75986f3525"),
+    "C5": ("9202908d86afb0995d5343fc8d4aebc9f2a78afa4799d0acac728400d870fa9c",
+           "53772b08549e58bfd0537159d67876c1381f5ec7ba15cc4267ca624c82a9bdd4"),
+    "C6": ("75bb34cedf1ad5fe6e893031eeb1c63029a725a3b4de68b909286a2acfeba696",
+           "59d0ff5e69b90252d8d1e3fa085d08bc46b7af9d1ccdaebf4023f2b94da0b45f"),
+    "C7": ("19e6c438ca30e7ad242cc561621d8f5eb945dd086141bf31b96d70b1683446b4",
+           "a4d60666bd7ebef237468ceee4bc47349d5e1be2dbaad0cd9f51a1bfb0384d95"),
+    "C8": ("af4a875287d845833797cc618cb892ea77d3e5e9b92f8291ae284823ba308e4c",
+           "01c51b0bc413e1cbe2f72ed3b6a7eb6c1b8409411dacb0674fc8aa80a941f8a1"),
+    "D4": ("53853929a59071dcc3979b983ed945b5aa2c7a81705cfb2bee332cf1b499ce18",
+           "277d5e755cf7ea3de80195d2224afad2fd30ffad62c3d76ad717d0bb46be1d46"),
+    "D5": ("6306288a21bd1264b86aa378e660b18870f7f7db2f95206706169b48994a9994",
+           "641eb98ca2c79ab0954dece669f3e6fd85c4114243884bc60dea36a9aa570d6b"),
+    "D6": ("e5a2232494f9cffb2a2c666a1e8251e62f34dba99015d2b4c2092bb44d1f657b",
+           "39ea0a6d333e3d0a352ccd00382bb736e42c68f8239c81f3c84cdb44e1cd076f"),
+    "D7": ("46c01123eab1edc5ea77cfc1702e468e490df3a6ebc38eb396d38b9c976f2259",
+           "f0da2986c6a79270f4d0881306505b5e4bd7a15693d3198e95632c213f978184"),
+    "D8": ("958c7df13a4d988d58c786cd3fe2640a161af4b7ba183aa3381d7a726579af8b",
+           "bc38bc67c5fc5bd3c50d4ab3c7c2e0fc63ecf70bd5d50d38187ca55666391c2c"),
+    "E6": ("7ea6a34996ceb3bd3b588231820c322719de40a9e32d75653cb07692ae3f4584",
+           "9f71c0200de90283641c7f563e0cfec0e957360883b75fd6ba93e0443a51a148"),
+    "E7": ("73601122f65b5e25431b805e6447d8cc7fa267a2829d12ce3c2473bb3b78e176",
+           "369d5259c23055bcc57084a0425da3b3b50fa6013835c4755316abd8a5d6ce83"),
+    "E8": ("1e271c93a35db8c7bb94c7dfa4083d71a2630c9539e9f5b7d9da27ea3681d48a",
+           "0a3241baa28b087595b328e2ab59ee4c2410947c13d021aac22806c811c2ec7b"),
+    "F4": ("4af96da36821acdf34e375bdfe639d5125506414f86d6c51cbc48575d4ccaf95",
+           "67141ca88715d80f5f5a735cbad9707a596c5efdfc3c0da8180309cccaeb7471"),
+    "G2": ("872ef72645fb8d6a2c14195902f5683719a42ac398f66975d391b8c29e3afe93",
+           "8dfe9d13a2e37ccf5f6f17c5ae76a3d2ece274a6d7b94cf6517e49f8d5b53593"),
+}
+
+
+@pytest.mark.parametrize("fam,n", PROP32_TYPES)
+def test_special_output_is_unchanged(fam, n):
+    for extra, digest in zip(((), ("--k", "1/6")), SPECIAL_GOLDEN[f"{fam}{n}"]):
+        code, out, err = run_cli("special", "--type", f"{fam}{n}",
+                                 "--verify", "all", *extra)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

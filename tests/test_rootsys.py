@@ -14,6 +14,7 @@ from trigdunkl import (
     LESS,
     K,
     RatFunc,
+    RootSystem,
     RootSystemSpec,
     alpha_prime,
     build_root_system,
@@ -261,6 +262,13 @@ def test_build_root_system_deterministic():
     s2 = build_root_system(RootSystemSpec("F", 4))
     assert s1 is s2  # cached, hence trivially identical output
     assert s1.positive_roots == s2.positive_roots
+
+
+def test_positive_roots_are_built_on_first_use():
+    rs = RootSystem(RootSystemSpec("E", 8))
+    assert "positive_roots" not in vars(rs)
+    roots = rs.positive_roots
+    assert vars(rs)["positive_roots"] is roots and len(roots) == rs.n_positive
 
 
 # sha256 of `trigdunkl roots --type T` and of the per-root tables below, as

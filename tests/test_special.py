@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -319,8 +321,7 @@ def test_monodromy_spec():
     assert all(e["eigenvalue_one_multiplicity"] == 2 for e in spec)
     assert all(e["special_rotation"] == Fraction(1, 3) for e in spec)
     assert all(not e["hecke_root_exp_minus"] for e in spec)
-    assert all(e["hecke_root_exp_plus"] for e in spec)
-    # k = 0: the multiset {1 x n, -1}; both conventions agree
+    # k = 0: the multiset {1 x n, -1}
     spec0 = monodromy_spec(a2, 0)
     assert all(e["special_rotation"] == 0 for e in spec0)
     assert all(e["hecke_root_exp_minus"] for e in spec0)
@@ -343,6 +344,76 @@ def test_kplus_membership():
                                 Fraction(1, 3))[0]
     assert kplus_membership(root_system("B", 3), Fraction(1, 4),
                             Fraction(1, 4))[0]
+
+
+def _kplus_reference(rs, k, kp=0):
+    """The Lorentzian test as per-family (x, y) formulas and D/E bounds."""
+    family, n = rs.spec.family, rs.rank
+    k = Fraction(k)
+    kp = Fraction(kp if kp is not None else 0)
+    if family == "D":
+        x, y = (n - 2) * k, 2 * k
+        return (0 < k < Fraction(1, n - 2)), x, y
+    if family == "E":
+        x, y = 3 * k, (n - 3) * k
+        return (0 < k < Fraction(1, n - 3)), x, y
+    if family == "A":
+        x = Fraction(n + 1, 2) * (k + kp)
+        y = Fraction(n + 1, 2) * (k - kp)
+    elif family == "B":
+        x, y = (n - 2) * k + kp, 2 * k
+    elif family == "C":
+        x, y = (n - 2) * k + 2 * kp, k
+    elif family == "F":
+        x, y = k + kp, 2 * k + kp
+    else:  # G
+        x, y = Fraction(1, 2) * (k + 3 * kp), Fraction(1, 2) * (k + kp)
+    half = Fraction(1, 2)
+    ok = (-half < k < half and -half < kp < half and 0 < x < 1 and 0 < y < 1)
+    return ok, x, y
+
+
+_KP_GRID = (Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3),
+            Fraction(-1, 5), Fraction(1, 7))
+_K_GRID = sorted({Fraction(p, q) for q in range(1, 7) for p in range(-q, q + 1)})
+
+
+@pytest.mark.parametrize("fam,n", PROP32_TYPES)
+def test_kplus_membership_matches_the_per_family_reference(fam, n):
+    rs = root_system(fam, n)
+    seen = set()
+    for kp in _KP_GRID:
+        # every k where x or y crosses 0 or 1, read off the reference's
+        # affine (x, y), plus the D and E bounds on k
+        bounds = {Fraction(1, 2), Fraction(-1, 2)}
+        _, x0, y0 = _kplus_reference(rs, 0, kp)
+        _, x1, y1 = _kplus_reference(rs, 1, kp)
+        for v0, v1 in ((x0, x1), (y0, y1)):
+            if v1 != v0:
+                bounds.update((t - v0) / (v1 - v0) for t in (0, 1))
+        if fam == "D":
+            bounds.add(Fraction(1, n - 2))
+        if fam == "E":
+            bounds.add(Fraction(1, n - 3))
+        eps = Fraction(1, 1000)
+        ks = set(_K_GRID).union(*({b - eps, b, b + eps} for b in bounds))
+        for k in sorted(ks):
+            got = kplus_membership(rs, k, kp)
+            assert got == _kplus_reference(rs, k, kp), (k, kp)
+            seen.add(got[0])
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("fam,n", PROP32_TYPES)
+def test_checks_return_verdicts_and_leave_the_report_unchanged(fam, n):
+    rs, rep = _rep(fam, n)
+    before = copy.deepcopy(rep)
+    assert set(verify_quadratic(rs, rep)) == {
+        "quadratic", "a_equals_mu1_mun1", "exactness"}
+    assert consecutive_relations(rs, rep)
+    assert rep == before
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.a_value = RF_ZERO
 
 
 def test_schwarz_table():
