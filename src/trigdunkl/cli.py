@@ -28,23 +28,17 @@ from .special import (
 )
 from .verify import PROP32_TYPES, SUITE_TYPES, SUITES, covers, run_all, run_suite
 
-_TYPE_RE = re.compile(r"^(BC|[ABCDEFG])(\d*)$")
+_TYPE_RE = re.compile(r"^(BC|[ABCDEFG])(\d+)$")
+
+# the largest Weyl orbit that `orbit` enumerates (E8 has orbits of 696,729,600)
+ORBIT_CAP = 100_000
 
 
 def _resolve_system(args):
-    if not args.type:
-        raise ValueError("--type is required")
     m = _TYPE_RE.match(args.type.upper())
     if not m:
         raise ValueError(f"bad type {args.type!r}")
-    family, digits = m.group(1), m.group(2)
-    if digits:
-        rank = int(digits)
-    elif args.rank is not None:
-        rank = args.rank
-    else:
-        raise ValueError("rank missing: use --rank or a type like A2")
-    return root_system(family, rank)
+    return root_system(m.group(1), int(m.group(2)))
 
 
 def _parse_fraction(s, flag):
@@ -56,11 +50,11 @@ def _parse_fraction(s, flag):
 def _coupling_vector(rs, args):
     k = K if args.k is None else _parse_fraction(args.k, "--k")
     kp = KP if args.kp is None else _parse_fraction(args.kp, "--kp")
-    k2 = None
-    if args.k2 is not None:
+    k2 = getattr(args, "k2", None)  # special takes no --k2
+    if k2 is not None:
         if rs.spec.family != "BC":
             raise ValueError("--k2 applies to BC systems only")
-        k2 = _parse_fraction(args.k2, "--k2")
+        k2 = _parse_fraction(k2, "--k2")
     return couplings(rs, k, kp, k2)
 
 
@@ -74,20 +68,19 @@ def _parse_ints(s, rank, flag):
     return coords
 
 
-def _emit(doc, args, text_renderer=None):
-    if args.format == "text" and text_renderer is not None:
+def _emit(doc, args, text_renderer):
+    if args.format == "text":
         payload = text_renderer(doc)
     else:
         payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(payload)
-
-
-def _laurent_text(f):
-    return repr(f) + "\n"
 
 
 def _suite_doc(results):
@@ -111,74 +104,6 @@ def _suite_text(doc):
     return "\n".join(lines) + "\n"
 
 
-def _add_common(parser, rank_flags=True):
-    parser.add_argument("--type", help="root system type, e.g. A2, E8, BC1")
-    if rank_flags:
-        parser.add_argument("--rank", type=int, help="rank when --type has none")
-    parser.add_argument("--k", help="coupling k as an exact fraction")
-    parser.add_argument("--kp", help="coupling k' as an exact fraction")
-    parser.add_argument("--k2", help="doubled-root coupling (BC only)")
-    parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--out", help="write output to this path")
-
-
-def build_parser():
-    ap = argparse.ArgumentParser(
-        prog="trigdunkl",
-        description="Exact trigonometric Dunkl operator calculus and "
-                    "spectral verification for irreducible root systems.")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("roots", help="serialize a root system")
-    _add_common(p)
-
-    p = sub.add_parser("orbit", help="Weyl orbit of a weight")
-    _add_common(p)
-    p.add_argument("--mu", required=True, help="weight coordinates, e.g. 1,0")
-
-    p = sub.add_parser("dunkl", help="apply a Dunkl operator to e^mu")
-    _add_common(p)
-    p.add_argument("--mu", required=True)
-    p.add_argument("--xi", required=True,
-                   help="simple-coroot coordinates of xi, e.g. 1,0")
-
-    p = sub.add_parser("jacobi", help="Jacobi eigenfunction E_k(mu)")
-    _add_common(p)
-    p.add_argument("--mu", required=True)
-
-    p = sub.add_parser("invariant",
-                       help="apply the invariant Laplacian-type operator "
-                            "to the orbit sum of mu")
-    _add_common(p)
-    p.add_argument("--mu", required=True)
-
-    p = sub.add_parser("hamiltonian", help="apply the quantum Hamiltonian to e^mu")
-    _add_common(p)
-    p.add_argument("--mu", required=True)
-
-    p = sub.add_parser("special", help="special exponent report for one type")
-    _add_common(p)
-    p.add_argument("--verify", choices=("prop32", "relations", "all"),
-                   help="fail (exit 1) when the requested verdicts do not hold")
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", required=True,
-                   choices=tuple(sorted(SUITES)) + ("all",))
-    p.add_argument("--type", action="append",
-                   help="restrict to these types (repeatable), e.g. --type A2")
-    p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument("--out")
-
-    p = sub.add_parser("schwarz", help="the Schwarz-condition table")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--out")
-
-    p = sub.add_parser("report", help="run everything and emit one document")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--out")
-    return ap
-
-
 def _roots_text(doc):
     lines = [f"{doc['family']}{doc['rank']}",
              "cartan: " + "; ".join(" ".join(f"{x:3d}" for x in row)
@@ -199,6 +124,10 @@ def _cmd_roots(args):
 def _cmd_orbit(args):
     rs = _resolve_system(args)
     mu = _parse_ints(args.mu, rs.rank, "--mu")
+    size = rs.orbit_size(mu)
+    if size > ORBIT_CAP:
+        raise ValueError(f"the orbit of {args.mu} has {size} weights, "
+                         f"more than the cap of {ORBIT_CAP}")
     doc = {"type": str(rs.spec), "mu": list(mu),
            "orbit": [list(w) for w in sorted(rs.orbit(mu))]}
     _emit(doc, args,
@@ -207,51 +136,46 @@ def _cmd_orbit(args):
     return 0
 
 
-def _cmd_dunkl(args):
-    rs = _resolve_system(args)
-    kv = _coupling_vector(rs, args)
-    mu = _parse_ints(args.mu, rs.rank, "--mu")
-    xi = _parse_ints(args.xi, rs.rank, "--xi")
-    out = dunkl_apply(rs, xi, Laurent.monomial(mu), kv)
-    _emit(out.to_json(), args, lambda _: _laurent_text(out))
-    return 0
+def _at_weight(op):
+    """The handler of a command that applies an operator at the weight --mu:
+    op(rs, mu, kv, args) returns the JSON document and the object whose
+    repr is the text rendering."""
+    def handler(args):
+        rs = _resolve_system(args)
+        kv = _coupling_vector(rs, args)
+        doc, out = op(rs, _parse_ints(args.mu, rs.rank, "--mu"), kv, args)
+        _emit(doc, args, lambda _: repr(out) + "\n")
+        return 0
+    return handler
 
 
-def _cmd_jacobi(args):
-    rs = _resolve_system(args)
-    kv = _coupling_vector(rs, args)
-    mu = _parse_ints(args.mu, rs.rank, "--mu")
-    out = jacobi(rs, mu, kv)
-    _emit(out.to_json(), args, lambda _: _laurent_text(out))
-    return 0
+def _dunkl(rs, mu, kv, args):
+    out = dunkl_apply(rs, _parse_ints(args.xi, rs.rank, "--xi"),
+                      Laurent.monomial(mu), kv)
+    return out.to_json(), out
 
 
-def _cmd_invariant(args):
-    rs = _resolve_system(args)
-    kv = _coupling_vector(rs, args)
-    mu = _parse_ints(args.mu, rs.rank, "--mu")
+def _invariant(rs, mu, kv, args):
     f = orbit_sum(rs, mu)
     out = invariant_apply(rs, SymH.laplacian(rs), f, kv)
-    doc = {"f": f.to_json(), "result": out.to_json()}
-    _emit(doc, args, lambda _: _laurent_text(out))
-    return 0
+    return {"f": f.to_json(), "result": out.to_json()}, out
 
 
-def _cmd_hamiltonian(args):
-    rs = _resolve_system(args)
-    kv = _coupling_vector(rs, args)
-    mu = _parse_ints(args.mu, rs.rank, "--mu")
+def _jacobi(rs, mu, kv, args):
+    out = jacobi(rs, mu, kv)
+    return out.to_json(), out
+
+
+def _hamiltonian(rs, mu, kv, args):
     out = hamiltonian_apply(rs, Localized.from_laurent(Laurent.monomial(mu)), kv)
-    _emit(out.to_json(), args, lambda d: repr(out) + "\n")
-    return 0
+    return out.to_json(), out
 
 
 def _special_text(doc):
     lines = [f"{doc['type']}: x = {doc['x']}; y = {doc['y']}; a = {doc['a']}"]
     for i, mu in enumerate(doc["exponents"]):
         lines.append(f"  mu_{i + 1} = ({', '.join(mu)})")
-    if "verdicts" in doc:
-        lines.append("verdicts: " + json.dumps(doc["verdicts"], sort_keys=True))
+    lines.append("verdicts: " + json.dumps(doc["verdicts"], sort_keys=True))
     return "\n".join(lines) + "\n"
 
 
@@ -308,44 +232,87 @@ def _cmd_verify(args):
     return 0
 
 
+def _schwarz_rows():
+    return [{"n": n, "k": str(k), "q": q} for n, k, q in schwarz_table()]
+
+
 def _cmd_schwarz(args):
-    table = schwarz_table()
-    doc = {"table": [{"n": n, "k": str(k), "q": q if q == "inf" else q}
-                     for n, k, q in table]}
-    text = "\n".join(f"n={n} k={k} q={q}" for n, k, q in table) + "\n"
-    _emit(doc, args, lambda d: text)
+    rows = _schwarz_rows()
+    _emit({"table": rows}, args,
+          lambda _: "".join(f"n={r['n']} k={r['k']} q={r['q']}\n" for r in rows))
     return 0
 
 
 def _cmd_report(args):
-    results = run_all()
-    doc = _suite_doc(results)
+    doc = _suite_doc(run_all())
     doc["special_reports"] = [_special_doc(rs, couplings(rs)) for rs in
                               (root_system(*t) for t in PROP32_TYPES)]
-    doc["schwarz"] = [{"n": n, "k": str(k), "q": q} for n, k, q in schwarz_table()]
+    doc["schwarz"] = _schwarz_rows()
     _emit(doc, args, _suite_text)
     return 0 if doc["ok"] else 1
 
 
+_TYPE = ("--type", dict(required=True,
+                        help="root system type with its rank, e.g. A2, E8, BC1"))
+_COUPLINGS = (("--k", dict(help="coupling k as an exact fraction")),
+              ("--kp", dict(help="coupling k' as an exact fraction")))
+_K2 = ("--k2", dict(help="doubled-root coupling (BC only)"))
+_MU = ("--mu", dict(required=True, help="weight coordinates, e.g. 1,0"))
+_AT_WEIGHT = (_TYPE, *_COUPLINGS, _K2, _MU)
+
+# name: (handler, help, default --format, flags besides --format and --out)
 _COMMANDS = {
-    "roots": _cmd_roots,
-    "orbit": _cmd_orbit,
-    "dunkl": _cmd_dunkl,
-    "jacobi": _cmd_jacobi,
-    "invariant": _cmd_invariant,
-    "hamiltonian": _cmd_hamiltonian,
-    "special": _cmd_special,
-    "verify": _cmd_verify,
-    "schwarz": _cmd_schwarz,
-    "report": _cmd_report,
+    "roots": (_cmd_roots, "serialize a root system", "json", (_TYPE,)),
+    "orbit": (_cmd_orbit, "Weyl orbit of a weight", "json", (_TYPE, _MU)),
+    "dunkl": (_at_weight(_dunkl), "apply a Dunkl operator to e^mu", "json",
+              (*_AT_WEIGHT,
+               ("--xi", dict(required=True,
+                             help="simple-coroot coordinates of xi, e.g. 1,0")))),
+    "jacobi": (_at_weight(_jacobi), "Jacobi eigenfunction E_k(mu)", "json",
+               _AT_WEIGHT),
+    "invariant": (_at_weight(_invariant),
+                  "apply the invariant Laplacian-type operator to the orbit "
+                  "sum of mu", "json", _AT_WEIGHT),
+    "hamiltonian": (_at_weight(_hamiltonian),
+                    "apply the quantum Hamiltonian to e^mu", "json", _AT_WEIGHT),
+    "special": (_cmd_special, "special exponent report for one type", "json",
+                (_TYPE, *_COUPLINGS,
+                 ("--verify", dict(
+                     choices=("prop32", "relations", "all"),
+                     help="fail (exit 1) when the requested verdicts do not hold")))),
+    "verify": (_cmd_verify, "run a verification suite", "text",
+               (("--suite", dict(required=True,
+                                 choices=tuple(sorted(SUITES)) + ("all",))),
+                ("--type", dict(action="append",
+                                help="restrict to these types (repeatable), "
+                                     "e.g. --type A2")))),
+    "schwarz": (_cmd_schwarz, "the Schwarz-condition table", "json", ()),
+    "report": (_cmd_report, "run everything and emit one document", "json", ()),
 }
 
 
+def _build_parser():
+    ap = argparse.ArgumentParser(
+        prog="trigdunkl",
+        description="Exact trigonometric Dunkl operator calculus and "
+                    "spectral verification for irreducible root systems.")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (_, help_, fmt, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
+        p.add_argument("--format", choices=("json", "text"), default=fmt)
+        p.add_argument("--out", help="write output to this path")
+    return ap
+
+
+_PARSER = _build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (ValueError, IndexError, ArithmeticError, ResonanceError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

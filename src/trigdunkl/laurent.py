@@ -105,9 +105,6 @@ class Laurent:
                 return c
         return RF_ZERO
 
-    def support(self):
-        return set(self.terms)
-
     def map_weights(self, fn):
         res = {}
         for mu, c in self.terms.items():
@@ -315,9 +312,6 @@ class Localized:
                     num = num * one_minus_exp(rs, r, extra)
             nums.append(num)
         return Localized(nums[0] + nums[1], den)
-
-    def sub(self, other, rs):
-        return self.add(-other, rs)
 
     def mul(self, other, rs):
         den = dict(self.den)

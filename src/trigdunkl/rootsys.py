@@ -6,9 +6,11 @@ entries may be int, Fraction, or RatFunc; all operations here are pure.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import prod
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G", "BC")
 
@@ -28,31 +30,6 @@ _RANK_OK = {
     "G": lambda n: n == 2,
     "BC": lambda n: n >= 1,
 }
-
-_COXETER = {
-    "A": lambda n: n + 1,
-    "B": lambda n: 2 * n,
-    "C": lambda n: 2 * n,
-    "D": lambda n: 2 * n - 2,
-    "E": lambda n: {6: 12, 7: 18, 8: 30}[n],
-    "F": lambda n: 12,
-    "G": lambda n: 6,
-    "BC": lambda n: 2 * n,
-}
-
-_DEGREES = {
-    "A": lambda n: list(range(2, n + 2)),
-    "B": lambda n: list(range(2, 2 * n + 1, 2)),
-    "C": lambda n: list(range(2, 2 * n + 1, 2)),
-    "D": lambda n: list(range(2, 2 * n - 1, 2)) + [n],
-    "E": lambda n: {6: [2, 5, 6, 8, 9, 12],
-                    7: [2, 6, 8, 10, 12, 14, 18],
-                    8: [2, 8, 12, 14, 18, 20, 24, 30]}[n],
-    "F": lambda n: [2, 6, 8, 12],
-    "G": lambda n: [2, 6],
-    "BC": lambda n: list(range(2, 2 * n + 1, 2)),
-}
-
 
 @dataclass(frozen=True)
 class RootSystemSpec:
@@ -218,6 +195,14 @@ def _positive_acoords(cartan):
     return out
 
 
+def _degrees(acoords):
+    """Degrees of the Weyl group of a set of positive roots in simple-root
+    coordinates: the exponent m occurs h_m - h_(m+1) times, h_j the number of
+    roots of height j (Kostant), and each degree is an exponent plus one."""
+    h = Counter(sum(a) for a in acoords)
+    return tuple(m + 1 for m in sorted(h) for _ in range(h[m] - h[m + 1]))
+
+
 class RootSystem:
     """Cartan, root and weight data for one irreducible type, set once here.
 
@@ -269,6 +254,10 @@ class RootSystem:
         pair2 = [[wt_pair[l][j] * norms[l] for l in range(n)] for j in range(n)]
 
         acoords = _positive_acoords(self.cartan)
+        # the Weyl group of BC_n is that of B_n: degrees before the doubling
+        self.degrees = _degrees(acoords)
+        self.weyl_order = prod(self.degrees)
+        self.coxeter_number = max(self.degrees)
         if family == "BC":
             acoords += [tuple(2 * c for c in a) for a in acoords
                         if _dot(a, _mat_vec(gram2, a)) == gram2[n - 1][n - 1]]
@@ -325,40 +314,14 @@ class RootSystem:
         self.gram_coroot = tuple(
             tuple(Fraction(2 * gram2[i][j], norms[i] * norms[j]) for j in range(n))
             for i in range(n))
-        self.coxeter_number = _COXETER[family](n)
-        self.degrees = tuple(_DEGREES[family](n))
-        self.weyl_order = 1
-        for d in self.degrees:
-            self.weyl_order *= d
-
-        if family == "BC":
-            sigma = tuple(range(n))  # w0 = -1
-        else:
-            sigma = []
-            for i in range(n):
-                img = self._antidominant_of_unit(i)
-                neg = [j for j, c in enumerate(img) if c == -1]
-                if len(neg) != 1 or any(c not in (0, -1) for c in img):
-                    raise AssertionError("w0 image of a fundamental weight "
-                                         "is not a negated fundamental weight")
-                sigma.append(neg[0])
-            sigma = tuple(sigma)
-        self.w0_sigma = sigma
+        # -w0 permutes the basis weights (w0 = -1 on BC): -w0 FW_i = dominant(-FW_i)
+        self.w0_sigma = tuple(self.dominant(tuple(-x for x in unit(n, i))).index(1)
+                              for i in range(n))
 
         if family == "A" and n >= 2:
             self._alpha_prime = self._build_alpha_prime()
         else:
             self._alpha_prime = None
-
-    def _antidominant_of_unit(self, i):
-        mu = unit(self.rank, i)
-        while True:
-            for j in range(self.rank):
-                if self.pairing(mu, j) > 0:
-                    mu = self.reflect_weight(j, mu)
-                    break
-            else:
-                return mu
 
     # --- weight arithmetic (integer coordinate tuples) ---
 
@@ -425,6 +388,14 @@ class RootSystem:
                     seen.add(w)
                     queue.append(w)
         return seen
+
+    def orbit_size(self, mu):
+        """|W mu| = |W| / |W_J|, without listing the orbit: J is the set of
+        simple roots orthogonal to the dominant weight of the orbit."""
+        top = self.dominant(mu)
+        J = [i for i in range(self.rank) if not self.pairing(top, i)]
+        sub = [[self.cartan[i][j] for j in J] for i in J]
+        return self.weyl_order // prod(_degrees(_positive_acoords(sub)))
 
     def det_acoords(self, v):
         """det(cartan) times the simple-root coordinates of a weight-basis

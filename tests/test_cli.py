@@ -1,20 +1,28 @@
+import argparse
 import hashlib
 import io
 import json
 import re
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from trigdunkl import laurent_from_json, localized_from_json
+from trigdunkl import cli, laurent_from_json, localized_from_json
 from trigdunkl.cli import main
+from trigdunkl.rootsys import RootSystem
 from trigdunkl.verify import PROP32_TYPES, SUITE_TYPES
 
 
 def run_cli(*argv):
+    """Exit code, stdout and stderr of one in-process call, argparse's own
+    usage errors (SystemExit) included."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -255,3 +263,249 @@ def test_special_output_is_unchanged(fam, n):
                                  "--verify", "all", *extra)
         assert code == 0 and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+# (argv, exit code, sha256 of stdout, stderr) for every subcommand in both
+# formats and for the usage and domain errors, as the CLI printed them before
+# its parser was built from one command table; argparse's usage lines are
+# taken at COLUMNS=80
+CLI_BATTERY = [
+    ("roots --type A2", 0,
+     "2367ab91310c85c784139d1195293afbee770f472ad5435da3c0bc056064070c", ""),
+    ("roots --type A2 --format text", 0,
+     "cc1f16f22948aef756264b6d3afb5f507a88d4ea47d00bc06f10ebb1e5292701", ""),
+    ("roots --type bc2", 0,
+     "f4acab590f07862a597b603dcfa2cd745150eb16155065fc9a670737d49f2f52", ""),
+    ("roots --type E6 --format text", 0,
+     "3a69f874db68d1ba1ed359a368639659255338c8b92c88ee47df08ba71a5971e", ""),
+    ("orbit --type A2 --mu 1,0", 0,
+     "57f6202d1309c01a912f1083eac94efbad15fe4cc2a3b1977731a6b8294a0445", ""),
+    ("orbit --type A2 --mu 1,0 --format text", 0,
+     "a176a280667c4d850d306545e6f63d5702bcbdaa9921055f08cf959f24065399", ""),
+    ("orbit --type BC2 --mu 1,1", 0,
+     "3f426f10ed3892d45ddad639213f562310db4b014c6551288b59595911fdfdd7", ""),
+    ("orbit --type B3 --mu 0,1,0 --format text", 0,
+     "862b5f62d692a6aa70bf9f42030bae5ff4b9820bcd1c48ee61a0f1342585ce4f", ""),
+    ("dunkl --type A1 --mu 1 --xi 1", 0,
+     "f7e169bd713c0636c222bcdc12609c54163679755c5701bcdd38442f648c2613", ""),
+    ("dunkl --type A1 --mu 1 --xi 1 --format text", 0,
+     "01d70de00a96d004fa2b7d9a316855bc13f2561222003243f7f3e99fb4fb05cd", ""),
+    ("dunkl --type G2 --mu 1,0 --xi 1,0 --k 1/3 --kp 2", 0,
+     "6d6f877d704044d0fe5a9659b22901fdaa59aac794938095c9a0769eab295141", ""),
+    ("dunkl --type BC1 --mu 1 --xi 1 --k2 1/2 --format text", 0,
+     "305bfe64d8ba8db6f443e9a388413296173778a4f1609a952b8fab27fe5df7ff", ""),
+    ("jacobi --type A1 --mu=-1", 0,
+     "cec0371b15faf9353f605ca42034f02aa7ef26af2bad30d713046f9cb84099de", ""),
+    ("jacobi --type A1 --mu=-1 --format text", 0,
+     "07b5ea1815c04c3894104156bbca8db8434aca57d4867e62bd371bb45de6c6c1", ""),
+    ("jacobi --type B2 --mu=-1,0 --k 1/2 --kp 1/3", 0,
+     "64f83e2ad477538fd9ced4d5b2deb51e2750a360e60457c5ad7cb0d113bb5f55", ""),
+    ("jacobi --type BC1 --mu=-1 --k2 1/3 --format text", 0,
+     "2ac1d5bb289633fee1df80e933d0c9e69f87e6a50caa27d2b097ff1cfab9471f", ""),
+    ("invariant --type A2 --mu 1,0", 0,
+     "50e8b734e521038f323f42709d3f4b15015b8b7be68e455e1cab066aa73692ac", ""),
+    ("invariant --type A2 --mu 1,0 --format text", 0,
+     "23633b9356a46db7c7a87b044616baf072390982b5e039a44dd00897ea8f3632", ""),
+    ("invariant --type B2 --mu 1,0 --k 1/2", 0,
+     "ddb3b1a65b8702b43375ab25fef69f033033d843e2107804297f0bfb24f31123", ""),
+    ("hamiltonian --type A1 --mu 0", 0,
+     "49d43acff83dd3122eb7ae81754579a984b2857d41ed53aff25bf87d9c9e292d", ""),
+    ("hamiltonian --type A1 --mu 0 --format text", 0,
+     "832724d9e07e41e40bf2b70c4adf2a78b2a9544e7168095c7e9fe338fdc6eef6", ""),
+    ("hamiltonian --type A1 --mu 0 --k 1/6", 0,
+     "13ab7ef4e21ddf97ef91ffa8e0238bebcdd1b11d371e710e3df387d350298638", ""),
+    ("hamiltonian --type BC1 --mu 1 --k 2 --k2 2 --format text", 0,
+     "f2609a3a228fbedf79b71415d8c8d9cfd72692d2d85b0e4c17177c2096fc9232", ""),
+    ("special --type E8 --verify prop32", 0,
+     "1e271c93a35db8c7bb94c7dfa4083d71a2630c9539e9f5b7d9da27ea3681d48a", ""),
+    ("special --type E8 --k 1/6 --format text", 0,
+     "1ce17139cc3a009cebb346e1685d0ac9ed6645225b7a694d629691494b8c6309", ""),
+    ("special --type A4 --k 1/5 --kp 1/3 --verify relations --format text", 0,
+     "33b96cba8559b9fcfccaa3c6972efcafa984b5ea1ce462711771da261b061bb8", ""),
+    ("special --type G2", 0,
+     "872ef72645fb8d6a2c14195902f5683719a42ac398f66975d391b8c29e3afe93", ""),
+    ("special --type D5 --verify all --format text", 0,
+     "930f158ad3bf17a3ad01bdfa114d056b4073ed5590c6e7d1e400d4f04af2479e", ""),
+    ("verify --suite schwarz", 0,
+     "12d0469076c3bb29b0dcd9dc8e7b59563e48cb3f2680679a5b7574bcaa946a2e", ""),
+    ("verify --suite schwarz --format json", 0,
+     "d9b117f33ec3f9a8725ae75885247c8d0765932d86ac9ea00720673bdc5969f5", ""),
+    ("verify --suite relations --type G2", 0,
+     "d98dd74964bcaf0b0fb355b0a0ba799780116eedb87e8fc7026684441f7b8293", ""),
+    ("verify --suite relations --type g2 --format json", 0,
+     "5da2d05cdd1576f268ef077a6221e92a93a5503ce6bb292e457138aff36b3035", ""),
+    ("verify --suite triangular --type A1 --type A2", 0,
+     "9c574115c3357e8f81163cbfca14834de735727098a13237d057ab8edc21cdd9", ""),
+    ("schwarz", 0,
+     "c6d080815d19a3ca7f979c936b5e93c89546093fd443360c075522992e0b4123", ""),
+    ("schwarz --format text", 0,
+     "982e024553a63703df5ec2722dd8a9580e5d81ff24b5776a21825438cf1d0b4e", ""),
+    ("report", 0,
+     "811edd1e002f994e1854c550b12e334be998debdb2268562430d63170284926d", ""),
+    ("report --format text", 0,
+     "fc6838cd92b9c4e808411b1f12a5243037da0cdbcda3f71475590f3f08c05179", ""),
+    ("roots --type D3", 2,
+     EMPTY,
+     "error: invalid rank 3 for family D\n"),
+    ("roots --type Q5", 2,
+     EMPTY,
+     "error: bad type 'Q5'\n"),
+    ("roots --type A2x", 2,
+     EMPTY,
+     "error: bad type 'A2x'\n"),
+    ("jacobi --type A2 --mu 1", 2,
+     EMPTY,
+     "error: --mu needs 2 coordinates, got 1\n"),
+    ("jacobi --type A1 --mu 1 --k 0.5", 2,
+     EMPTY,
+     "error: --k takes exact fractions like 1/6, not decimals\n"),
+    ("jacobi --type A1 --mu x", 2,
+     EMPTY,
+     "error: --mu must be comma-separated integers\n"),
+    ("dunkl --type A1 --mu 1 --xi 1 --k2 1/2", 2,
+     EMPTY,
+     "error: --k2 applies to BC systems only\n"),
+    ("dunkl --type A2 --mu 1,0 --xi 1", 2,
+     EMPTY,
+     "error: --xi needs 2 coordinates, got 1\n"),
+    ("special --type E8 --kp 0.5", 2,
+     EMPTY,
+     "error: --kp takes exact fractions like 1/6, not decimals\n"),
+    ("special --type BC2", 2,
+     EMPTY,
+     "error: special exponents are defined for reduced systems only\n"),
+    ("hamiltonian --type A1 --mu 0 --k 1/0", 2,
+     EMPTY,
+     "error: Fraction(1, 0)\n"),
+    ("jacobi --type A1 --mu=-1 --k=-1", 2,
+     EMPTY,
+     "error: resonant eigen-solve at mu=(-1,): mu~ equals nu~ for a weight"
+     " nu below mu\n"),
+    ("orbit --type A2 --mu 1,0,0", 2,
+     EMPTY,
+     "error: --mu needs 2 coordinates, got 3\n"),
+    ("verify --suite eigen --type A3", 2,
+     EMPTY,
+     "error: suite eigen covers only A1, A2, B2\n"),
+    ("verify --suite all --type Z9", 2,
+     EMPTY,
+     "error: no suite covers Z9\n"),
+    ("verify --suite schwarz --type A1", 2,
+     EMPTY,
+     "error: suite schwarz takes no --type\n"),
+    ("verify --suite nope", 2,
+     EMPTY,
+     "usage: trigdunkl verify [-h] --suite\n"
+     "                        {commute,compat,conjugation,cross,eigen,hermitian,prop32,relations,schwarz,thm23,triangular,all}\n"
+     "                        [--type TYPE] [--format {json,text}] [--out OUT]\n"
+     "trigdunkl verify: error: argument --suite: invalid choice: 'nope'"
+     " (choose from 'commute', 'compat', 'conjugation', 'cross', 'eigen',"
+     " 'hermitian', 'prop32', 'relations', 'schwarz', 'thm23', 'triangular',"
+     " 'all')\n"),
+    ("schwarz --format xml", 2,
+     EMPTY,
+     "usage: trigdunkl schwarz [-h] [--format {json,text}] [--out OUT]\n"
+     "trigdunkl schwarz: error: argument --format: invalid choice: 'xml'"
+     " (choose from 'json', 'text')\n"),
+    ("frob", 2,
+     EMPTY,
+     "usage: trigdunkl [-h]\n"
+     "                 {roots,orbit,dunkl,jacobi,invariant,hamiltonian,special,verify,schwarz,report}\n"
+     "                 ...\n"
+     "trigdunkl: error: argument command: invalid choice: 'frob' (choose"
+     " from 'roots', 'orbit', 'dunkl', 'jacobi', 'invariant', 'hamiltonian',"
+     " 'special', 'verify', 'schwarz', 'report')\n"),
+    ("", 2,
+     EMPTY,
+     "usage: trigdunkl [-h]\n"
+     "                 {roots,orbit,dunkl,jacobi,invariant,hamiltonian,special,verify,schwarz,report}\n"
+     "                 ...\n"
+     "trigdunkl: error: the following arguments are required: command\n"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest,err", CLI_BATTERY,
+                         ids=[row[0] or "(none)" for row in CLI_BATTERY])
+def test_cli_battery_is_unchanged(monkeypatch, argv, code, digest, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    got_code, out, got_err = run_cli(*argv.split())
+    assert (got_code, got_err) == (code, err)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    *(f"{cmd} --type A2 --mu 1,0 --rank 2"
+      for cmd in ("orbit", "jacobi", "invariant", "hamiltonian")),
+    "roots --type A2 --rank 2", "special --type A2 --rank 2",
+    "dunkl --type A2 --mu 1,0 --xi 1,0 --rank 2",
+    "roots --type A2 --k 1/6", "roots --type A2 --kp 5", "roots --type A2 --k2 1",
+    "orbit --type A2 --mu 1,0 --k 1/6", "orbit --type A2 --mu 1,0 --kp 5",
+    "orbit --type A2 --mu 1,0 --k2 1", "special --type BC2 --k2 1",
+    "special --type B2 --k2 1",
+])
+def test_removed_flags_exit_two(argv):
+    code, out, err = run_cli(*argv.split())
+    assert code == 2 and out == ""
+    assert "error: unrecognized arguments: --" in err
+
+
+def test_type_carries_the_rank():
+    code, out, err = run_cli("roots", "--type", "A")
+    assert (code, out, err) == (2, "", "error: bad type 'A'\n")
+    code, out, err = run_cli("jacobi", "--mu", "1")
+    assert code == 2 and out == ""
+    assert err.endswith("error: the following arguments are required: --type\n")
+
+
+def test_parser_is_built_once(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (("roots", "--type", "A2"), ("schwarz",),
+                 ("special", "--type", "G2", "--verify", "all")):
+        assert run_cli(*argv)[0] == 0
+    assert built == []
+
+
+def test_out_writes_the_stdout_bytes(tmp_path):
+    path = tmp_path / "roots.json"
+    assert run_cli("roots", "--type", "A2", "--out", str(path)) == (0, "", "")
+    assert path.read_text() == run_cli("roots", "--type", "A2")[1]
+
+
+def test_unwritable_out_exits_two(tmp_path):
+    path = tmp_path / "missing" / "roots.json"
+    code, out, err = run_cli("roots", "--type", "A2", "--out", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(path) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_orbit_cap_refuses_before_enumerating(monkeypatch):
+    def no_orbit(self, mu):
+        raise AssertionError("orbit enumerated")
+
+    monkeypatch.setattr(RootSystem, "orbit", no_orbit)
+    start = time.perf_counter()
+    code, out, err = run_cli("orbit", "--type", "E8", "--mu", "1,1,1,1,1,1,1,1")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == ("error: the orbit of 1,1,1,1,1,1,1,1 has 696729600 weights, "
+                   f"more than the cap of {cli.ORBIT_CAP}\n")
+
+
+def test_orbit_cap_boundary(monkeypatch):
+    monkeypatch.setattr(cli, "ORBIT_CAP", 6)
+    code, out, _ = run_cli("orbit", "--type", "A2", "--mu", "1,1")
+    assert code == 0 and len(json.loads(out)["orbit"]) == 6
+    monkeypatch.setattr(cli, "ORBIT_CAP", 5)
+    code, out, err = run_cli("orbit", "--type", "A2", "--mu", "1,1")
+    assert (code, out) == (2, "") and "has 6 weights" in err
+    assert run_cli("orbit", "--type", "A2", "--mu", "1,0")[0] == 0  # 3 weights

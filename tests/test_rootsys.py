@@ -86,6 +86,60 @@ def test_orbit_sizes_divide_weyl_order(fam, n):
         assert rs.weyl_order % len(rs.orbit(mu)) == 0
 
 
+# degrees, |W| and Coxeter number of every type (Humphreys, Reflection Groups
+# and Coxeter Groups, §3.7); BC_n has the Weyl group of B_n
+WEYL_DATA = {
+    "A1": ((2,), 2, 2), "A2": ((2, 3), 6, 3), "A3": ((2, 3, 4), 24, 4),
+    "A4": ((2, 3, 4, 5), 120, 5), "A5": ((2, 3, 4, 5, 6), 720, 6),
+    "A6": ((2, 3, 4, 5, 6, 7), 5040, 7), "A7": ((2, 3, 4, 5, 6, 7, 8), 40320, 8),
+    "A8": ((2, 3, 4, 5, 6, 7, 8, 9), 362880, 9),
+    "B2": ((2, 4), 8, 4), "B3": ((2, 4, 6), 48, 6), "B4": ((2, 4, 6, 8), 384, 8),
+    "B5": ((2, 4, 6, 8, 10), 3840, 10), "B6": ((2, 4, 6, 8, 10, 12), 46080, 12),
+    "B7": ((2, 4, 6, 8, 10, 12, 14), 645120, 14),
+    "B8": ((2, 4, 6, 8, 10, 12, 14, 16), 10321920, 16),
+    "C2": ((2, 4), 8, 4), "C3": ((2, 4, 6), 48, 6), "C4": ((2, 4, 6, 8), 384, 8),
+    "C5": ((2, 4, 6, 8, 10), 3840, 10), "C6": ((2, 4, 6, 8, 10, 12), 46080, 12),
+    "C7": ((2, 4, 6, 8, 10, 12, 14), 645120, 14),
+    "C8": ((2, 4, 6, 8, 10, 12, 14, 16), 10321920, 16),
+    "D4": ((2, 4, 4, 6), 192, 6), "D5": ((2, 4, 5, 6, 8), 1920, 8),
+    "D6": ((2, 4, 6, 6, 8, 10), 23040, 10),
+    "D7": ((2, 4, 6, 7, 8, 10, 12), 322560, 12),
+    "D8": ((2, 4, 6, 8, 8, 10, 12, 14), 5160960, 14),
+    "E6": ((2, 5, 6, 8, 9, 12), 51840, 12),
+    "E7": ((2, 6, 8, 10, 12, 14, 18), 2903040, 18),
+    "E8": ((2, 8, 12, 14, 18, 20, 24, 30), 696729600, 30),
+    "F4": ((2, 6, 8, 12), 1152, 12), "G2": ((2, 6), 12, 6),
+    "BC1": ((2,), 2, 2), "BC2": ((2, 4), 8, 4), "BC3": ((2, 4, 6), 48, 6),
+    "BC4": ((2, 4, 6, 8), 384, 8), "BC5": ((2, 4, 6, 8, 10), 3840, 10),
+}
+
+
+@pytest.mark.parametrize("name", WEYL_DATA)
+def test_weyl_data_from_root_heights(name):
+    fam, n = name.rstrip("0123456789"), int(name.lstrip("ABCDEFG"))
+    rs = root_system(fam, n)
+    assert (rs.degrees, rs.weyl_order, rs.coxeter_number) == WEYL_DATA[name]
+
+
+@pytest.mark.parametrize("fam,n", [("A", 1), ("A", 3), ("B", 3), ("C", 3),
+                                   ("D", 4), ("G", 2), ("F", 4), ("BC", 1),
+                                   ("BC", 3), ("E", 6)])
+def test_orbit_size_matches_the_orbit(fam, n):
+    rs = root_system(fam, n)
+    rng = random.Random(11)
+    weights = [(0,) * n, (1,) * n] + [tuple(rng.choice((0, 0, 1, -1, 2))
+                                            for _ in range(n)) for _ in range(8)]
+    for mu in weights[:4] if fam == "E" else weights:
+        assert rs.orbit_size(mu) == len(rs.orbit(mu)), mu
+
+
+def test_orbit_size_without_listing_the_orbit():
+    e8 = root_system("E", 8)
+    assert e8.orbit_size((1,) * 8) == 696729600
+    assert e8.orbit_size((0,) * 7 + (1,)) == 240  # the roots (omega_8 highest)
+    assert e8.orbit_size((0,) * 8) == 1
+
+
 def test_reflect_examples():
     a1 = root_system("A", 1)
     assert reflect(a1, 0, (1,)) == (-1,)

@@ -1,15 +1,20 @@
 """The benchmark's tracer wraps trigdunkl functions by name; every name it
-lists must still exist, so that a rename or deletion fails here first."""
+lists must still exist, so that a rename or deletion fails here first.  The
+benchmark's self-test runs here too, so that a change to a function it
+checks fails the tests and not only the benchmark."""
 import importlib
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import trigdunkl
 from trigdunkl import verify
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # run_path compiles from source and writes no bytecode into perfbench/
-TRACING = runpy.run_path(
-    str(Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"))
+TRACING = runpy.run_path(str(PERFBENCH / "tracing.py"))
 
 
 def test_every_traced_target_resolves():
@@ -24,3 +29,14 @@ def test_every_traced_target_resolves():
 
 def test_traced_suites_are_the_verify_suites():
     assert TRACING["SUITE_NAMES"] == tuple(verify.SUITES)
+
+
+def test_benchmark_selftest_passes():
+    before = sorted(PERFBENCH.rglob("*"))
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "selftest.py")],
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.endswith("self-test passed\n")
+    assert sorted(PERFBENCH.rglob("*")) == before  # nothing written there
