@@ -19,12 +19,9 @@ from .rootsys import (
     LESS,
     RootSystem,
     RootSystemSpec,
-    alpha_prime,
     build_root_system,
-    le_plus,
     reflect,
     root_system,
-    weyl_orbit,
 )
 from .laurent import (
     DivisibilityError,

@@ -30,7 +30,8 @@ from .verify import PROP32_TYPES, SUITE_TYPES, SUITES, covers, run_all, run_suit
 
 _TYPE_RE = re.compile(r"^(BC|[ABCDEFG])(\d+)$")
 
-# the largest Weyl orbit that `orbit` enumerates (E8 has orbits of 696,729,600)
+# the largest Weyl orbit that `orbit` and `invariant` enumerate (E8 has
+# orbits of 696,729,600)
 ORBIT_CAP = 100_000
 
 
@@ -44,7 +45,10 @@ def _resolve_system(args):
 def _parse_fraction(s, flag):
     if "." in s:
         raise ValueError(f"{flag} takes exact fractions like 1/6, not decimals")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"{flag} has a zero denominator") from None
 
 
 def _coupling_vector(rs, args):
@@ -121,13 +125,19 @@ def _cmd_roots(args):
     return 0
 
 
+def _check_orbit_size(rs, mu, text):
+    """Refuse, before listing it, a W-orbit of more than ORBIT_CAP weights;
+    text is mu as the command line gave it."""
+    size = rs.orbit_size(mu)
+    if size > ORBIT_CAP:
+        raise ValueError(f"the orbit of {text} has {size} weights, "
+                         f"more than the cap of {ORBIT_CAP}")
+
+
 def _cmd_orbit(args):
     rs = _resolve_system(args)
     mu = _parse_ints(args.mu, rs.rank, "--mu")
-    size = rs.orbit_size(mu)
-    if size > ORBIT_CAP:
-        raise ValueError(f"the orbit of {args.mu} has {size} weights, "
-                         f"more than the cap of {ORBIT_CAP}")
+    _check_orbit_size(rs, mu, args.mu)
     doc = {"type": str(rs.spec), "mu": list(mu),
            "orbit": [list(w) for w in sorted(rs.orbit(mu))]}
     _emit(doc, args,
@@ -156,6 +166,7 @@ def _dunkl(rs, mu, kv, args):
 
 
 def _invariant(rs, mu, kv, args):
+    _check_orbit_size(rs, mu, args.mu)
     f = orbit_sum(rs, mu)
     out = invariant_apply(rs, SymH.laplacian(rs), f, kv)
     return {"f": f.to_json(), "result": out.to_json()}, out

@@ -578,7 +578,7 @@ def format_poly(p, scale=1):
     return out
 
 
-# --- parser for the textual form (used by JSON round trips and the CLI) ---
+# --- parser for the textual form (used by laurent_from_json) ---
 
 
 def _tokenize(s):

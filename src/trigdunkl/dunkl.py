@@ -6,11 +6,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeff import RF_ONE, RF_ZERO, RatFunc, _coerce
+from .coeff import RF_ONE, RF_ZERO, _coerce
 from .laurent import (
     DivisibilityError,
     Laurent,
     Localized,
+    _partial,
     divided_difference,
     is_w_invariant,
     one_minus_exp,
@@ -44,11 +45,11 @@ def norm_sq(rs, v):
     """(v, v) for an h* vector in weight coordinates."""
     total = RF_ZERO
     for i in range(rs.rank):
-        if isinstance(v[i], (int, Fraction)) and not v[i]:
+        if not v[i]:
             continue
         for j in range(rs.rank):
             g = rs.gram_fw[i][j]
-            if g and not (isinstance(v[j], (int, Fraction)) and not v[j]):
+            if g and v[j]:
                 total = total + v[i] * v[j] * g
     return total
 
@@ -77,10 +78,10 @@ def pair_with_xi(rs, v, xi):
     """<v, xi> with v in weight coords and xi in simple-coroot coords."""
     total = RF_ZERO
     for i, x in enumerate(xi):
-        if isinstance(x, (int, Fraction)) and not x:
+        if not x:
             continue
         p = rs.pairing_general(v, i)
-        if isinstance(p, (int, Fraction)) and not p:
+        if not p:
             continue
         total = total + x * p
     return total
@@ -89,72 +90,37 @@ def pair_with_xi(rs, v, xi):
 def dunkl_apply(rs, xi, f, kvec):
     """Dunkl operator for xi (simple-coroot coordinates) applied to f."""
     xi = tuple(xi)
-    rho_xi = pair_with_xi(rs, rho(rs, kvec), xi)
-    res = {}
-    for mu, c in f.terms.items():
-        val = None
-        for i, x in enumerate(xi):
-            if isinstance(x, (int, Fraction)) and not x:
-                continue
-            p = rs.pairing(mu, i)
-            if p:
-                val = x * p if val is None else val + x * p
-        coeff = c * (val - rho_xi) if val is not None else c * (-rho_xi)
-        if coeff:
-            res[mu] = coeff
-    out = Laurent._raw(res)
+    out = _partial(rs, xi, f, shift=pair_with_xi(rs, rho(rs, kvec), xi))
     for r in range(rs.n_positive):
         ka = kvec.value(rs.pos_class[r])
         if not ka:
             continue
         axi = rs.root_xi(r, xi)
-        if isinstance(axi, (int, Fraction)) and not axi:
+        if not axi:
             continue
-        scale = ka * axi
-        if not scale:
-            continue
-        out = out + divided_difference(rs, r, f).scale(scale)
+        out = out + divided_difference(rs, r, f).scale(ka * axi)
     return out
 
 
-# --- degree <= 2 elements of Sym(h) ---
+# --- quadratic forms on h* and the degree-2 operators built from them ---
 
 
 @dataclass(frozen=True)
 class SymH:
-    """Polynomial of degree <= 2 on h*, in simple-coroot coordinates."""
+    """Quadratic form p on h*, a symmetric matrix in simple-coroot coordinates:
+    p(lam) = sum_ij quadratic[i][j] lam(a_i^vee) lam(a_j^vee)."""
 
-    constant: RatFunc
-    linear: tuple
     quadratic: tuple  # symmetric matrix of RatFunc
 
     @classmethod
-    def make(cls, rs, constant=0, linear=None, quadratic=None):
+    def make(cls, rs, quadratic):
         n = rs.rank
-        constant = _coerce(constant)
-        linear = tuple(_coerce(x) for x in (linear or (0,) * n))
-        if quadratic is None:
-            quadratic = tuple((RF_ZERO,) * n for _ in range(n))
-        else:
-            quadratic = tuple(tuple(_coerce(x) for x in row) for row in quadratic)
+        quadratic = tuple(tuple(_coerce(x) for x in row) for row in quadratic)
         for i in range(n):
             for j in range(n):
                 if quadratic[i][j] != quadratic[j][i]:
-                    raise ValueError("quadratic part must be symmetric")
-        return cls(constant, linear, quadratic)
-
-    @classmethod
-    def monomial(cls, rs, xi, eta):
-        """The symmetric product of two coroot-coordinate vectors."""
-        n = rs.rank
-        half = Fraction(1, 2)
-        xi = tuple(_coerce(x) for x in xi)
-        eta = tuple(_coerce(x) for x in eta)
-        quad = tuple(
-            tuple((xi[i] * eta[j] + xi[j] * eta[i]) * half for j in range(n))
-            for i in range(n)
-        )
-        return cls(RF_ZERO, (RF_ZERO,) * n, quad)
+                    raise ValueError("the matrix must be symmetric")
+        return cls(quadratic)
 
     @classmethod
     def laplacian(cls, rs):
@@ -171,86 +137,52 @@ class SymH:
                         total += inv[i][a] * rs.gram_fw[i][j] * inv[j][b]
                 row.append(_coerce(total))
             quad.append(tuple(row))
-        return cls(RF_ZERO, (RF_ZERO,) * n, tuple(quad))
+        return cls(tuple(quad))
 
     def value_at(self, rs, lam):
         """Evaluate at an h* vector given in weight coordinates."""
         y = [rs.pairing_general(lam, i) for i in range(rs.rank)]
-        total = self.constant
-        for i, l in enumerate(self.linear):
-            if l:
-                total = total + l * y[i]
-        for i in range(rs.rank):
-            for j in range(rs.rank):
-                q = self.quadratic[i][j]
-                if q:
-                    total = total + q * y[i] * y[j]
+        total = RF_ZERO
+        for i, row in enumerate(self.quadratic):
+            if y[i]:
+                for j, q in enumerate(row):
+                    if q and y[j]:
+                        total = total + q * (y[i] * y[j])
         return total
 
     def is_zero(self):
-        return (not self.constant and not any(self.linear)
-                and not any(any(row) for row in self.quadratic))
-
-
-def symh_reflect(rs, p, i):
-    """The composite p o s_i as a SymH element."""
-    n = rs.rank
-    col = [rs.cartan[j][i] for j in range(n)]  # <alpha_i, alpha_j^vee>
-    lin = list(p.linear)
-    drop = RF_ZERO
-    for j in range(n):
-        if col[j]:
-            drop = drop + p.linear[j] * col[j]
-    lin[i] = lin[i] - drop
-    # M[a][b] = delta_ab - col[a] delta_{bi};  Q' = M^T Q M
-    q = p.quadratic
-    qc = [RF_ZERO] * n  # (Q col)_a
-    for a in range(n):
-        acc = RF_ZERO
-        for b in range(n):
-            if col[b]:
-                acc = acc + q[a][b] * col[b]
-        qc[a] = acc
-    ctqc = RF_ZERO
-    for a in range(n):
-        if col[a]:
-            ctqc = ctqc + col[a] * qc[a]
-    quad = [list(row) for row in q]
-    for a in range(n):
-        quad[a][i] = quad[a][i] - qc[a]
-    for b in range(n):
-        quad[i][b] = quad[i][b] - qc[b]
-    quad[i][i] = quad[i][i] + ctqc
-    return SymH(p.constant, tuple(lin), tuple(tuple(row) for row in quad))
+        return not any(any(row) for row in self.quadratic)
 
 
 def symh_is_invariant(rs, p):
-    for i in range(rs.rank):
-        q = symh_reflect(rs, p, i)
-        if q.linear != p.linear or q.quadratic != p.quadratic:
-            return False
+    """Whether p is W-invariant.  With y_j = lam(a_j^vee), s_i sends y to
+    y - y_i c, c column i of the Cartan matrix, so that
+    p(s_i lam) - p(lam) = -2 y_i (Q c).y + y_i^2 p(c).  This vanishes for all
+    y exactly when Q c = (1/2)(c^T Q c) e_i; as c_i = 2, that is when every
+    entry of Q c but the i-th is zero."""
+    n = rs.rank
+    for i in range(n):
+        col = [rs.cartan[b][i] for b in range(n)]
+        for a, row in enumerate(p.quadratic):
+            if a != i and sum((q * c for q, c in zip(row, col) if c), RF_ZERO):
+                return False
     return True
 
 
 def symh_apply(rs, p, f, kvec):
-    """T(p) f for a degree <= 2 element p, by composing Dunkl operators."""
-    out = f.scale(p.constant) if p.constant else Laurent.zero()
-    if any(p.linear):
-        out = out + dunkl_apply(rs, p.linear, f, kvec)
+    """T(p) f = sum_ij p_ij T(e_i) T(e_j) f, by composing Dunkl operators."""
     n = rs.rank
-    if any(any(row) for row in p.quadratic):
-        g = {}
-        for j in range(n):
-            if any(p.quadratic[i][j] for i in range(n)):
-                g[j] = dunkl_apply(rs, unit(rs.rank, j), f, kvec)
-        for i in range(n):
-            combo = Laurent.zero()
-            for j, gj in g.items():
-                q = p.quadratic[i][j]
-                if q:
-                    combo = combo + gj.scale(q)
-            if not combo.is_zero():
-                out = out + dunkl_apply(rs, unit(rs.rank, i), combo, kvec)
+    q = p.quadratic
+    g = {j: dunkl_apply(rs, unit(n, j), f, kvec)
+         for j in range(n) if any(q[i][j] for i in range(n))}
+    out = Laurent.zero()
+    for i in range(n):
+        combo = Laurent.zero()
+        for j, gj in g.items():
+            if q[i][j]:
+                combo = combo + gj.scale(q[i][j])
+        if not combo.is_zero():
+            out = out + dunkl_apply(rs, unit(n, i), combo, kvec)
     return out
 
 
@@ -298,27 +230,19 @@ def _coth_partial(rs, F, r):
     return Localized(g.num * onep, den)
 
 
-def partial_quadratic(rs, q, F):
-    """sum q_ij partial_i partial_j on a localized element (q symmetric)."""
-    n = rs.rank
+def partial_quadratic(rs, p, F):
+    """partial(p) = sum_ij p_ij partial_i partial_j on a localized element."""
     if not F.den:
-        # diagonal action on the group algebra
+        # diagonal on the group algebra: e^mu -> p(mu) e^mu
         res = {}
         for mu, c in F.num.terms.items():
-            y = [rs.pairing(mu, i) for i in range(n)]
-            val = None
-            for i in range(n):
-                if y[i]:
-                    for j in range(n):
-                        if y[j] and q[i][j]:
-                            term = q[i][j] * (y[i] * y[j])
-                            val = term if val is None else val + term
-            if val is not None:
-                s = c * val
-                if s:
-                    res[mu] = s
+            v = p.value_at(rs, mu)
+            if v:
+                res[mu] = c * v
         return Localized(Laurent._raw(res))
-    derivs = [F.derivative(rs, unit(rs.rank, j)) for j in range(n)]
+    n = rs.rank
+    q = p.quadratic
+    derivs = [F.derivative(rs, unit(n, j)) for j in range(n)]
     out = Localized(Laurent.zero())
     for i in range(n):
         combo = Localized(Laurent.zero())
@@ -326,12 +250,12 @@ def partial_quadratic(rs, q, F):
             if q[i][j]:
                 combo = combo.add(derivs[j].scale(q[i][j]), rs)
         if not combo.is_zero():
-            out = out.add(combo.derivative(rs, unit(rs.rank, i)), rs)
+            out = out.add(combo.derivative(rs, unit(n, i)), rs)
     return out
 
 
 def _partial_c_localized(rs, F):
-    return partial_quadratic(rs, SymH.laplacian(rs).quadratic, F)
+    return partial_quadratic(rs, SymH.laplacian(rs), F)
 
 
 def hamiltonian_apply(rs, F, kvec):

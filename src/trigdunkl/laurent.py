@@ -2,8 +2,6 @@
 the constant-term inner product, and the localized fraction ring."""
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .coeff import RF_ONE, RF_ZERO, RatFunc, _coerce
 
 
@@ -293,9 +291,6 @@ class Localized:
             out = out * one_minus_exp(rs, r, m)
         return out
 
-    def __neg__(self):
-        return Localized(-self.num, dict(self.den))
-
     def scale(self, c):
         return Localized(self.num.scale(c), dict(self.den))
 
@@ -379,20 +374,19 @@ def localized_from_json(data):
     return Localized(num, den)
 
 
-def _partial(rs, xi, f):
-    """partial(xi) on C[P]: e^mu -> mu(xi) e^mu, xi in coroot coordinates."""
+def _partial(rs, xi, f, shift=0):
+    """partial(xi) - shift on C[P]: e^mu -> (mu(xi) - shift) e^mu, with xi in
+    simple-coroot coordinates."""
     res = {}
     for mu, c in f.terms.items():
-        val = None
+        val = 0
         for i, x in enumerate(xi):
-            if isinstance(x, (int, Fraction)) and not x:
-                continue
-            p = rs.pairing(mu, i)
-            if p:
-                val = x * p if val is None else val + x * p
-        if val is None:
-            continue
-        s = c * val
-        if s:
-            res[mu] = s
+            if x:
+                p = rs.pairing(mu, i)
+                if p:
+                    val = val + x * p
+        if shift:
+            val = val - shift
+        if val:
+            res[mu] = c * val
     return Laurent._raw(res)

@@ -564,15 +564,3 @@ def reflect(rs, i, v):
     if not 0 <= i < rs.rank:
         raise IndexError(f"simple root index {i} out of range for rank {rs.rank}")
     return rs.reflect_general(i, tuple(v))
-
-
-def weyl_orbit(rs, mu):
-    return rs.orbit(mu)
-
-
-def le_plus(rs, mu, nu):
-    return rs.le_plus(mu, nu)
-
-
-def alpha_prime(rs, r):
-    return rs.alpha_prime(r)

@@ -276,9 +276,7 @@ def dk2_apply(rs, p, F, kvec):
     """The degree-2 operator map applied to a localized element."""
     if rs.spec.family == "BC":
         raise ValueError("the degree-2 map is defined for reduced systems only")
-    if p.constant or any(p.linear):
-        raise ValueError("dk2_apply expects a purely quadratic element")
-    out = partial_quadratic(rs, p.quadratic, F)
+    out = partial_quadratic(rs, p, F)
     half = Fraction(1, 2)
     k_extra = kvec.extra if rs.spec.family == "A" and rs.rank >= 2 else RF_ZERO
     for r in range(rs.n_positive):

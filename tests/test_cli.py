@@ -378,7 +378,7 @@ CLI_BATTERY = [
      "error: special exponents are defined for reduced systems only\n"),
     ("hamiltonian --type A1 --mu 0 --k 1/0", 2,
      EMPTY,
-     "error: Fraction(1, 0)\n"),
+     "error: --k has a zero denominator\n"),
     ("jacobi --type A1 --mu=-1 --k=-1", 2,
      EMPTY,
      "error: resonant eigen-solve at mu=(-1,): mu~ equals nu~ for a weight"
@@ -493,19 +493,33 @@ def test_orbit_cap_refuses_before_enumerating(monkeypatch):
         raise AssertionError("orbit enumerated")
 
     monkeypatch.setattr(RootSystem, "orbit", no_orbit)
-    start = time.perf_counter()
-    code, out, err = run_cli("orbit", "--type", "E8", "--mu", "1,1,1,1,1,1,1,1")
-    assert time.perf_counter() - start < 1
-    assert (code, out) == (2, "")
-    assert err == ("error: the orbit of 1,1,1,1,1,1,1,1 has 696729600 weights, "
-                   f"more than the cap of {cli.ORBIT_CAP}\n")
+    for command in ("orbit", "invariant"):
+        start = time.perf_counter()
+        code, out, err = run_cli(command, "--type", "E8",
+                                 "--mu", "1,1,1,1,1,1,1,1")
+        assert time.perf_counter() - start < 1, command
+        assert (code, out) == (2, ""), command
+        assert err == ("error: the orbit of 1,1,1,1,1,1,1,1 has 696729600 "
+                       f"weights, more than the cap of {cli.ORBIT_CAP}\n")
 
 
 def test_orbit_cap_boundary(monkeypatch):
-    monkeypatch.setattr(cli, "ORBIT_CAP", 6)
-    code, out, _ = run_cli("orbit", "--type", "A2", "--mu", "1,1")
-    assert code == 0 and len(json.loads(out)["orbit"]) == 6
-    monkeypatch.setattr(cli, "ORBIT_CAP", 5)
-    code, out, err = run_cli("orbit", "--type", "A2", "--mu", "1,1")
-    assert (code, out) == (2, "") and "has 6 weights" in err
-    assert run_cli("orbit", "--type", "A2", "--mu", "1,0")[0] == 0  # 3 weights
+    for command, key in (("orbit", "orbit"), ("invariant", "f")):
+        monkeypatch.setattr(cli, "ORBIT_CAP", 6)
+        code, out, _ = run_cli(command, "--type", "A2", "--mu", "1,1")
+        assert code == 0 and len(json.loads(out)[key]) == 6, command
+        monkeypatch.setattr(cli, "ORBIT_CAP", 5)
+        code, out, err = run_cli(command, "--type", "A2", "--mu", "1,1")
+        assert (code, out) == (2, "") and "has 6 weights" in err, command
+        assert run_cli(command, "--type", "A2", "--mu", "1,0")[0] == 0  # 3 weights
+
+
+@pytest.mark.parametrize("argv", [
+    "hamiltonian --type A1 --mu 0 --kp 3/0",
+    "hamiltonian --type BC1 --mu 0 --k2 2/0",
+    "special --type A2 --k 0/0",
+])
+def test_zero_denominator_names_the_flag(argv):
+    flag = next(a for a in argv.split() if a.startswith("--k"))
+    code, out, err = run_cli(*argv.split())
+    assert (code, out, err) == (2, "", f"error: {flag} has a zero denominator\n")

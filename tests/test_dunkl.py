@@ -223,6 +223,64 @@ def test_invariant_apply_preconditions():
         invariant_apply(a2, lopsided, orbit_sum(a2, (1, 0)), kv)
 
 
+def _reflected_form(rs, q, i):
+    """Reference: the matrix of p o s_i as M^T Q M, M = 1 - c e_i^T with c
+    column i of the Cartan matrix (s_i sends y to y - y_i c)."""
+    n = rs.rank
+    col = [rs.cartan[j][i] for j in range(n)]  # <alpha_i, alpha_j^vee>
+    qc = [RF_ZERO] * n  # (Q col)_a
+    for a in range(n):
+        for b in range(n):
+            if col[b]:
+                qc[a] = qc[a] + q[a][b] * col[b]
+    ctqc = RF_ZERO
+    for a in range(n):
+        if col[a]:
+            ctqc = ctqc + col[a] * qc[a]
+    quad = [list(row) for row in q]
+    for a in range(n):
+        quad[a][i] = quad[a][i] - qc[a]
+    for b in range(n):
+        quad[i][b] = quad[i][b] - qc[b]
+    quad[i][i] = quad[i][i] + ctqc
+    return tuple(tuple(row) for row in quad)
+
+
+INVARIANCE_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5),
+                    ("B", 2), ("B", 3), ("B", 4), ("C", 2), ("C", 3),
+                    ("C", 4), ("D", 4), ("D", 5), ("E", 6), ("F", 4),
+                    ("G", 2), ("BC", 1), ("BC", 2), ("BC", 3)]
+
+
+@pytest.mark.parametrize("fam,n", INVARIANCE_TYPES)
+def test_invariance_check_matches_the_reflected_form(fam, n):
+    rs = root_system(fam, n)
+    rng = random.Random(f"{fam}{n}")
+    C = SymH.laplacian(rs).quadratic
+    forms = []
+    for _ in range(20):
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                m[i][j] = m[j][i] = rng.randint(-2, 2)
+        forms.append(m)
+    for c in (1, -3, Fraction(1, 2), K):
+        mult = [[c * x for x in row] for row in C]
+        forms.append(mult)
+        i, j = rng.randrange(n), rng.randrange(n)
+        bumped = [list(row) for row in mult]
+        bumped[i][j] = bumped[j][i] = bumped[i][j] + 1
+        forms.append(bumped)
+    verdicts = set()
+    for m in forms:
+        p = SymH.make(rs, quadratic=m)
+        ref = all(_reflected_form(rs, p.quadratic, i) == p.quadratic
+                  for i in range(n))
+        assert symh_is_invariant(rs, p) == ref, m
+        verdicts.add(ref)
+    assert verdicts == ({True} if n == 1 else {True, False})
+
+
 def test_invariant_operator_equivariance():
     # T(q) for invariant q commutes with the Weyl action on any element
     for fam, n in [("A", 2), ("B", 2)]:

@@ -1,7 +1,9 @@
-"""The benchmark's tracer wraps trigdunkl functions by name; every name it
-lists must still exist, so that a rename or deletion fails here first.  The
+"""The benchmark's tracer wraps trigdunkl functions by name, and its
+workloads and checks call them as attributes of the package; every such name
+must still exist, so that a rename or deletion fails here first.  The
 benchmark's self-test runs here too, so that a change to a function it
 checks fails the tests and not only the benchmark."""
+import ast
 import importlib
 import os
 import runpy
@@ -10,6 +12,7 @@ import sys
 from pathlib import Path
 
 import trigdunkl
+import trigdunkl.cli  # noqa: F401  (the benchmark imports it too)
 from trigdunkl import verify
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -25,6 +28,33 @@ def test_every_traced_target_resolves():
         for cls_name in classes:
             owner = vars(owner)[cls_name]
         assert callable(vars(owner).get(attr)), f"{name}: {modname}.{path}"
+
+
+def _package_chains(tree):
+    """Every attribute chain td.X, td.X.Y, ... in a module, with td the
+    package as the benchmark binds it (a name td or an attribute .td)."""
+    chains = set()
+    for node in ast.walk(tree):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+            if (isinstance(node, ast.Name) and node.id == "td"
+                    or isinstance(node, ast.Attribute) and node.attr == "td"):
+                chains.add(tuple(reversed(parts)))
+    return chains
+
+
+def test_every_package_name_the_benchmark_uses_resolves():
+    chains = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        chains |= _package_chains(ast.parse(path.read_text(), str(path)))
+    assert ("Localized", "from_laurent") in chains and ("pair_with_xi",) in chains
+    for chain in sorted(chains):
+        owner = trigdunkl
+        for attr in chain:
+            assert hasattr(owner, attr), "td." + ".".join(chain)
+            owner = getattr(owner, attr)
 
 
 def test_traced_suites_are_the_verify_suites():
