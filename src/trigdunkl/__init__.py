@@ -40,6 +40,7 @@ from .laurent import (
 from .dunkl import (
     ResonanceError,
     SymH,
+    TriangularityError,
     conjugation_check,
     dunkl_apply,
     hamiltonian_apply,

@@ -13,6 +13,7 @@ from .coeff import K, KP, couplings
 from .dunkl import (
     ResonanceError,
     SymH,
+    TriangularityError,
     dunkl_apply,
     hamiltonian_apply,
     invariant_apply,
@@ -324,7 +325,8 @@ def main(argv=None):
     args = _PARSER.parse_args(argv)
     try:
         return _COMMANDS[args.command][0](args)
-    except (ValueError, IndexError, ArithmeticError, ResonanceError) as exc:
+    except (ValueError, IndexError, ArithmeticError, ResonanceError,
+            TriangularityError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

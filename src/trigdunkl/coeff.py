@@ -6,10 +6,13 @@ included), and den's leading coefficient under graded lex order (k > kp)
 positive, so equal values have identical representations.  A constant p/q
 keeps num and den as the ints p and q and is computed on as a Fraction is;
 every other value keeps two Polys.  str() divides by den's leading
-coefficient, so the text shows a monic denominator and rational coefficients.
+coefficient, so the text shows a monic denominator and rational coefficients;
+parse_ratfunc reads that text back through Python's own parser (ast).
 """
 from __future__ import annotations
 
+import ast
+import operator
 from fractions import Fraction
 from math import gcd
 
@@ -405,11 +408,6 @@ class RatFunc:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=1):
-        """num / den for ints, Fractions or Polys num and den."""
-        value = _lift(num) / _lift(den)
-        self.num, self.den = value.num, value.den
-
     @classmethod
     def const(cls, c):
         if isinstance(c, int):
@@ -492,13 +490,13 @@ class RatFunc:
     def __pow__(self, n):
         if n < 0:
             return RF_ONE / self ** (-n)
-        out = RF_ONE
-        base = self
+        out, base = RF_ONE, self
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:  # no square past the top bit
+                base = base * base
         return out
 
     def substitute(self, k_val, kp_val=0):
@@ -530,15 +528,6 @@ def _coerce(x):
     if isinstance(x, (int, Fraction)):
         return RatFunc.const(x)
     return NotImplemented
-
-
-def _lift(x):
-    if isinstance(x, Poly):
-        return _finish(x, _ONE) if x.terms else RF_ZERO
-    x = _coerce(x)
-    if x is NotImplemented:
-        raise TypeError("RatFunc takes ints, Fractions or Polys")
-    return x
 
 
 RF_ZERO = _rf(0, 1)
@@ -578,111 +567,46 @@ def format_poly(p, scale=1):
     return out
 
 
-# --- parser for the textual form (used by laurent_from_json) ---
+# --- reading printed coefficients back (laurent_from_json) ---
+
+_TEXT_CHARS = frozenset("0123456789kp+-*/^()")
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv}
+_NAMES = {"k": K, "kp": KP}
 
 
-def _tokenize(s):
-    tokens = []
-    i = 0
-    while i < len(s):
-        ch = s[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*/^()":
-            tokens.append(ch)
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(s) and s[j].isdigit():
-                j += 1
-            tokens.append(int(s[i:j]))
-            i = j
-        elif s.startswith("kp", i):
-            tokens.append("kp")
-            i += 2
-        elif ch == "k":
-            tokens.append("k")
-            i += 1
-        else:
-            raise ValueError(f"bad character {ch!r} in rational function {s!r}")
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        t = self.peek()
-        self.pos += 1
-        return t
-
-    def parse_expr(self):
-        if self.peek() == "-":
-            self.take()
-            value = -self.parse_term()
-        else:
-            value = self.parse_term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.parse_term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def parse_term(self):
-        value = self.parse_power()
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            rhs = self.parse_power()
-            value = value * rhs if op == "*" else value / rhs
-        return value
-
-    def parse_power(self):
-        base = self.parse_atom()
-        if self.peek() == "^":
-            self.take()
-            neg = False
-            if self.peek() == "-":
-                self.take()
-                neg = True
-            exp = self.take()
-            if not isinstance(exp, int):
-                raise ValueError("exponent must be an integer")
-            out = RF_ONE
-            for _ in range(exp):
-                out = out * base
-            return RF_ONE / out if neg else out
-        return base
-
-    def parse_atom(self):
-        t = self.take()
-        if t == "(":
-            value = self.parse_expr()
-            if self.take() != ")":
-                raise ValueError("unbalanced parentheses")
-            return value
-        if t == "-":
-            return -self.parse_atom()
-        if isinstance(t, int):
-            return RatFunc.const(t)
-        if t == "k":
-            return K
-        if t == "kp":
-            return KP
-        raise ValueError(f"unexpected token {t!r}")
+def _read(node):
+    """The RatFunc of an expression tree; SyntaxError outside the grammar."""
+    cls, op = node.__class__, getattr(node, "op", None).__class__
+    if cls is ast.BinOp and op is ast.Pow:
+        exp, sign = node.right, 1
+        if exp.__class__ is ast.UnaryOp and exp.op.__class__ is ast.USub:
+            exp, sign = exp.operand, -1
+        if exp.__class__ is ast.Constant and exp.value.__class__ is int:
+            return _read(node.left) ** (sign * exp.value)
+    elif cls is ast.BinOp and op in _BINOPS:
+        return _BINOPS[op](_read(node.left), _read(node.right))
+    elif cls is ast.UnaryOp and op is ast.USub:
+        return -_read(node.operand)
+    elif cls is ast.Name and node.id in _NAMES:
+        return _NAMES[node.id]
+    elif cls is ast.Constant and node.value.__class__ is int:
+        return RatFunc.const(node.value)
+    raise SyntaxError(f"unexpected {cls.__name__}")
 
 
 def parse_ratfunc(s):
-    """Parse the textual form emitted by str(RatFunc)."""
-    parser = _Parser(_tokenize(s))
-    value = parser.parse_expr()
-    if parser.peek() is not None:
-        raise ValueError(f"trailing tokens in {s!r}")
-    return value
+    """Read back what str(RatFunc) prints: int literals, k, kp, binary + - * /,
+    unary minus, and ^ with an int literal exponent, optionally negated.  The
+    tree is walked recursively: a flat sum above about 990 terms is refused."""
+    bad = next((ch for ch in s if ch not in _TEXT_CHARS and not ch.isspace()), None)
+    if bad is not None:
+        raise ValueError(f"bad character {bad!r} in rational function {s!r}")
+    try:
+        return _read(ast.parse(" ".join(s.split()).replace("^", "**"),
+                               mode="eval").body)
+    except (SyntaxError, RecursionError):
+        raise ValueError(f"cannot read {s!r} as a rational function") from None
 
 
 class CouplingVector:

@@ -23,6 +23,10 @@ class ResonanceError(RuntimeError):
     """Triangular eigen-solve hit an identically vanishing denominator."""
 
 
+class TriangularityError(RuntimeError):
+    """T(xi) e^nu left the triangular form the eigen-solve relies on."""
+
+
 def epsilon(x):
     """Sign convention of the spectral shift: 1 for x > 0, else -1."""
     return 1 if x > 0 else -1
@@ -124,20 +128,11 @@ class SymH:
 
     @classmethod
     def laplacian(cls, rs):
-        """The element with partial(C) e^mu = (mu, mu) e^mu."""
-        n = rs.rank
-        inv = rs._inv_wt_pair
-        quad = []
-        for a in range(n):
-            row = []
-            for b in range(n):
-                total = Fraction(0)
-                for i in range(n):
-                    for j in range(n):
-                        total += inv[i][a] * rs.gram_fw[i][j] * inv[j][b]
-                row.append(_coerce(total))
-            quad.append(tuple(row))
-        return cls(tuple(quad))
+        """The element with partial(C) e^mu = (mu, mu) e^mu: inv^T gram_fw inv
+        for inv the inverse of the diagonal matrix wt_pair."""
+        d = [rs.wt_pair[a][a] for a in range(rs.rank)]
+        return cls(tuple(tuple(_coerce(g / (d[a] * d[b])) for b, g in enumerate(row))
+                         for a, row in enumerate(rs.gram_fw)))
 
     def value_at(self, rs, lam):
         """Evaluate at an h* vector given in weight coordinates."""
@@ -311,6 +306,16 @@ def _le_plus_sort_key(rs, nu):
     return (-sum(rs.det_acoords(nup)), sum(rs.det_acoords(nu)), nu)
 
 
+def _require_triangular(mu, nu, f, diag, allowed):
+    """Raise unless f = T(xi) e^nu has the form the solve for E(mu) relies on:
+    support in `allowed` (mu and the weights below it) and e^nu coefficient
+    diag[nu] = <nu~, xi>."""
+    if not allowed.issuperset(f.terms) or f.terms.get(nu, RF_ZERO) != diag[nu]:
+        raise TriangularityError(
+            f"non-triangular eigen-solve at mu={mu}: T(xi) e^{list(nu)} is not "
+            f"<nu~, xi> e^{list(nu)} plus terms below mu")
+
+
 def jacobi(rs, mu, kvec):
     """The eigenfunction e^mu + (lower <_+ terms) of all Dunkl operators."""
     mu = tuple(mu)
@@ -319,6 +324,7 @@ def jacobi(rs, mu, kvec):
     below = order[idx + 1:]
     if not below:
         return Laurent.monomial(mu)
+    allowed = set(order[idx:])
     tilde = {nu: mu_tilde(rs, nu, kvec) for nu in below}
     tilde[mu] = mu_tilde(rs, mu, kvec)
     # On the moment curve xi(t) = (1, t, ..., t^(n-1)), <mu~ - nu~, xi(t)> is a
@@ -327,15 +333,17 @@ def jacobi(rs, mu, kvec):
     for t in range(2, 3 + (rs.rank - 1) * len(below)):
         xi = tuple(t**i for i in range(rs.rank))
         top = pair_with_xi(rs, tilde[mu], xi)
-        denoms = {}
+        diag, denoms = {mu: top}, {}  # diag[nu] = <nu~, xi>
         for nu in below:
-            d = top - pair_with_xi(rs, tilde[nu], xi)
+            diag[nu] = pair_with_xi(rs, tilde[nu], xi)
+            d = top - diag[nu]
             if d.is_zero():
                 break
             denoms[nu] = d
         else:
             coeffs = {mu: RF_ONE}
             running = dunkl_apply(rs, xi, Laurent.monomial(mu), kvec)
+            _require_triangular(mu, mu, running, diag, allowed)
             for nu in below:
                 num = running.terms.get(nu)
                 if num is None:
@@ -345,6 +353,7 @@ def jacobi(rs, mu, kvec):
                     continue
                 coeffs[nu] = c
                 contrib = dunkl_apply(rs, xi, Laurent.monomial(nu), kvec)
+                _require_triangular(mu, nu, contrib, diag, allowed)
                 running = running + contrib.scale(c)
             return Laurent(coeffs)
     raise ResonanceError(

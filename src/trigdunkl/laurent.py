@@ -2,7 +2,7 @@
 the constant-term inner product, and the localized fraction ring."""
 from __future__ import annotations
 
-from .coeff import RF_ONE, RF_ZERO, RatFunc, _coerce
+from .coeff import RF_ONE, RF_ZERO, RatFunc, _coerce, parse_ratfunc
 
 
 class DivisibilityError(ValueError):
@@ -140,8 +140,6 @@ class Laurent:
 
 
 def laurent_from_json(data):
-    from .coeff import parse_ratfunc
-
     terms = {}
     for item in data:
         terms[tuple(item["weight"])] = parse_ratfunc(item["coeff"])

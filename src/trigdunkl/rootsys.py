@@ -238,13 +238,11 @@ class RootSystem:
         # pairing of the weight basis with the simple coroots:
         # wt_pair[i][j] = <FW_j, alpha_i^vee>.  The identity for reduced
         # types; for BC the basis is e_1 + ... + e_j, and <e_1 + ... + e_n,
-        # 2 e_n> = 2.
+        # 2 e_n> = 2.  Diagonal: pos_wcoords and SymH.laplacian divide by it.
         wt_pair = [list(unit(n, i)) for i in range(n)]
         if family == "BC":
             wt_pair[n - 1][n - 1] = 2
         self.wt_pair = tuple(tuple(row) for row in wt_pair)
-        self._inv_wt_pair = _mat_inv(self.wt_pair)[0]
-        inv_wt_pair = [[_as_exact(x) for x in row] for row in self._inv_wt_pair]
 
         # fw_acoords[j] = FW_j in simple-root coordinates (cartan^-1 wt_pair)
         fw_acoords = [tuple(_sparse_dot(col, row) for row in inv_cartan)
@@ -267,8 +265,8 @@ class RootSystem:
             pnorms.append(nb)
             sp = tuple(_sparse_dot(row, a) for row in self.cartan)
             simple_pair.append(sp)
-            wcoords.append(tuple(_as_int(_sparse_dot(row, sp))
-                                 for row in inv_wt_pair))
+            wcoords.append(tuple(_as_int(Fraction(x, wt_pair[j][j]))
+                                 for j, x in enumerate(sp)))
             pos_pair.append(tuple(_sparse_dot(a, row) // nb for row in pair2))
         order = sorted(range(len(acoords)),
                        key=lambda r: (sum(acoords[r]), wcoords[r]))

@@ -144,6 +144,15 @@ def test_resonance_and_arithmetic_errors_exit_two():
     assert "Traceback" not in err
 
 
+def test_triangularity_error_exits_two(monkeypatch):
+    from trigdunkl import dunkl
+    monkeypatch.setattr(dunkl, "epsilon", lambda x: 1 if x >= 0 else -1)
+    code, out, err = run_cli("jacobi", "--type", "A2", "--mu=-2,-2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: non-triangular eigen-solve at mu=(-2, -2)")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_jacobi_a3_nonresonant_weight():
     code, out, _ = run_cli("jacobi", "--type", "A3", "--mu", "0,-1,0")
     assert code == 0

@@ -1,4 +1,6 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,10 +83,46 @@ def test_parse_round_trip(a):
     assert parse_ratfunc(str(a)) == a
 
 
-def test_parse_forms():
-    assert parse_ratfunc("(k) / (k + 1)") == K / (K + 1)
-    assert parse_ratfunc("-3/2*k^2*kp + 1") == RatFunc.const(Fraction(-3, 2)) * K**2 * KP + 1
-    assert parse_ratfunc("0") == RF_ZERO
+# a polynomial with 500 terms, k^i kp^j for i < 25 and j < 20
+_POLY_500 = sum(((-1) ** i * (20 * i + j + 1) * K**i * KP**j
+                 for i in range(25) for j in range(20)), RF_ZERO)
+
+
+@pytest.mark.parametrize("text,expected", [
+    (" k", K),
+    ("k\n+1", K + 1),
+    ("k^-1", RF_ONE / K),
+    ("-k^2", -K * K),
+    ("k*-1", -K),
+    ("(k) / (k + 1)", K / (K + 1)),
+    ("-3/2*k^2*kp + 1", RatFunc.const(Fraction(-3, 2)) * K**2 * KP + 1),
+    ("0", RF_ZERO),
+    (str(_POLY_500), _POLY_500),  # round trip
+    *((bad, ValueError) for bad in (
+        "2k", "k kp", "+k", "1.5", "1e3", "0x10", "1_000", "k^2^3",
+        "k^(1/2)", "pk", "", "__import__('os')", "k.real", "[k]",
+        " + ".join(["k"] * 5000))),
+    ("1/0", ZeroDivisionError),
+], ids=lambda v: repr(v)[:24] if isinstance(v, str) else None)
+def test_reader_contract(text, expected):
+    """parse_ratfunc reads what str(RatFunc) prints and refuses the rest."""
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            parse_ratfunc(text)
+    else:
+        assert parse_ratfunc(text) == expected
+
+
+def test_no_source_is_evaluated():
+    """No module of the package calls eval, exec or compile."""
+    src = Path(__file__).resolve().parents[1] / "src" / "trigdunkl"
+    calls = [(path.name, node.lineno)
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in ("eval", "exec", "compile")]
+    assert len(list(src.glob("*.py"))) >= 8
+    assert calls == []
 
 
 def test_coupling_vectors():

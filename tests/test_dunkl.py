@@ -1,6 +1,8 @@
 import itertools
 import random
+import time
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -13,6 +15,7 @@ from trigdunkl import (
     RF_ZERO,
     RatFunc,
     SymH,
+    TriangularityError,
     conjugation_check,
     couplings,
     dunkl_apply,
@@ -29,7 +32,9 @@ from trigdunkl import (
     root_system,
     weyl_act,
 )
+from trigdunkl import dunkl, verify
 from trigdunkl.dunkl import symh_apply, symh_is_invariant
+from trigdunkl.rootsys import _mat_inv
 
 
 def test_rho_examples():
@@ -170,6 +175,83 @@ def test_jacobi_bc1_with_doubled_root_coupling():
         mt = mu_tilde(bc1, mu, kv)
         assert dunkl_apply(bc1, (1,), E, kv) == E.scale(
             pair_with_xi(bc1, mt, (1,)))
+
+
+def _pochhammer(x, j):
+    out = RF_ONE
+    for i in range(j):
+        out = out * (x + i)
+    return out
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_jacobi_matches_the_gegenbauer_polynomial(m):
+    """Independent oracle (Heckman-Opdam, Compositio Math. 64, 1987): on A1
+    the W-invariant combination of E(-m w) and E(m w) with top coefficient 1
+    is the Gegenbauer polynomial C_m^(k)(cos theta) over its top coefficient
+    (k)_m / m!, that is sum_j (k)_j (k)_(m-j) / (j! (m-j)!) e^((m-2j) w)."""
+    a1 = root_system("A", 1)
+    kv = couplings(a1)
+    low, high = jacobi(a1, (-m,), kv), jacobi(a1, (m,), kv)
+    invariant = low + high.scale(RF_ONE - low.terms.get((m,), RF_ZERO))
+    top = _pochhammer(K, m) / factorial(m)
+    gegenbauer = Laurent({
+        (m - 2 * j,): _pochhammer(K, j) * _pochhammer(K, m - j)
+        / (factorial(j) * factorial(m - j)) / top
+        for j in range(m + 1)})
+    assert invariant == gegenbauer
+
+
+def _epsilon_zero_positive(monkeypatch):
+    monkeypatch.setattr(dunkl, "epsilon", lambda x: 1 if x >= 0 else -1)
+
+
+def _halved_divided_difference(monkeypatch):
+    dd = dunkl.divided_difference
+    monkeypatch.setattr(dunkl, "divided_difference",
+                        lambda rs, r, f: dd(rs, r, f).scale(Fraction(1, 2)))
+
+
+@pytest.mark.parametrize("defect", [_epsilon_zero_positive,
+                                    _halved_divided_difference])
+def test_eigen_suite_fails_fast_on_a_non_triangular_operator(monkeypatch,
+                                                             defect):
+    # either defect breaks the diagonal of T(xi) on e^nu; without the check,
+    # jacobi's running sum grows without bound on B2 and the suite runs on
+    defect(monkeypatch)
+    a2 = root_system("A", 2)
+    with pytest.raises(TriangularityError, match=r"at mu=\(-2, -2\)"):
+        jacobi(a2, (-2, -2), couplings(a2))
+    start = time.perf_counter()
+    res = verify.run_suite("eigen", {"A2", "B2"})
+    assert time.perf_counter() - start < 10
+    assert not res.ok
+    for fam in ("A2", "B2"):
+        case = next(c for c in res.cases
+                    if c.case_id == f"{fam}:T E(mu) = mu~ E(mu), |coords|<=2")
+        assert case.detail.startswith(
+            "non-triangular eigen-solve at mu=(-2, -2): T(xi) e^[")
+
+
+LAPLACIAN_TYPES = ([("A", n) for n in range(1, 9)]
+                   + [(f, n) for f in ("B", "C") for n in range(2, 9)]
+                   + [("D", n) for n in range(4, 9)]
+                   + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+                   + [("BC", n) for n in range(1, 6)])
+
+
+@pytest.mark.parametrize("fam,n", LAPLACIAN_TYPES)
+def test_laplacian_matches_the_general_congruence(fam, n):
+    """SymH.laplacian divides gram_fw by the diagonal of wt_pair; the
+    reference inverts wt_pair as a general matrix and forms inv^T G inv."""
+    rs = root_system(fam, n)
+    assert all(not rs.wt_pair[i][j] for i in range(n) for j in range(n)
+               if i != j)
+    inv = _mat_inv(rs.wt_pair)[0]
+    ref = tuple(tuple(RatFunc.const(sum(inv[i][a] * rs.gram_fw[i][j] * inv[j][b]
+                                        for i in range(n) for j in range(n)))
+                      for b in range(n)) for a in range(n))
+    assert SymH.laplacian(rs).quadratic == ref
 
 
 def test_dunkl_linear_in_xi():
