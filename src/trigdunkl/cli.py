@@ -34,6 +34,9 @@ _TYPE_RE = re.compile(r"^(BC|[ABCDEFG])(\d+)$")
 # the largest Weyl orbit that `orbit` and `invariant` enumerate (E8 has
 # orbits of 696,729,600)
 ORBIT_CAP = 100_000
+# the most weights, mu and those below it, that `jacobi` solves over (B3 is
+# the slowest type measured: on 2 cores, 871 take 9 s and 1,261 take 18 s)
+SATURATED_CAP = 1_000
 
 
 def _resolve_system(args):
@@ -174,6 +177,10 @@ def _invariant(rs, mu, kv, args):
 
 
 def _jacobi(rs, mu, kv, args):
+    size = rs.saturated_size(mu, SATURATED_CAP)
+    if size > SATURATED_CAP:
+        raise ValueError(f"the saturated set of {args.mu} has at least {size} "
+                         f"weights, more than the cap of {SATURATED_CAP}")
     out = jacobi(rs, mu, kv)
     return out.to_json(), out
 

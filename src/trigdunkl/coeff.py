@@ -536,6 +536,88 @@ K = _rf(Poly.var("k"), _ONE)
 KP = _rf(Poly.var("kp"), _ONE)
 
 
+def _scaled(p, s, g=1):
+    """p * s / g, for g dividing every coefficient of p * s."""
+    return p if s == g else Poly({m: c * s // g for m, c in p.terms.items()})
+
+
+class _Factored:
+    """n / (q * prod f^e), fac = {f: e} with each f primitive and positively
+    led: sums lift both sides to the lcm of their q and factors, so sums over
+    the linear denominators <mu~ - nu~, xi> of the eigen-solve run no gcd."""
+
+    __slots__ = ("n", "q", "fac")
+
+    def __init__(self, n, q=1, fac=None):
+        self.n, self.q, self.fac = n, q, fac or {}
+
+    @classmethod
+    def of(cls, r):
+        """The canonical RatFunc r, its denominator kept as one factor."""
+        q = _poly(r.den).content()
+        f = _scaled(_poly(r.den), 1, q)
+        return cls(_poly(r.num), q, {} if f.is_one() else {f: 1})
+
+    def _lift(self, q, fac):
+        """n over q * prod f^e for the e in fac, a multiple of self's den."""
+        n = _scaled(self.n, q // self.q)
+        for f, e in fac.items():
+            for _ in range(e - self.fac.get(f, 0)):
+                n = n * f
+        return n
+
+    def _den(self):
+        """q * prod f^e: 1 lifted to self's denominator."""
+        return _Factored(_ONE)._lift(self.q, self.fac)
+
+    def __add__(self, other):
+        q = self.q * other.q // gcd(self.q, other.q)
+        fac = dict(self.fac)
+        for f, e in other.fac.items():
+            fac[f] = max(e, fac.get(f, 0))
+        return _Factored(self._lift(q, fac) + other._lift(q, fac), q, fac)
+
+    def __mul__(self, other):
+        fac = dict(self.fac)
+        for f, e in other.fac.items():
+            fac[f] = fac.get(f, 0) + e
+        return _Factored(self.n * other.n, self.q * other.q, fac)
+
+    def __truediv__(self, d):
+        return self * _Factored.of(RF_ONE / d)
+
+    def reduce(self):
+        """(the canonical RatFunc of self, self in lowest terms): trial
+        division by linear, so irreducible, factors; a factor of higher degree
+        (from non-polynomial couplings) goes through the gcd of _reduce."""
+        if any(sum(f.lead()[0]) > 1 for f in self.fac):
+            r = _reduce(self.n, self._den())
+            return r, _Factored.of(r)
+        n, fac = self.n, dict(self.fac)
+        for f in fac:
+            try:
+                while fac[f]:
+                    n = poly_divexact(n, f)
+                    fac[f] -= 1
+            except ArithmeticError:
+                pass
+        g = gcd(n.content(), self.q)
+        out = _Factored(_scaled(n, 1, g), self.q // g,
+                        {f: e for f, e in fac.items() if e})
+        return _finish(out.n, out._den()), out
+
+
+def _cleared(cs):
+    """c * D for each RatFunc c in cs, D the lcm of their denominators: each
+    product is the polynomial num * (D / den), by exact division."""
+    D = _ONE
+    for c in cs:
+        d = _poly(c.den)
+        D = poly_divexact(D * d, poly_gcd(D, d))
+    return [_finish(_poly(c.num) * poly_divexact(D, _poly(c.den)), _ONE)
+            for c in cs]
+
+
 def format_poly(p, scale=1):
     """Text of p / scale, terms in decreasing graded lex order."""
     if not p.terms:

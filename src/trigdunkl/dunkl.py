@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeff import RF_ONE, RF_ZERO, _coerce
+from .coeff import RF_ONE, RF_ZERO, _coerce, _Factored
 from .laurent import (
     DivisibilityError,
     Laurent,
@@ -63,18 +63,19 @@ def rho_norm(rs, kvec):
 
 
 def mu_tilde(rs, mu, kvec):
-    """The shifted eigenvalue weight: mu + (1/2) sum k_a eps(mu(a^vee)) a."""
-    half = Fraction(1, 2)
-    coords = [_coerce(m) for m in mu]
-    for r in range(rs.n_positive):
-        ka = kvec.value(rs.pos_class[r])
-        if not ka:
-            continue
+    """The shifted eigenvalue weight: mu + (1/2) sum k_a eps(mu(a^vee)) a,
+    the signed roots summed in integers per coupling class first."""
+    two_shift = [[0] * rs.rank for _ in range(rs.n_classes)]
+    for r, w in enumerate(rs.pos_wcoords):
         sign = epsilon(rs.root_pairing(mu, r))
-        w = rs.pos_wcoords[r]
-        for j in range(rs.rank):
-            if w[j]:
-                coords[j] = coords[j] + ka * (half * sign * w[j])
+        acc = two_shift[rs.pos_class[r]]
+        for j, x in enumerate(w):
+            acc[j] += sign * x
+    coords = [_coerce(m) for m in mu]
+    for c, acc in enumerate(two_shift):
+        for j, t in enumerate(acc):
+            if t and kvec.value(c):
+                coords[j] = coords[j] + kvec.value(c) * Fraction(t, 2)
     return tuple(coords)
 
 
@@ -333,7 +334,7 @@ def jacobi(rs, mu, kvec):
     for t in range(2, 3 + (rs.rank - 1) * len(below)):
         xi = tuple(t**i for i in range(rs.rank))
         top = pair_with_xi(rs, tilde[mu], xi)
-        diag, denoms = {mu: top}, {}  # diag[nu] = <nu~, xi>
+        diag, denoms = {mu: top}, {mu: RF_ONE}  # diag[nu] = <nu~, xi>
         for nu in below:
             diag[nu] = pair_with_xi(rs, tilde[nu], xi)
             d = top - diag[nu]
@@ -341,20 +342,21 @@ def jacobi(rs, mu, kvec):
                 break
             denoms[nu] = d
         else:
-            coeffs = {mu: RF_ONE}
-            running = dunkl_apply(rs, xi, Laurent.monomial(mu), kvec)
-            _require_triangular(mu, mu, running, diag, allowed)
-            for nu in below:
-                num = running.terms.get(nu)
-                if num is None:
+            # running[w]: e^w coefficient of T(xi) on the part of E solved so far
+            coeffs, running = {}, {mu: _Factored.of(RF_ONE)}
+            for nu in order[idx:]:
+                s = running.pop(nu, None)
+                if s is None:
                     continue
-                c = num / denoms[nu]
+                c, cf = (s / denoms[nu]).reduce()
                 if not c:
                     continue
                 coeffs[nu] = c
-                contrib = dunkl_apply(rs, xi, Laurent.monomial(nu), kvec)
-                _require_triangular(mu, nu, contrib, diag, allowed)
-                running = running + contrib.scale(c)
+                f = dunkl_apply(rs, xi, Laurent.monomial(nu), kvec)
+                _require_triangular(mu, nu, f, diag, allowed)
+                for w, a in f.terms.items():
+                    term = cf * _Factored.of(a)
+                    running[w] = running[w] + term if w in running else term
             return Laurent(coeffs)
     raise ResonanceError(
         f"resonant eigen-solve at mu={mu}: mu~ equals nu~ for a weight nu "

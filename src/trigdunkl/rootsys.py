@@ -444,6 +444,23 @@ class RootSystem:
                     queue.append(w)
         return seen
 
+    def saturated_size(self, mu, cap=None):
+        """len(saturated_set(mu)) as the sum of orbit_size over the dominant
+        nu <= mu_+, which subtracting positive roots while staying dominant
+        reaches from mu_+ (Stembridge 1998); it stops once it passes cap."""
+        top = self.dominant(mu)
+        seen, queue, size = {top}, [top], 0
+        while queue and (cap is None or size <= cap):
+            v = queue.pop()
+            size += self.orbit_size(v)
+            for a in self.pos_wcoords:
+                w = tuple(m - x for m, x in zip(v, a))
+                if w not in seen and all(self.pairing(w, i) >= 0
+                                         for i in range(self.rank)):
+                    seen.add(w)
+                    queue.append(w)
+        return size
+
     # --- h* elements with general coefficients ---
 
     def reflect_general(self, i, v):

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from .coeff import K, KP, RF_ZERO, RatFunc, couplings
+from .coeff import K, KP, RF_ZERO, RatFunc, _cleared, couplings
 from .dunkl import (
     SymH,
     TriangularityError,
@@ -185,11 +185,17 @@ def _eigen_failure(rs, kv, mu):
     nu = _above(rs, E, mu)
     if nu is not None:
         return f"mu={mu}: support weight {list(nu)} is not <=+ mu"
+    # T(xi) is Q(k, k')-linear: E is an eigenfunction iff D E is, D clearing
+    # E's denominators, and D E sums without a gcd; a failure shows E itself
+    DE = Laurent._raw(dict(zip(E.terms, _cleared(E.terms.values()))))
     mt = mu_tilde(rs, mu, kv)
-    detail = _first(_sides(dunkl_apply(rs, xi, E, kv),
-                           E.scale(pair_with_xi(rs, mt, xi)))
-                    for xi in (unit(rs.rank, i) for i in range(rs.rank)))
-    return detail and f"mu={mu}: {detail}"
+    for xi in (unit(rs.rank, i) for i in range(rs.rank)):
+        ev = pair_with_xi(rs, mt, xi)
+        detail = (dunkl_apply(rs, xi, DE, kv) != DE.scale(ev)
+                  and _sides(dunkl_apply(rs, xi, E, kv), E.scale(ev)))
+        if detail:
+            return f"mu={mu}: {detail}"
+    return None
 
 
 def _k0_failure(rs, kv0, mu):

@@ -523,6 +523,30 @@ def test_orbit_cap_boundary(monkeypatch):
         assert run_cli(command, "--type", "A2", "--mu", "1,0")[0] == 0  # 3 weights
 
 
+def test_saturated_cap_refuses_before_solving(monkeypatch):
+    def no_listing(self, mu):
+        raise AssertionError("saturated set listed")
+
+    monkeypatch.setattr(RootSystem, "saturated_set", no_listing)
+    start = time.perf_counter()
+    code, out, err = run_cli("jacobi", "--type", "E6", "--mu", "1,1,1,1,1,1")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == ("error: the saturated set of 1,1,1,1,1,1 has at least 51840 "
+                   f"weights, more than the cap of {cli.SATURATED_CAP}\n")
+
+
+def test_saturated_cap_boundary(monkeypatch):
+    # A2 (1,1): its orbit of 6 weights and (0, 0)
+    monkeypatch.setattr(cli, "SATURATED_CAP", 7)
+    code, out, _ = run_cli("jacobi", "--type", "A2", "--mu", "1,1")
+    assert code == 0 and [1, 1] in [t["weight"] for t in json.loads(out)]
+    monkeypatch.setattr(cli, "SATURATED_CAP", 6)
+    code, out, err = run_cli("jacobi", "--type", "A2", "--mu", "1,1")
+    assert (code, out) == (2, "") and "has at least 7 weights" in err
+    assert run_cli("jacobi", "--type", "A2", "--mu", "1,0")[0] == 0  # 3 weights
+
+
 @pytest.mark.parametrize("argv", [
     "hamiltonian --type A1 --mu 0 --kp 3/0",
     "hamiltonian --type BC1 --mu 0 --k2 2/0",

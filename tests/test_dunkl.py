@@ -160,6 +160,17 @@ def test_jacobi_solves_every_a3_weight_in_the_unit_box():
                     pair_with_xi(a3, mt, xi))
 
 
+@pytest.mark.parametrize("fam,n,mu", [("G", 2, (-2, -1)),
+                                      ("B", 3, (-1, -1, -1))])
+def test_jacobi_solves_the_larger_saturated_sets(fam, n, mu):
+    # 55 and 136 weights; when every addition of the running sum ran a
+    # bivariate gcd, G2 took 15 s on a 2-core machine and B3 ran past 200 s
+    rs = root_system(fam, n)
+    start = time.perf_counter()
+    assert verify._eigen_failure(rs, couplings(rs), mu) is None
+    assert time.perf_counter() - start < 5
+
+
 def test_jacobi_resonance_is_reported():
     from trigdunkl import ResonanceError
     a1 = root_system("A", 1)

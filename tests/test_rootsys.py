@@ -130,6 +130,32 @@ def test_orbit_size_matches_the_orbit(fam, n):
         assert rs.orbit_size(mu) == len(rs.orbit(mu)), mu
 
 
+@pytest.mark.parametrize("fam,n", [("A", 1), ("A", 3), ("B", 3), ("C", 3),
+                                   ("D", 4), ("G", 2), ("F", 4), ("BC", 1),
+                                   ("BC", 3)])
+def test_saturated_size_matches_the_saturated_set(fam, n):
+    rs = root_system(fam, n)
+    rng = random.Random(13)
+    weights = [(0,) * n, (1,) * n, (-1,) * n] + [
+        tuple(rng.choice((0, 0, 1, -1, 2, -2)) for _ in range(n))
+        for _ in range(5)]
+    if fam == "F":  # saturated sets of F4 grow fast: keep to small weights
+        weights = [(0, 0, 0, 1), (1, 0, 0, -1), (0, 0, -1, 1), (0, -1, 0, 0)]
+    for mu in weights:
+        size = len(rs.saturated_set(mu))
+        assert rs.saturated_size(mu) == size, mu
+        assert rs.saturated_size(mu, cap=size) == size, mu
+        assert rs.saturated_size(mu, cap=size - 1) > size - 1, mu
+
+
+def test_saturated_size_stops_past_the_cap():
+    e6 = root_system("E", 6)
+    assert e6.saturated_size((1, 0, 0, 0, 0, 1)) == 343
+    assert e6.saturated_size((1,) * 6) == 1246933
+    # the orbit of the top weight alone passes the cap
+    assert e6.saturated_size((1,) * 6, cap=1000) == 51840
+
+
 def test_orbit_size_without_listing_the_orbit():
     e8 = root_system("E", 8)
     assert e8.orbit_size((1,) * 8) == 696729600

@@ -1,9 +1,22 @@
 """The verify suites report their first counterexample when a defect is
 injected into the operators they check."""
+import random
+
 import pytest
 
-from trigdunkl import Laurent
+from trigdunkl import (
+    K,
+    KP,
+    Laurent,
+    RatFunc,
+    couplings,
+    dunkl_apply,
+    mu_tilde,
+    pair_with_xi,
+    root_system,
+)
 from trigdunkl import verify
+from trigdunkl.rootsys import unit
 
 
 def test_eigen_reports_its_first_failing_check(monkeypatch):
@@ -55,3 +68,45 @@ def test_suite_fails_on_a_dunkl_defect(monkeypatch, suite):
     first = res.first_failure()
     assert first.case_id == case_id
     assert first.detail.startswith(detail)
+
+
+@pytest.mark.parametrize("fam,n", [("A", 1), ("A", 2), ("B", 2), ("BC", 1)])
+def test_dunkl_operators_are_linear_over_the_coupling_field(fam, n):
+    # what the eigen suite's check on D E, E's denominators cleared, needs
+    rs = root_system(fam, n)
+    kv = verify._suite_couplings(rs)
+    D = (K + 1) * (2 * KP - 3)
+    rng = random.Random(2000 + n)
+    for _ in range(4):
+        f = Laurent({tuple(rng.randint(-2, 2) for _ in range(n)):
+                     rng.choice((K / (K + 2), KP - 1, RatFunc.const(3), K * KP))
+                     for _ in range(3)})
+        for i in range(n):
+            xi = unit(n, i)
+            assert (dunkl_apply(rs, xi, f.scale(D), kv)
+                    == dunkl_apply(rs, xi, f, kv).scale(D))
+
+
+def test_eigen_fails_on_an_altered_coefficient_with_the_unscaled_detail(
+        monkeypatch):
+    solve = verify.jacobi
+
+    def altered(rs, mu, kv):
+        E = solve(rs, mu, kv)
+        if len(E.terms) > 1:  # move one coefficient below the top by 1
+            nu = min(w for w in E.terms if w != tuple(mu))
+            E = E + Laurent.monomial(nu)
+        return E
+
+    monkeypatch.setattr(verify, "jacobi", altered)
+    res = verify.run_eigen({"A1"})
+    assert not res.ok
+    first = res.first_failure()
+    assert first.case_id == "A1:T E(mu) = mu~ E(mu), |coords|<=2"
+    a1 = root_system("A", 1)
+    kv = couplings(a1)
+    E = altered(a1, (-2,), kv)
+    ev = pair_with_xi(a1, mu_tilde(a1, (-2,), kv), (1,))
+    assert first.detail == "mu=(-2,): " + verify._sides(
+        dunkl_apply(a1, (1,), E, kv), E.scale(ev))
+    assert first.detail.startswith("mu=(-2,): lhs = ")
