@@ -28,7 +28,6 @@ from .laurent import (
     Laurent,
     Localized,
     divided_difference,
-    exact_divide,
     inner_product,
     is_w_invariant,
     laurent_from_json,

@@ -37,6 +37,10 @@ ORBIT_CAP = 100_000
 # the most weights, mu and those below it, that `jacobi` solves over (B3 is
 # the slowest type measured: on 2 cores, 871 take 9 s and 1,261 take 18 s)
 SATURATED_CAP = 1_000
+# the most divided differences `invariant` runs: orbit size x positive roots x
+# 2 rank, as in symh_apply (on 2 cores, E7 omega_2 at 508,032 takes 1.5 s and
+# E8 omega_1 at 4,147,200 takes 12 s)
+INVARIANT_CAP = 5_000_000
 
 
 def _resolve_system(args):
@@ -131,11 +135,12 @@ def _cmd_roots(args):
 
 def _check_orbit_size(rs, mu, text):
     """Refuse, before listing it, a W-orbit of more than ORBIT_CAP weights;
-    text is mu as the command line gave it."""
+    text is mu as the command line gave it.  Returns the orbit size."""
     size = rs.orbit_size(mu)
     if size > ORBIT_CAP:
         raise ValueError(f"the orbit of {text} has {size} weights, "
                          f"more than the cap of {ORBIT_CAP}")
+    return size
 
 
 def _cmd_orbit(args):
@@ -170,7 +175,13 @@ def _dunkl(rs, mu, kv, args):
 
 
 def _invariant(rs, mu, kv, args):
-    _check_orbit_size(rs, mu, args.mu)
+    size = _check_orbit_size(rs, mu, args.mu)
+    work = size * rs.n_positive * 2 * rs.rank
+    if work > INVARIANT_CAP:
+        raise ValueError(f"the orbit of {args.mu} needs {work} divided "
+                         f"differences ({size} weights x {rs.n_positive} "
+                         f"positive roots x {2 * rs.rank}), more than the cap "
+                         f"of {INVARIANT_CAP}")
     f = orbit_sum(rs, mu)
     out = invariant_apply(rs, SymH.laplacian(rs), f, kv)
     return {"f": f.to_json(), "result": out.to_json()}, out

@@ -32,17 +32,18 @@ def epsilon(x):
     return 1 if x > 0 else -1
 
 
+def _class_sum(kvec, twice, const=0):
+    """const + sum_c k_c twice[c] / 2: one RatFunc from integer parts."""
+    total = _coerce(const)
+    for c, h in enumerate(twice):
+        if h and kvec.value(c):
+            total = total + kvec.value(c) * Fraction(h, 2)
+    return total
+
+
 def rho(rs, kvec):
     """Half sum of positive roots weighted by the couplings (weight coords)."""
-    coords = [RF_ZERO] * rs.rank
-    for c, two_rho in enumerate(rs.class_two_rho):
-        ka = kvec.value(c)
-        if not ka:
-            continue
-        for j, t in enumerate(two_rho):
-            if t:
-                coords[j] = coords[j] + ka * Fraction(t, 2)
-    return tuple(coords)
+    return tuple(_class_sum(kvec, col) for col in zip(*rs.class_two_rho))
 
 
 def norm_sq(rs, v):
@@ -62,26 +63,29 @@ def rho_norm(rs, kvec):
     return norm_sq(rs, rho(rs, kvec))
 
 
-def mu_tilde(rs, mu, kvec):
-    """The shifted eigenvalue weight: mu + (1/2) sum k_a eps(mu(a^vee)) a,
-    the signed roots summed in integers per coupling class first."""
+def _two_shift(rs, mu):
+    """Per coupling class c, sum eps(mu(a^vee)) a over the positive roots a of
+    class c, in weight coordinates: integers."""
     two_shift = [[0] * rs.rank for _ in range(rs.n_classes)]
     for r, w in enumerate(rs.pos_wcoords):
         sign = epsilon(rs.root_pairing(mu, r))
         acc = two_shift[rs.pos_class[r]]
         for j, x in enumerate(w):
             acc[j] += sign * x
-    coords = [_coerce(m) for m in mu]
-    for c, acc in enumerate(two_shift):
-        for j, t in enumerate(acc):
-            if t and kvec.value(c):
-                coords[j] = coords[j] + kvec.value(c) * Fraction(t, 2)
-    return tuple(coords)
+    return two_shift
+
+
+def mu_tilde(rs, mu, kvec):
+    """The shifted eigenvalue weight: mu + (1/2) sum k_a eps(mu(a^vee)) a,
+    the signed roots summed in integers per coupling class first."""
+    return tuple(_class_sum(kvec, col, m)
+                 for m, col in zip(mu, zip(*_two_shift(rs, mu))))
 
 
 def pair_with_xi(rs, v, xi):
-    """<v, xi> with v in weight coords and xi in simple-coroot coords."""
-    total = RF_ZERO
+    """<v, xi> with v in weight coords and xi in simple-coroot coords; an int
+    for integer v."""
+    total = 0
     for i, x in enumerate(xi):
         if not x:
             continue
@@ -93,18 +97,29 @@ def pair_with_xi(rs, v, xi):
 
 
 def dunkl_apply(rs, xi, f, kvec):
-    """Dunkl operator for xi (simple-coroot coordinates) applied to f."""
+    """Dunkl operator for xi (simple-coroot coordinates) applied to f: the
+    divided differences of each coupling class summed with their integer
+    weights <a, xi>, then scaled by k_c once."""
     xi = tuple(xi)
-    out = _partial(rs, xi, f, shift=pair_with_xi(rs, rho(rs, kvec), xi))
+    shift = _class_sum(kvec, [pair_with_xi(rs, t, xi) for t in rs.class_two_rho])
+    sums = {}
     for r in range(rs.n_positive):
-        ka = kvec.value(rs.pos_class[r])
-        if not ka:
-            continue
+        c = rs.pos_class[r]
         axi = rs.root_xi(r, xi)
-        if not axi:
+        if not axi or not kvec.value(c):
             continue
-        out = out + divided_difference(rs, r, f).scale(ka * axi)
-    return out
+        acc = sums.setdefault(c, {})
+        for w, a in divided_difference(rs, r, f).terms.items():
+            s = acc.get(w)
+            acc[w] = a * axi if s is None else s + a * axi
+    out = _partial(rs, xi, f, shift=shift).terms
+    for c, acc in sums.items():
+        ka = kvec.value(c)
+        for w, s in acc.items():
+            if s:
+                v = out.get(w)
+                out[w] = ka * s if v is None else v + ka * s
+    return Laurent._raw({w: v for w, v in out.items() if v})
 
 
 # --- quadratic forms on h* and the degree-2 operators built from them ---
@@ -326,18 +341,20 @@ def jacobi(rs, mu, kvec):
     if not below:
         return Laurent.monomial(mu)
     allowed = set(order[idx:])
-    tilde = {nu: mu_tilde(rs, nu, kvec) for nu in below}
-    tilde[mu] = mu_tilde(rs, mu, kvec)
+    two_shift = {nu: _two_shift(rs, nu) for nu in order[idx:]}
     # On the moment curve xi(t) = (1, t, ..., t^(n-1)), <mu~ - nu~, xi(t)> is a
     # polynomial of degree < n in t, nonzero unless mu~ = nu~; so at most
     # (n-1)|below| values of t make a denominator vanish.
     for t in range(2, 3 + (rs.rank - 1) * len(below)):
         xi = tuple(t**i for i in range(rs.rank))
-        top = pair_with_xi(rs, tilde[mu], xi)
-        diag, denoms = {mu: top}, {mu: RF_ONE}  # diag[nu] = <nu~, xi>
+        # diag[nu] = <nu~, xi> = <nu, xi> + sum_c k_c <two_shift_c(nu), xi> / 2
+        diag = {nu: _class_sum(kvec, [pair_with_xi(rs, v, xi) for v in vs],
+                               pair_with_xi(rs, nu, xi))
+                for nu, vs in two_shift.items()}
+        denoms = {mu: RF_ONE}
         for nu in below:
-            diag[nu] = pair_with_xi(rs, tilde[nu], xi)
-            d = top - diag[nu]
+            # zero-tested as a RatFunc: at numeric k the classes can cancel
+            d = diag[mu] - diag[nu]
             if d.is_zero():
                 break
             denoms[nu] = d

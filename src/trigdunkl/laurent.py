@@ -154,11 +154,6 @@ def weyl_act(rs, word, f):
     return out
 
 
-def reflect_root_act(rs, r, f):
-    """Action of the reflection in the r-th positive root."""
-    return f.map_weights(lambda mu: rs.reflect_root(r, mu))
-
-
 def try_divide(rs, f, r):
     """Quotient f / (1 - e^(-alpha_r)) if it exists in C[P], else None."""
     alpha = rs.pos_wcoords[r]
@@ -186,18 +181,26 @@ def try_divide(rs, f, r):
     return Laurent._raw(out)
 
 
-def exact_divide(rs, f, r):
-    """Exact division by (1 - e^(-alpha_r)); raises DivisibilityError."""
-    q = try_divide(rs, f, r)
-    if q is None:
-        raise DivisibilityError(
-            f"not divisible by 1 - e^(-alpha) for positive root index {r}")
-    return q
-
-
 def divided_difference(rs, r, f):
-    """(1 - e^(-alpha))^{-1} (1 - s_alpha) applied to f; always lands in C[P]."""
-    return exact_divide(rs, f - reflect_root_act(rs, r, f), r)
+    """(1 - e^(-alpha))^{-1} (1 - s_alpha) applied to f, in closed form: with
+    n = <nu, alpha^vee>, e^nu goes to the geometric string e^nu + e^(nu-alpha)
+    + ... + e^(nu-(n-1)alpha) for n > 0, to -(e^(nu+alpha) + ... +
+    e^(nu-n alpha)) for n < 0, and to 0 for n = 0."""
+    alpha = rs.pos_wcoords[r]
+    out = {}
+    for nu, c in f.terms.items():
+        n = rs.root_pairing(nu, r)
+        if n > 0:
+            steps = range(0, -n, -1)
+        elif n < 0:
+            steps, c = range(1, 1 - n), -c
+        else:
+            continue
+        for t in steps:
+            w = tuple(m + t * a for m, a in zip(nu, alpha))
+            s = out.get(w)
+            out[w] = c if s is None else s + c
+    return Laurent._raw({w: c for w, c in out.items() if c})
 
 
 def one_minus_exp(rs, r, power=1):

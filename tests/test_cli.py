@@ -523,6 +523,33 @@ def test_orbit_cap_boundary(monkeypatch):
         assert run_cli(command, "--type", "A2", "--mu", "1,0")[0] == 0  # 3 weights
 
 
+def test_invariant_cap_refuses_before_applying(monkeypatch):
+    def no_orbit(self, mu):
+        raise AssertionError("orbit enumerated")
+
+    monkeypatch.setattr(RootSystem, "orbit", no_orbit)
+    start = time.perf_counter()
+    code, out, err = run_cli("invariant", "--type", "E8",
+                             "--mu", "0,1,0,0,0,0,0,0", "--k", "1/6")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == ("error: the orbit of 0,1,0,0,0,0,0,0 needs 33177600 divided "
+                   "differences (17280 weights x 120 positive roots x 16), "
+                   f"more than the cap of {cli.INVARIANT_CAP}\n")
+
+
+def test_invariant_cap_boundary(monkeypatch):
+    # A2 (1,1): 6 weights x 3 positive roots x 4
+    monkeypatch.setattr(cli, "INVARIANT_CAP", 72)
+    code, out, _ = run_cli("invariant", "--type", "A2", "--mu", "1,1")
+    assert code == 0 and len(json.loads(out)["f"]) == 6
+    monkeypatch.setattr(cli, "INVARIANT_CAP", 71)
+    code, out, err = run_cli("invariant", "--type", "A2", "--mu", "1,1")
+    assert (code, out) == (2, "") and "needs 72 divided differences" in err
+    assert err.count("\n") == 1
+    assert run_cli("invariant", "--type", "A2", "--mu", "1,0")[0] == 0  # 36
+
+
 def test_saturated_cap_refuses_before_solving(monkeypatch):
     def no_listing(self, mu):
         raise AssertionError("saturated set listed")

@@ -34,6 +34,7 @@ from trigdunkl import (
 )
 from trigdunkl import dunkl, verify
 from trigdunkl.dunkl import symh_apply, symh_is_invariant
+from trigdunkl.laurent import try_divide
 from trigdunkl.rootsys import _mat_inv
 
 
@@ -91,6 +92,61 @@ def test_dunkl_apply_examples():
             out = dunkl_apply(rs, xi, Laurent.one(n), kvr)
             expected = Laurent.one(n).scale(-pair_with_xi(rs, rho(rs, kvr), xi))
             assert out == expected
+
+
+def _dunkl_per_root(rs, xi, f, kvec):
+    """The parent formula: partial(xi) f - <rho_k, xi> f plus, root by root,
+    k_a <a, xi> (f - s_a f) / (1 - e^-a) scaled and added."""
+    shift = pair_with_xi(rs, rho(rs, kvec), xi)
+    out = Laurent({mu: c * (sum(x * rs.pairing(mu, i) for i, x in enumerate(xi))
+                            - shift)
+                   for mu, c in f.terms.items()})
+    for r in range(rs.n_positive):
+        reflected = f.map_weights(lambda mu: rs.reflect_root(r, mu))
+        delta = try_divide(rs, f - reflected, r)
+        out = out + delta.scale(kvec.value(rs.pos_class[r]) * rs.root_xi(r, xi))
+    return out
+
+
+def _coupling_cases(rs):
+    fam = rs.spec.family
+    yield couplings(rs)  # symbolic (k, k')
+    yield couplings(rs, 2, 3)
+    yield couplings(rs, K * K, 1 + KP)
+    if fam == "B":
+        yield couplings(rs, 0, K)
+    if fam == "BC":
+        yield couplings(rs, K, KP, 2)
+        yield couplings(rs, 0, KP, K)
+
+
+@pytest.mark.parametrize("fam,n", [("A", 1), ("A", 2), ("B", 2), ("G", 2),
+                                   ("BC", 1), ("BC", 2)])
+def test_dunkl_apply_matches_the_per_root_formula(fam, n):
+    rs = root_system(fam, n)
+    rng = random.Random(f"{fam}{n}")
+    coeffs = (K, 1 - KP, Fraction(2, 3), -3, 1)
+    xis = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    xis.append(tuple(rng.randint(-3, 3) for _ in range(n)))
+    for kv in _coupling_cases(rs):
+        for terms in (1, 4):
+            f = Laurent({tuple(rng.randint(-2, 2) for _ in range(n)):
+                         rng.choice(coeffs) for _ in range(terms)})
+            for xi in xis:
+                assert dunkl_apply(rs, xi, f, kv) == _dunkl_per_root(
+                    rs, xi, f, kv), (kv, f, xi)
+
+
+def test_jacobi_moves_past_a_numerically_vanishing_denominator():
+    # at k' = -10/3 and xi = (1, 2), <mu~ - nu~, xi> = -10 - 3k' vanishes for
+    # nu = (-4, 4) though its integer parts do not; the solve takes the next t
+    b2 = root_system("B", 2)
+    mu, kv = (-2, -2), couplings(b2, 1, Fraction(-10, 3))
+    E = jacobi(b2, mu, kv)
+    assert E == jacobi(b2, mu, couplings(b2)).substitute(1, Fraction(-10, 3))
+    mt = mu_tilde(b2, mu, kv)
+    for xi in ((1, 0), (0, 1), (1, 2)):
+        assert dunkl_apply(b2, xi, E, kv) == E.scale(pair_with_xi(b2, mt, xi))
 
 
 @pytest.mark.parametrize("fam,n,mu0", [("A", 2, (1, 1)), ("B", 2, (0, 2)),

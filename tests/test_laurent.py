@@ -4,14 +4,13 @@ from fractions import Fraction
 import pytest
 
 from trigdunkl import (
-    DivisibilityError,
     K,
     Laurent,
     Localized,
     RF_ONE,
     RatFunc,
     couplings,
-    exact_divide,
+    divided_difference,
     inner_product,
     is_w_invariant,
     laurent_from_json,
@@ -21,23 +20,56 @@ from trigdunkl import (
     weight_function,
     weyl_act,
 )
+from trigdunkl.laurent import try_divide
 
 
-def test_exact_divide_examples():
+def test_try_divide_examples():
     a1 = root_system("A", 1)
     f = Laurent({(1,): 1, (-1,): -1})
-    assert exact_divide(a1, f, 0) == Laurent({(1,): 1})
+    assert try_divide(a1, f, 0) == Laurent({(1,): 1})
     g = Laurent({(2,): 1, (-2,): -1})
-    assert exact_divide(a1, g, 0) == Laurent({(2,): 1, (0,): 1})
-    with pytest.raises(DivisibilityError):
-        exact_divide(a1, Laurent({(1,): 1}), 0)
+    assert try_divide(a1, g, 0) == Laurent({(2,): 1, (0,): 1})
+    assert try_divide(a1, Laurent({(1,): 1}), 0) is None
     # quotient times divisor reproduces the input
     a2 = root_system("A", 2)
     h = Laurent({(2, -1): 1, (-2, 1): -1, (0, 0): 5, (-2, 2): -5})
     for r in range(a2.n_positive):
         prod = h * Laurent({(0, 0): 1,
                             tuple(-a for a in a2.pos_wcoords[r]): -1})
-        assert exact_divide(a2, prod, r) == h
+        assert try_divide(a2, prod, r) == h
+
+
+def _divided_difference_by_division(rs, r, f):
+    """The defining formula: subtract the reflection, then divide."""
+    reflected = f.map_weights(lambda mu: rs.reflect_root(r, mu))
+    q = try_divide(rs, f - reflected, r)
+    assert q is not None
+    return q
+
+
+def _random_laurent(rng, rank, terms, bound=3):
+    coeffs = (K, 1 - K, Fraction(2, 3), -3, 1, K * K)
+    return Laurent({tuple(rng.randint(-bound, bound) for _ in range(rank)):
+                    rng.choice(coeffs) for _ in range(terms)})
+
+
+@pytest.mark.parametrize("fam,n", [("A", 1), ("A", 2), ("A", 3), ("B", 2),
+                                   ("C", 2), ("G", 2), ("BC", 1), ("BC", 2)])
+def test_divided_difference_matches_the_division(fam, n):
+    """The closed form (geometric strings) against (f - s_a f) / (1 - e^-a)
+    on every positive root, doubled BC roots included."""
+    rs = root_system(fam, n)
+    rng = random.Random(f"{fam}{n}")
+    for r in range(rs.n_positive):
+        for terms in (1, 1, 3, 6):
+            f = _random_laurent(rng, n, terms)
+            assert (divided_difference(rs, r, f)
+                    == _divided_difference_by_division(rs, r, f)), (r, f)
+    # cancelling strings leave no zero coefficient behind
+    a1 = root_system("A", 1)
+    assert divided_difference(a1, 0, Laurent({(3,): 1, (1,): -1})) == Laurent(
+        {(3,): 1, (-1,): 1})
+    assert divided_difference(a1, 0, Laurent({(3,): 1, (-3,): 1})).is_zero()
 
 
 def test_weyl_act_examples():
