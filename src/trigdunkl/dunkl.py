@@ -14,7 +14,6 @@ from .laurent import (
     _partial,
     divided_difference,
     is_w_invariant,
-    one_minus_exp,
 )
 from .rootsys import unit
 
@@ -238,7 +237,7 @@ def _coth_partial(rs, F, r):
                          tuple(-a for a in rs.pos_wcoords[r]): RF_ONE})
     den = dict(g.den)
     den[r] = den.get(r, 0) + 1
-    return Localized(g.num * onep, den)
+    return Localized(g.num * onep, den).normalize(rs)
 
 
 def partial_quadratic(rs, p, F):
@@ -281,12 +280,13 @@ def hamiltonian_apply(rs, F, kvec):
             continue
         shift = tuple(-a for a in rs.pos_wcoords[r])
         pot = Localized(Laurent._raw({shift: coeff}), {r: 2})
-        out = out.add(F.mul(pot, rs), rs)
+        out = out.add(F.mul(pot, rs).normalize(rs), rs)
     return out.normalize(rs)
 
 
 def half_weight(rs, kvec):
-    """delta^(1/2) = e^rho prod (1-e^-a)^(k_a), for even integer couplings."""
+    """delta^(1/2) = e^rho prod (1-e^-a)^(k_a), for even integer couplings,
+    kept factored: (rho, {r: k_a})."""
     ints = kvec.integer_values()
     if any(v < 0 or v % 2 for v in ints):
         raise ValueError("conjugation weight needs even nonnegative couplings")
@@ -296,21 +296,17 @@ def half_weight(rs, kvec):
         if c.denominator != 1:
             raise ValueError("rho is not a lattice weight at these couplings")
         rho_coords.append(int(c))
-    out = Laurent.monomial(tuple(rho_coords))
-    for r in range(rs.n_positive):
-        e = ints[rs.pos_class[r]]
-        if e:
-            out = out * one_minus_exp(rs, r, e)
-    return out
+    powers = {r: ints[c] for r, c in enumerate(rs.pos_class) if ints[c]}
+    return tuple(rho_coords), powers
 
 
 def conjugation_check(rs, F, kvec):
     """Exact check of H(delta^(1/2) f) = delta^(1/2) (L f + (rho, rho) f)."""
     dh = half_weight(rs, kvec)
-    lhs = hamiltonian_apply(rs, F.mul_laurent(dh), kvec)
+    lhs = hamiltonian_apply(rs, F.mul_root_factors(rs, *dh), kvec)
     rn = rho_norm(rs, kvec)
-    rhs = _lk_localized(rs, F, kvec).add(F.scale(rn), rs).mul_laurent(dh)
-    return lhs.equals(rhs, rs)
+    rhs = _lk_localized(rs, F, kvec).add(F.scale(rn), rs)
+    return lhs.equals(rhs.mul_root_factors(rs, *dh), rs)
 
 
 # --- Jacobi eigenfunctions by the triangular eigen-solve ---

@@ -315,8 +315,18 @@ class Localized:
             den[r] = den.get(r, 0) + m
         return Localized(self.num * other.num, den)
 
-    def mul_laurent(self, f):
-        return Localized(self.num * f, dict(self.den))
+    def mul_root_factors(self, rs, weight, powers):
+        """Times e^weight prod_r (1 - e^(-alpha_r))^powers[r]: each factor is
+        cancelled against the denominator first, and only the rest expanded."""
+        num = Laurent._raw({tuple(m + w for m, w in zip(mu, weight)): c
+                            for mu, c in self.num.terms.items()})
+        den = dict(self.den)
+        for r, e in sorted(powers.items()):
+            cancel = min(e, den.get(r, 0))
+            den[r] = den.get(r, 0) - cancel
+            if e > cancel:
+                num = num * one_minus_exp(rs, r, e - cancel)
+        return Localized(num, den)
 
     def normalize(self, rs):
         """Divide out every full (1 - e^(-alpha)) factor that cancels."""
@@ -336,7 +346,10 @@ class Localized:
         return Localized(num, den)
 
     def equals(self, other, rs):
-        """Exact equality via cross multiplication (representation-free)."""
+        """Exact equality: numerators over equal denominators, else cross
+        multiplication (representation-free)."""
+        if self.den == other.den:
+            return self.num == other.num
         lhs = self.num * other.den_laurent(rs)
         rhs = other.num * self.den_laurent(rs)
         return lhs == rhs

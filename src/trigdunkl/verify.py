@@ -294,6 +294,11 @@ def run_hermitian(types=None):
 _THM23_TYPES = (("A", 1), ("A", 2), ("A", 3), ("B", 2))
 
 
+def _orbit_sum_weights(n):
+    """w1 and (1, ..., 1), once each: on A1 they are the same weight."""
+    return tuple(dict.fromkeys([unit(n, 0), (1,) * n]))
+
+
 def run_thm23(types=None):
     res = SuiteResult("thm23")
     for (rs,) in _systems(_THM23_TYPES, types):
@@ -301,7 +306,7 @@ def run_thm23(types=None):
         kv = couplings(rs)
         C = SymH.laplacian(rs)
         rn = rho_norm(rs, kv)
-        for mu in [unit(n, 0), (1,) * n]:
+        for mu in _orbit_sum_weights(n):
             f = orbit_sum(rs, mu)
             lhs = invariant_apply(rs, C, f, kv)
             rhs = lk_apply(rs, f, kv) + f.scale(rn)
@@ -311,14 +316,17 @@ def run_thm23(types=None):
     return res
 
 
-_CONJUGATION_TYPES = (("A", 1), ("A", 2))
+# (family, rank, couplings, their label): BC1 with k2 != 0 checks the
+# doubled-root potential
+_CONJUGATION_TYPES = (("A", 1, (2, 2), "k=2"), ("A", 2, (2, 2), "k=2"),
+                      ("BC", 1, (2, None, 2), "k=k2=2"))
 
 
 def run_conjugation(types=None):
     res = SuiteResult("conjugation")
-    for (rs,) in _systems(_CONJUGATION_TYPES, types):
+    for rs, kargs, klabel in _systems(_CONJUGATION_TYPES, types):
         n = rs.rank
-        kv = couplings(rs, 2, 2)
+        kv = couplings(rs, *kargs)
         tests = [
             ("1", Localized.from_laurent(Laurent.one(n))),
             ("e^w1", Localized.from_laurent(Laurent.monomial(unit(n, 0)))),
@@ -326,7 +334,7 @@ def run_conjugation(types=None):
         ]
         for label, F in tests:
             ok = conjugation_check(rs, F, kv)
-            res.add(f"{rs.spec}:conjugation at k=2 on {label}", ok)
+            res.add(f"{rs.spec}:conjugation at {klabel} on {label}", ok)
     for (rs,) in _systems((("A", 1),), types):
         F = Localized.from_laurent(Laurent.monomial((1,)))
         res.add("A1:conjugation at k=0 on e^w",
@@ -381,7 +389,7 @@ def run_compat(types=None):
     for (rs,) in _systems(_COMPAT_TYPES, types):
         kv = couplings(rs)
         C = SymH.laplacian(rs)
-        for mu in [unit(rs.rank, 0), (1,) * rs.rank]:
+        for mu in _orbit_sum_weights(rs.rank):
             f = orbit_sum(rs, mu)
             via_inv = invariant_apply(rs, C, f, kv)
             via_dk2 = dk2_apply(rs, C, Localized.from_laurent(f), kv)

@@ -35,7 +35,7 @@ from trigdunkl import (
 from trigdunkl import dunkl, verify
 from trigdunkl.dunkl import symh_apply, symh_is_invariant
 from trigdunkl.laurent import try_divide
-from trigdunkl.rootsys import _mat_inv
+from trigdunkl.rootsys import _mat_inv, unit
 
 
 def test_rho_examples():
@@ -527,6 +527,87 @@ def test_conjugation_trivial_and_errors():
         conjugation_check(a1, F, couplings(a1, 1))  # odd coupling
     with pytest.raises(ValueError):
         conjugation_check(a1, F, couplings(a1, Fraction(1, 2)))
+
+
+# The localized operators as they were written before each root-factor term
+# was reduced on its own: every term is lifted to the running denominator
+# and the sum is normalized once.  Test-only references.
+def _lifted_coth_partial(rs, F, r):
+    g = F.derivative(rs, rs.pos_coroot_scoords[r])
+    onep = Laurent({(0,) * rs.rank: 1,
+                    tuple(-a for a in rs.pos_wcoords[r]): 1})
+    den = dict(g.den)
+    den[r] = den.get(r, 0) + 1
+    return Localized(g.num * onep, den)
+
+
+def _lifted_lk_localized(rs, F, kvec):
+    out = dunkl._partial_c_localized(rs, F)
+    for r in range(rs.n_positive):
+        ka = kvec.value(rs.pos_class[r])
+        if ka:
+            scale = ka * (Fraction(1, 2) * rs.pos_norms[r])
+            out = out.add(_lifted_coth_partial(rs, F, r).scale(scale), rs)
+    return out.normalize(rs)
+
+
+def _lifted_hamiltonian_apply(rs, F, kvec):
+    out = dunkl._partial_c_localized(rs, F)
+    for r in range(rs.n_positive):
+        ka = kvec.value(rs.pos_class[r])
+        dbl = rs.double_root[r]
+        k2 = kvec.value(rs.pos_class[dbl]) if dbl is not None else RF_ZERO
+        coeff = ka * (RF_ONE - ka - 2 * k2) * rs.pos_norms[r]
+        if coeff:
+            pot = Localized(Laurent({tuple(-a for a in rs.pos_wcoords[r]):
+                                     coeff}), {r: 2})
+            out = out.add(F.mul(pot, rs), rs)
+    return out.normalize(rs)
+
+
+def _expanded_half_weight(rs, kvec):
+    weight, powers = dunkl.half_weight(rs, kvec)
+    out = Laurent.monomial(weight)
+    for r, e in powers.items():
+        for _ in range(e):
+            out = out * Laurent({(0,) * rs.rank: 1,
+                                 tuple(-a for a in rs.pos_wcoords[r]): -1})
+    return out
+
+
+_LOCALIZED_TYPES = [("A", 1), ("A", 2), ("B", 2), ("C", 2), ("G", 2), ("A", 3),
+                    ("BC", 1), ("BC", 2)]
+
+
+@pytest.mark.parametrize("fam,n", _LOCALIZED_TYPES)
+def test_localized_operators_match_the_lifted_sums(fam, n):
+    # same num *and* den: on BC the greedy normalize is not canonical
+    rs = root_system(fam, n)
+    kvs = ([couplings(rs, K, None, KP), couplings(rs, 2, 2, 2)]
+           if fam == "BC" else [couplings(rs), couplings(rs, 2, 2)])
+    bound = 1 if n < 3 else 0
+    one = Laurent.one(n)
+    inputs = [Localized(Laurent.monomial(mu))
+              for mu in itertools.product(range(-bound, bound + 1), repeat=n)]
+    inputs += [Localized(Laurent.monomial(unit(n, 0))),
+               Localized(one, {rs.simple_index[0]: 1}),
+               Localized(Laurent.monomial((1,) * n), {rs.n_positive - 1: 2})]
+    inputs += [Localized(orbit_sum(rs, mu)) for mu in [unit(n, 0), (1,) * n]]
+    for kv in kvs:
+        for F in inputs:
+            assert (hamiltonian_apply(rs, F, kv).to_json()
+                    == _lifted_hamiltonian_apply(rs, F, kv).to_json())
+            assert (dunkl._lk_localized(rs, F, kv).to_json()
+                    == _lifted_lk_localized(rs, F, kv).to_json())
+    # the conjugation inputs, delta^(1/2) f: every potential term divides
+    kv = kvs[1]
+    dh = dunkl.half_weight(rs, kv)
+    expanded = _expanded_half_weight(rs, kv)
+    for F in inputs[-5:]:
+        G = F.mul_root_factors(rs, *dh)
+        assert G.equals(F.mul(Localized(expanded), rs), rs)
+        assert (hamiltonian_apply(rs, G, kv).to_json()
+                == _lifted_hamiltonian_apply(rs, G, kv).to_json())
 
 
 def test_commutativity_spot_checks():

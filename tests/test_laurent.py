@@ -20,7 +20,7 @@ from trigdunkl import (
     weight_function,
     weyl_act,
 )
-from trigdunkl.laurent import try_divide
+from trigdunkl.laurent import one_minus_exp, try_divide
 
 
 def test_try_divide_examples():
@@ -188,6 +188,47 @@ def test_localized_arithmetic():
     # normalization strips exactly divisible factors
     z = Localized(Laurent({(1,): 1, (-1,): -1}), {0: 1}).normalize(a1)
     assert not z.den and z.num == Laurent({(1,): 1})
+
+
+def test_localized_equals():
+    a1 = root_system("A", 1)
+    # equal denominators: the numerators decide
+    x = Localized(Laurent({(1,): 1}), {0: 1})
+    assert not x.equals(Localized(Laurent({(1,): 2}), {0: 1}), a1)
+    assert not x.equals(Localized(Laurent({(-1,): 1}), {0: 1}), a1)
+    assert x.equals(Localized(Laurent({(1,): 1}), {0: 1}), a1)
+    # one value in two representations
+    lifted = Localized(Laurent({(1,): 1, (-1,): -1}), {0: 2})
+    assert x.equals(lifted, a1) and lifted.equals(x, a1)
+    assert not x.equals(Localized(Laurent({(1,): 1, (-1,): 1}), {0: 2}), a1)
+    # zero, whatever denominator it was written over
+    zero = Localized(Laurent.zero(), {0: 3})
+    assert zero.equals(Localized(Laurent.zero()), a1)
+    assert not zero.equals(x, a1) and not x.equals(zero, a1)
+
+
+def test_mul_root_factors_cancels_before_it_expands():
+    a1 = root_system("A", 1)
+    one = Laurent.one(1)
+    # (1 - e^-a)^2 against a cube in the denominator: only the shift is left
+    out = Localized(one, {0: 3}).mul_root_factors(a1, (1,), {0: 2})
+    assert out.to_json() == Localized(Laurent.monomial((1,)), {0: 1}).to_json()
+    # a cube against a single factor: the rest is expanded
+    out = Localized(one, {0: 1}).mul_root_factors(a1, (0,), {0: 3})
+    assert not out.den and out.num == Laurent({(0,): 1, (-2,): -2, (-4,): 1})
+    # the same value as multiplying by the expanded product
+    rng = random.Random(31)
+    for fam, n in [("A", 2), ("B", 2), ("BC", 2)]:
+        rs = root_system(fam, n)
+        for _ in range(6):
+            x = _random_localized(rs, rng)
+            weight = tuple(rng.randint(-2, 2) for _ in range(n))
+            powers = {r: rng.randint(0, 3) for r in range(rs.n_positive)}
+            factors = Localized(Laurent.monomial(weight))
+            for r, e in powers.items():
+                factors = factors.mul(Localized(one_minus_exp(rs, r, e)), rs)
+            assert x.mul_root_factors(rs, weight, powers).equals(
+                x.mul(factors, rs), rs)
 
 
 def test_orbit_sum_invariance():

@@ -15,8 +15,8 @@ from trigdunkl import (
     pair_with_xi,
     root_system,
 )
-from trigdunkl import verify
-from trigdunkl.rootsys import unit
+from trigdunkl import dunkl, verify
+from trigdunkl.rootsys import RootSystem, RootSystemSpec, unit
 
 
 def test_eigen_reports_its_first_failing_check(monkeypatch):
@@ -110,3 +110,27 @@ def test_eigen_fails_on_an_altered_coefficient_with_the_unscaled_detail(
     assert first.detail == "mu=(-2,): " + verify._sides(
         dunkl_apply(a1, (1,), E, kv), E.scale(ev))
     assert first.detail.startswith("mu=(-2,): lhs = ")
+
+
+def test_conjugation_suite_fails_on_a_dropped_k2_or_an_off_rho_norm(monkeypatch):
+    # BC1 at k = k2 = 2 is the only case that sees the doubled-root potential
+    bc1 = RootSystem(RootSystemSpec("BC", 1))
+    bc1.double_root = (None,) * bc1.n_positive
+    systems = verify.root_system
+    monkeypatch.setattr(verify, "root_system", lambda fam, n: (
+        bc1 if (fam, n) == ("BC", 1) else systems(fam, n)))
+    res = verify.run_conjugation({"BC1"})
+    assert res.cases and not any(c.ok for c in res.cases)
+    monkeypatch.setattr(verify, "root_system", systems)
+    assert verify.run_conjugation({"BC1"}).ok
+    # both sides come out over the same denominator on A2, so the numerators
+    # decide, and (rho, rho) + 1 must show there
+    norm = dunkl.rho_norm
+    monkeypatch.setattr(dunkl, "rho_norm", lambda rs, kv: norm(rs, kv) + 1)
+    res = verify.run_conjugation({"A2"})
+    assert res.cases and not any(c.ok for c in res.cases)
+
+
+def test_case_ids_are_unique():
+    ids = [c.case_id for suite in verify.run_all() for c in suite.cases]
+    assert len(ids) == len(set(ids))
