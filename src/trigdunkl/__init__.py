@@ -56,18 +56,14 @@ from .special import (
     INFINITY,
     SpecialExponentReport,
     c_dual,
-    c_dual_pairing,
     consecutive_relations,
     dk2_apply,
     e8_exponent_difference,
-    indicial_membership,
     kplus_membership,
     monodromy_spec,
     quadratic_residual,
-    reducibility_check,
     schwarz_table,
     special_exponents,
-    special_system_rhs,
     verify_quadratic,
     weight_squared,
 )

@@ -14,7 +14,7 @@ from __future__ import annotations
 import ast
 import operator
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 _C = (0, 0)  # the constant monomial
 
@@ -332,7 +332,9 @@ def _reduce(num, den, rest=_ONE):
     if not num.terms:
         return RF_ZERO
     if not den.is_one():
-        g = poly_gcd(num, den)
+        # over a constant den, the gcd is that of the integer contents
+        g = (Poly.const(gcd(num.content(), den.const_value()))
+             if den.is_const() else poly_gcd(num, den))
         if not g.is_one():
             num, den = poly_divexact(num, g), poly_divexact(den, g)
     return _finish(num, den if rest is _ONE else den * rest)
@@ -607,15 +609,34 @@ class _Factored:
         return _finish(out.n, out._den()), out
 
 
-def _cleared(cs):
-    """c * D for each RatFunc c in cs, D the lcm of their denominators: each
-    product is the polynomial num * (D / den), by exact division."""
+def _clear(cs):
+    """(D, [c * D for c in cs]) for the RatFuncs cs, D the lcm of their
+    denominators: each c * D is the Poly num * (D / den), by exact division.
+    While every denominator is a constant, D is taken in ints and no
+    poly_gcd runs."""
+    dens = [_poly(c.den) for c in cs]
+    if all(d.is_const() for d in dens):
+        D = lcm(*(d.const_value() for d in dens))
+        return Poly.const(D), [_scaled(_poly(c.num), D // d.const_value())
+                               for c, d in zip(cs, dens)]
     D = _ONE
-    for c in cs:
-        d = _poly(c.den)
+    for d in dens:
         D = poly_divexact(D * d, poly_gcd(D, d))
-    return [_finish(_poly(c.num) * poly_divexact(D, _poly(c.den)), _ONE)
-            for c in cs]
+    return D, [_poly(c.num) * poly_divexact(D, d) for c, d in zip(cs, dens)]
+
+
+def _cleared(cs):
+    """c * D for each RatFunc c in cs, as RatFuncs, D as in _clear."""
+    return [_finish(p, _ONE) for p in _clear(cs)[1]]
+
+
+def _combination(terms):
+    """The Poly sum of s * p over the (int s, Poly p) in terms."""
+    acc = {}
+    for s, p in terms:
+        for m, c in p.terms.items():
+            acc[m] = acc.get(m, 0) + s * c
+    return Poly({m: c for m, c in acc.items() if c})
 
 
 def format_poly(p, scale=1):

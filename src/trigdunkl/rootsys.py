@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import prod
+from math import lcm, prod
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G", "BC")
 
@@ -51,62 +51,34 @@ def unit(n, i):
     return tuple(int(j == i) for j in range(n))
 
 
-def _frac_unit(dim, i, c=1):
-    v = [Fraction(0)] * dim
-    v[i] = Fraction(c)
-    return v
+def _simple_roots2(family, n):
+    """Bourbaki simple roots, doubled so that they are ambient int vectors."""
+    def vec(dim, *entries):
+        v = [0] * dim
+        for i, c in entries:
+            v[i] = c
+        return v
 
+    def chain(dim, m):  # 2 (e_i - e_(i+1)) for i < m
+        return [vec(dim, (i, 2), (i + 1, -2)) for i in range(m)]
 
-def _simple_roots(family, n):
-    """Bourbaki simple roots as ambient Fraction vectors."""
     if family == "A":
-        dim = n + 1
-        simples = [[Fraction(int(j == i) - int(j == i + 1)) for j in range(dim)]
-                   for i in range(n)]
-    elif family in ("B", "BC"):
-        dim = n
-        simples = [[Fraction(int(j == i) - int(j == i + 1)) for j in range(dim)]
-                   for i in range(n - 1)]
-        simples.append(_frac_unit(dim, n - 1))
-    elif family == "C":
-        dim = n
-        simples = [[Fraction(int(j == i) - int(j == i + 1)) for j in range(dim)]
-                   for i in range(n - 1)]
-        simples.append(_frac_unit(dim, n - 1, 2))
-    elif family == "D":
-        dim = n
-        simples = [[Fraction(int(j == i) - int(j == i + 1)) for j in range(dim)]
-                   for i in range(n - 1)]
-        last = _frac_unit(dim, n - 2)
-        last[n - 1] = Fraction(1)
-        simples.append(last)
-    elif family == "E":
-        half = Fraction(1, 2)
-        a1 = [half, -half, -half, -half, -half, -half, -half, half]
-        a2 = [Fraction(1), Fraction(1)] + [Fraction(0)] * 6
-        simples = [a1, a2]
+        return chain(n + 1, n)
+    if family in ("B", "BC"):
+        return chain(n, n - 1) + [vec(n, (n - 1, 2))]
+    if family == "C":
+        return chain(n, n - 1) + [vec(n, (n - 1, 4))]
+    if family == "D":
+        return chain(n, n - 1) + [vec(n, (n - 2, 2), (n - 1, 2))]
+    if family == "E":
         # alpha_{i+3} = e_{i+2} - e_{i+1} in 1-based Bourbaki labels
-        for i in range(n - 2):
-            v = [Fraction(0)] * 8
-            v[i + 1] = Fraction(1)
-            v[i] = Fraction(-1)
-            simples.append(v)
-    elif family == "F":
-        half = Fraction(1, 2)
-        simples = [
-            [Fraction(0), Fraction(1), Fraction(-1), Fraction(0)],
-            [Fraction(0), Fraction(0), Fraction(1), Fraction(-1)],
-            [Fraction(0), Fraction(0), Fraction(0), Fraction(1)],
-            [half, -half, -half, -half],
-        ]
-    elif family == "G":
-        simples = [
-            [Fraction(1), Fraction(-1), Fraction(0)],
-            [Fraction(-2), Fraction(1), Fraction(1)],
-        ]
-    else:
-        raise ValueError(family)
-    return [tuple(s) for s in simples]
+        return ([[1, -1, -1, -1, -1, -1, -1, 1], vec(8, (0, 2), (1, 2))]
+                + [vec(8, (i, -2), (i + 1, 2)) for i in range(n - 2)])
+    if family == "F":
+        return [[0, 2, -2, 0], [0, 0, 2, -2], [0, 0, 0, 2], [1, -1, -1, -1]]
+    if family == "G":
+        return [[2, -2, 0], [-4, 2, 2]]
+    raise ValueError(family)
 
 
 def _dot(u, v):
@@ -127,28 +99,23 @@ def _ambient(acoords, cols2):
     return tuple(Fraction(_sparse_dot(acoords, col), 2) for col in cols2)
 
 
-def _mat_inv(m):
-    """Inverse and determinant of a square Fraction matrix by Gauss-Jordan."""
+def _det_adj(m):
+    """det(m) and the adjugate of m, an integer matrix whose leading principal
+    minors are nonzero (for a Cartan matrix of finite type they are the
+    determinants of its sub-diagrams, so positive).  Fraction-free Gauss-Jordan
+    elimination (Bareiss, Math. Comp. 22, 1968) turns [m | I] into
+    [det I | adj m], and every division it makes is exact."""
     n = len(m)
-    a = [[Fraction(x) for x in row] + _frac_unit(n, i) for i, row in enumerate(m)]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        f = a[col][col]
-        det *= f
-        a[col] = [x / f for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                g = a[r][col]
-                a[r] = [x - g * y if y else x for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a], det
-
-
-def _mat_vec(m, v):
-    return tuple(sum(r * x for r, x in zip(row, v)) for row in m)
+    a = [list(row) + list(unit(n, i)) for i, row in enumerate(m)]
+    prev = 1
+    for k in range(n):
+        p, top = a[k][k], a[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * t) // prev for x, t in zip(a[i], top)]
+        prev = p
+    return prev, tuple(tuple(row[n:]) for row in a)
 
 
 def _as_int(x):
@@ -157,13 +124,15 @@ def _as_int(x):
     return int(x)
 
 
-def _as_exact(x):
-    """int when integral, Fraction otherwise (BC doubled-root coroots)."""
-    return int(x) if x.denominator == 1 else x
+def _exact_quotient(a, b):
+    """a / b as an int when b divides a, else as a Fraction."""
+    q, r = divmod(a, b)
+    return Fraction(a, b) if r else q
 
 
 def _positive_acoords(cartan):
-    """Positive roots in simple-root coordinates, by alpha_i-strings.
+    """Positive roots in simple-root coordinates, by alpha_i-strings, each
+    mapped to its pairings with the simple coroots, <beta, alpha_j^vee>.
 
     With p the largest integer such that beta - p alpha_i is a root,
     beta + alpha_i is a root iff p - <beta, alpha_i^vee> > 0 (Humphreys,
@@ -171,13 +140,12 @@ def _positive_acoords(cartan):
     found height by height, so every string below beta is already known.
     """
     n = len(cartan)
-    layer = [unit(n, i) for i in range(n)]
-    roots = set(layer)
-    out = []
+    cols = list(zip(*cartan))  # cols[i][j] = <alpha_i, alpha_j^vee>
+    layer = {unit(n, i): cols[i] for i in range(n)}
+    roots = dict(layer)
     while layer:
-        out.extend(layer)
-        above = []
-        for beta in layer:
+        above = {}
+        for beta, sp in layer.items():
             for i in range(n):
                 p = 0
                 down = list(beta)
@@ -186,13 +154,13 @@ def _positive_acoords(cartan):
                     if tuple(down) not in roots:
                         break
                     p += 1
-                if p > _sparse_dot(cartan[i], beta):
+                if p > sp[i]:
                     up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
                     if up not in roots:
-                        roots.add(up)
-                        above.append(up)
+                        roots[up] = above[up] = tuple(
+                            s + c for s, c in zip(sp, cols[i]))
         layer = above
-    return out
+    return roots
 
 
 def _degrees(acoords):
@@ -207,33 +175,30 @@ class RootSystem:
     """Cartan, root and weight data for one irreducible type, set once here.
 
     Simple-root and node indices are 0-based in this API; node i corresponds
-    to Bourbaki node i+1.  Every per-root table is derived in integers from
-    the Cartan matrix and the simple-root Gram matrix; the Bourbaki ambient
-    vectors appear only in simple_roots, fundamental_weights, positive_roots
-    and the A_n alpha' vectors.
+    to Bourbaki node i+1.  The Bourbaki ambient vectors are used only for
+    the simple roots, doubled to integers; the Cartan and Gram matrices come
+    from their dot products, every per-root table from the alpha_i-strings
+    in integers, and the fundamental weights and the Gram tables from the
+    integer adjugate of the Cartan matrix, with one Fraction per entry.
+    simple_roots, positive_roots, w0_sigma, the A_n alpha' vectors and the
+    residual tensors are built on first use.
     """
 
     def __init__(self, spec):
         self.spec = spec
         family, n = spec.family, spec.rank
         self.rank = n
-        simples = _simple_roots(family, n)
-        self.simple_roots = tuple(simples)
+        rows2 = _simple_roots2(family, n)
         # cols2[k][l] = 2 (alpha_l)_k; every ambient entry is a half-integer
-        self._cols2 = cols2 = [tuple(_as_int(2 * x) for x in col)
-                               for col in zip(*simples)]
+        self._cols2 = cols2 = list(zip(*rows2))
         # gram2[l][m] = 2 (alpha_l, alpha_m), an integer in every realization
-        rows2 = list(zip(*cols2))
         gram2 = [[_dot(s, t) // 2 for t in rows2] for s in rows2]
         norms = [gram2[i][i] // 2 for i in range(n)]
         # cartan[i][j] = <alpha_j, alpha_i^vee>
         self.cartan = tuple(tuple(2 * gram2[i][j] // gram2[i][i]
                                   for j in range(n)) for i in range(n))
-        inv_cartan, det = _mat_inv(self.cartan)
-        # det_acoords stays in integers: det(cartan) cartan^-1 is the adjugate
-        self._det_cartan = _as_int(det)
-        self._adj_cartan = tuple(tuple(_as_int(det * x) for x in row)
-                                 for row in inv_cartan)
+        # det(cartan) cartan^-1 is the integer adjugate
+        self._det_cartan, self._adj_cartan = det, adj = _det_adj(self.cartan)
 
         # pairing of the weight basis with the simple coroots:
         # wt_pair[i][j] = <FW_j, alpha_i^vee>.  The identity for reduced
@@ -243,46 +208,46 @@ class RootSystem:
         if family == "BC":
             wt_pair[n - 1][n - 1] = 2
         self.wt_pair = tuple(tuple(row) for row in wt_pair)
+        diag = [wt_pair[j][j] for j in range(n)]
 
-        # fw_acoords[j] = FW_j in simple-root coordinates (cartan^-1 wt_pair)
-        fw_acoords = [tuple(_sparse_dot(col, row) for row in inv_cartan)
-                      for col in zip(*wt_pair)]
-        self.fundamental_weights = tuple(_ambient(a, cols2) for a in fw_acoords)
-        # pair2[j][l] = 2 (FW_j, alpha_l), an integer
-        pair2 = [[wt_pair[l][j] * norms[l] for l in range(n)] for j in range(n)]
+        # fw_det[j] = det FW_j in simple-root coordinates: column j of
+        # adj wt_pair, for FW_j = sum_l <FW_j, alpha_l^vee> (cartan^-1)_l
+        fw_det = [[row[j] * diag[j] for row in adj] for j in range(n)]
+        self.fundamental_weights = tuple(
+            tuple(Fraction(_sparse_dot(a, col), 2 * det) for col in cols2)
+            for a in fw_det)
 
-        acoords = _positive_acoords(self.cartan)
+        roots = _positive_acoords(self.cartan)
         # the Weyl group of BC_n is that of B_n: degrees before the doubling
-        self.degrees = _degrees(acoords)
+        self.degrees = _degrees(roots)
         self.weyl_order = prod(self.degrees)
         self.coxeter_number = max(self.degrees)
-        if family == "BC":
-            acoords += [tuple(2 * c for c in a) for a in acoords
-                        if _dot(a, _mat_vec(gram2, a)) == gram2[n - 1][n - 1]]
-        pnorms, simple_pair, wcoords, pos_pair = [], [], [], []
-        for a in acoords:
-            nb = _dot(a, _mat_vec(gram2, a)) // 2
-            pnorms.append(nb)
-            sp = tuple(_sparse_dot(row, a) for row in self.cartan)
-            simple_pair.append(sp)
-            wcoords.append(tuple(_as_int(Fraction(x, wt_pair[j][j]))
-                                 for j, x in enumerate(sp)))
-            pos_pair.append(tuple(_sparse_dot(a, row) // nb for row in pair2))
-        order = sorted(range(len(acoords)),
-                       key=lambda r: (sum(acoords[r]), wcoords[r]))
-        self.pos_acoords = tuple(acoords[r] for r in order)
+        # (a, <a, alpha_i^vee>, (a, a)) per root, with (a, a) =
+        # sum_i a_i <a, alpha_i^vee> (alpha_i, alpha_i) / 2
+        data = [(a, sp, sum(x * c * m for x, c, m in zip(a, sp, norms)) // 2)
+                for a, sp in roots.items()]
+        if family == "BC":  # the doubles of the short roots
+            data += [(tuple(2 * x for x in a), tuple(2 * c for c in sp), 4 * nb)
+                     for a, sp, nb in data if nb == norms[n - 1]]
+        wcoords, pos_pair, scoords = [], [], []
+        for a, sp, nb in data:
+            wcoords.append(tuple(c // d for c, d in zip(sp, diag)))
+            # (a, a) a^vee = sum_l a_l (alpha_l, alpha_l) alpha_l^vee
+            t = [x * m for x, m in zip(a, norms)]
+            pos_pair.append(tuple(d * x // nb for x, d in zip(t, diag)))
+            scoords.append(tuple(_exact_quotient(x, nb) for x in t))
+        order = sorted(range(len(data)),
+                       key=lambda r: (sum(data[r][0]), wcoords[r]))
+        self.pos_acoords = tuple(data[r][0] for r in order)
         self.pos_wcoords = tuple(wcoords[r] for r in order)
         self.pos_pair = tuple(pos_pair[r] for r in order)
-        self.pos_norms = tuple(pnorms[r] for r in order)
+        self.pos_norms = tuple(data[r][2] for r in order)
         # <alpha_r, alpha_i^vee> for every positive root r and simple i
-        self.pos_simple_pair = tuple(simple_pair[r] for r in order)
+        self.pos_simple_pair = tuple(data[r][1] for r in order)
         self.n_positive = len(order)
-        # alpha_r^vee = sum_l a_l (alpha_l, alpha_l) / (alpha_r, alpha_r)
-        # alpha_l^vee (half-integral for BC doubles)
-        self.pos_coroot_scoords = tuple(
-            tuple(_as_exact(Fraction(c * norms[l], nb)) for l, c in enumerate(a))
-            for a, nb in zip(self.pos_acoords, self.pos_norms)
-        )
+        # alpha_r^vee in simple-coroot coordinates: integral but for the
+        # half-integral BC doubles
+        self.pos_coroot_scoords = tuple(scoords[r] for r in order)
 
         self.simple_index = tuple(self.pos_acoords.index(unit(n, i))
                                   for i in range(n))
@@ -306,20 +271,14 @@ class RootSystem:
         self.double_root = tuple(index_of.get(tuple(2 * c for c in w))
                                  for w in self.pos_wcoords)
 
+        # (FW_i, FW_j) = sum_l (FW_i)_l (alpha_l, FW_j), and
+        # 2 (alpha_l, FW_j) = <FW_j, alpha_l^vee> (alpha_l, alpha_l)
         self.gram_fw = tuple(
-            tuple(Fraction(_sparse_dot(pair2[j], fw_acoords[i]), 2) for j in range(n))
-            for i in range(n))
+            tuple(Fraction(fw[j] * diag[j] * norms[j], 2 * det) for j in range(n))
+            for fw in fw_det)
         self.gram_coroot = tuple(
             tuple(Fraction(2 * gram2[i][j], norms[i] * norms[j]) for j in range(n))
             for i in range(n))
-        # -w0 permutes the basis weights (w0 = -1 on BC): -w0 FW_i = dominant(-FW_i)
-        self.w0_sigma = tuple(self.dominant(tuple(-x for x in unit(n, i))).index(1)
-                              for i in range(n))
-
-        if family == "A" and n >= 2:
-            self._alpha_prime = self._build_alpha_prime()
-        else:
-            self._alpha_prime = None
 
     # --- weight arithmetic (integer coordinate tuples) ---
 
@@ -332,10 +291,6 @@ class RootSystem:
         """<mu, alpha^vee> for the r-th positive root."""
         row = self.pos_pair[r]
         return sum(c * m for c, m in zip(row, mu) if c)
-
-    def root_pairing_general(self, v, r):
-        """<v, alpha^vee> for general coefficient entries."""
-        return _sparse_dot(self.pos_pair[r], v)
 
     def root_xi(self, r, xi):
         """alpha_r(xi) for xi in simple-coroot coordinates."""
@@ -355,6 +310,13 @@ class RootSystem:
             return tuple(mu)
         aw = self.pos_wcoords[r]
         return tuple(m - c * a for m, a in zip(mu, aw))
+
+    @cached_property
+    def w0_sigma(self):
+        """-w0 as a permutation of the basis weights (w0 = -1 on BC), built
+        on first use: -w0 FW_i = dominant(-FW_i)."""
+        return tuple(self.dominant(tuple(-x for x in unit(self.rank, i))).index(1)
+                     for i in range(self.rank))
 
     def w0_act(self, mu):
         out = [0 * m for m in mu]
@@ -473,7 +435,12 @@ class RootSystem:
 
     # --- A_n alpha' vectors ---
 
-    def _build_alpha_prime(self):
+    @cached_property
+    def _alpha_prime(self):
+        """The alpha' vectors of A_n, n >= 2, built on first use; None on
+        every other type."""
+        if self.spec.family != "A" or self.rank < 2:
+            return None
         dim = self.rank + 1
         shift = Fraction(2, dim)
         out = []
@@ -491,6 +458,12 @@ class RootSystem:
         if self._alpha_prime is None:
             raise ValueError("alpha' is defined for type A_n, n >= 2, only")
         return self._alpha_prime[r]
+
+    @cached_property
+    def simple_roots(self):
+        """Ambient Bourbaki vectors of the simple roots, built on first use."""
+        return tuple(tuple(Fraction(x, 2) for x in row)
+                     for row in zip(*self._cols2))
 
     @cached_property
     def positive_roots(self):
@@ -515,36 +488,40 @@ class RootSystem:
 
     @cached_property
     def residual_tensors(self):
-        """The tensors of special.quadratic_residual, built on first use.
+        """The tensors of special.quadratic_residual, built on first use, as
+        (slices, q, gram), all in integers.
 
-        One entry ((i, j), terms) per i <= j.  terms lists the nonzero
-        (c, l, s) with s = S_c[i][j][l] = sum over the positive roots r of
+        slices[l] lists, for the weight coordinate l, the nonzero (i, j, c, s)
+        with i <= j and s = S_c[i][j][l] = sum over the positive roots r of
         class c of w_r[i] w_r[j] <FW_l, alpha_r^vee>, w_r the weight
         coordinates of r.  For A_n, n >= 2, it also lists, under
-        c = n_classes, the Fractions A[i][j][l] = sum_r w_r[i] w_r[j]
-        FW_l(alpha'_r).
+        c = n_classes, s = sum_r w_r[i] w_r[j] (n + 1)^2 FW_l(alpha'_r).
+        gram lists the nonzero (i, j, q C^vee_ij) with i <= j, q the least
+        common denominator of the coroot Gram matrix C^vee.
         """
         n, prime = self.rank, self.n_classes
-        acc = {(i, j): {} for i in range(n) for j in range(i, n)}
+        acc = [{} for _ in range(n)]
         for r in range(self.n_positive):
             w = self.pos_wcoords[r]
             nz = [i for i in range(n) if w[i]]
             rows = [(self.pos_class[r], self.pos_pair[r])]
             if self._alpha_prime is not None:
                 rows.append((prime, self._alpha_prime_pairs[r]))
-            for a, i in enumerate(nz):
-                for j in nz[a:]:
-                    ww = w[i] * w[j]
-                    terms = acc[i, j]
-                    for c, row in rows:
-                        for l, p in enumerate(row):
-                            if p:
-                                terms[c, l] = terms.get((c, l), 0) + ww * p
-        d2 = (n + 1) ** 2
-        return tuple(
-            (ij, tuple((c, l, Fraction(s, d2) if c == prime else s)
-                       for (c, l), s in sorted(terms.items()) if s))
-            for ij, terms in acc.items())
+            for c, row in rows:
+                for l, p in enumerate(row):
+                    if p:
+                        terms = acc[l]
+                        for a, i in enumerate(nz):
+                            wp = w[i] * p
+                            for j in nz[a:]:
+                                terms[i, j, c] = terms.get((i, j, c), 0) + wp * w[j]
+        slices = tuple(tuple(key + (s,) for key, s in sorted(terms.items()) if s)
+                       for terms in acc)
+        q = lcm(*(g.denominator for row in self.gram_coroot for g in row))
+        gram = tuple((i, j, g.numerator * (q // g.denominator))
+                     for i, row in enumerate(self.gram_coroot)
+                     for j, g in enumerate(row) if j >= i and g)
+        return slices, q, gram
 
     def __repr__(self):
         return f"RootSystem({self.spec})"

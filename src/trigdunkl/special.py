@@ -1,12 +1,12 @@
 """Special exponents per type, the quadratic certificate, the degree-2
-operator map and its spectral bookkeeping, reducibility and monodromy data,
-the Lorentzian parameter region, and the Schwarz-condition arithmetic."""
+operator map, monodromy data, the Lorentzian parameter region, and the
+Schwarz-condition arithmetic."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeff import RF_ZERO, RatFunc, couplings
+from .coeff import RF_ZERO, RatFunc, _clear, _combination, _reduce, couplings
 from .dunkl import SymH, _coth_partial, partial_quadratic, rho
 
 INFINITY = "inf"
@@ -140,35 +140,46 @@ def special_exponents(rs, kvec):
 def quadratic_residual(rs, v, kvec, a_value):
     """mu^2 + (1/2) sum mu(k a^vee [+ k' a']) a^2 + a C^vee, as a SymH.
 
-    Read off the per-type tensors of RootSystem.residual_tensors: with
+    Read off the integer tensors of RootSystem.residual_tensors: with
     y_i = mu(a_i^vee), w_r the weight coordinates of the positive root r,
-    S_c[i][j][l] = sum_{r in class c} w_r[i] w_r[j] <FW_l, a_r^vee> and, for
-    A_n with n >= 2, A[i][j][l] = sum_r w_r[i] w_r[j] FW_l(a'_r), entry (i, j)
-    is
-        y_i y_j + 1/2 sum_c k_c sum_l S_c[i][j][l] mu_l
-                + 1/2 k' sum_l A[i][j][l] mu_l + a C^vee_ij,
-    computed for i <= j and mirrored.
+    S_c[i][j][l] = sum_{r in class c} w_r[i] w_r[j] <FW_l, a_r^vee>, for A_n
+    with n >= 2 A[i][j][l] = sum_r w_r[i] w_r[j] (n + 1)^2 FW_l(a'_r), and
+    G = q C^vee an integer matrix, entry (i, j) is
+        y_i y_j + sum_c sum_l (k_c / 2) mu_l S_c[i][j][l]
+                + sum_l (k' / 2) mu_l / (n + 1)^2 A[i][j][l] + (a / q) G_ij.
+    Only the slices l with mu_l != 0 are read.  The few base values y_i y_j,
+    (k_c / 2) mu_l, (k' / 2) mu_l / (n + 1)^2 and a / q are cleared to
+    polynomials over one common denominator D, so that each entry, for
+    i <= j, is an integer combination of them, reduced over D once.
     """
     n = rs.rank
-    half = Fraction(1, 2)
+    slices, q, gram = rs.residual_tensors
     y = [rs.pairing_general(v, i) for i in range(n)]
-    # u[c][l] = (1/2) k_c mu_l, with c = n_classes for k'; None when zero
-    u = []
-    for kc in [kvec.value(c) for c in range(rs.n_classes)] + [kvec.extra]:
-        hk = kc * half if kc else None
-        u.append([hk * x if hk is not None and x else None for x in v])
-    res = [[None] * n for _ in range(n)]
-    for (i, j), terms in rs.residual_tensors:
-        total = y[i] * y[j]
-        for c, l, s in terms:
-            x = u[c][l]
-            if x is not None:
-                total = total + x * s
-        g = rs.gram_coroot[i][j]
-        if g:
-            total = total + a_value * g
-        res[i][j] = res[j][i] = total
-    return SymH.make(rs, quadratic=res)
+    half = Fraction(1, 2)
+    ks = [kvec.value(c) * half for c in range(rs.n_classes)]
+    ks.append(kvec.extra * Fraction(1, 2 * (n + 1) ** 2))
+    supp = [i for i in range(n) if y[i]]
+    squares = [(i, j) for a, i in enumerate(supp) for j in supp[a:]]
+    linear = [(c, l) for l, x in enumerate(v) if x
+              for c, kc in enumerate(ks) if kc]
+    D, nums = _clear([y[i] * y[j] for i, j in squares]
+                     + [ks[c] * v[l] for c, l in linear]
+                     + [a_value * Fraction(1, q)])
+    terms = {}
+    for ij, p in zip(squares, nums):
+        terms[ij] = [(1, p)]
+    base = dict(zip(linear, nums[len(squares):]))
+    for l in {l for _, l in linear}:
+        for i, j, c, s in slices[l]:
+            p = base.get((c, l))
+            if p is not None:
+                terms.setdefault((i, j), []).append((s, p))
+    for i, j, g in gram:
+        terms.setdefault((i, j), []).append((g, nums[-1]))
+    res = [[RF_ZERO] * n for _ in range(n)]
+    for (i, j), ts in terms.items():
+        res[i][j] = res[j][i] = _reduce(_combination(ts), D)
+    return SymH(tuple(tuple(row) for row in res))
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
@@ -294,23 +305,6 @@ def dk2_apply(rs, p, F, kvec):
     return out.normalize(rs)
 
 
-def c_dual_pairing(rs, p):
-    """Trace pairing <C^vee, p> for a quadratic SymH (equals n at p = C)."""
-    total = RF_ZERO
-    for i in range(rs.rank):
-        for j in range(rs.rank):
-            q = p.quadratic[i][j]
-            g = rs.gram_coroot[i][j]
-            if q and g:
-                total = total + q * g
-    return total
-
-
-def special_system_rhs(rs, p, kvec, a_value):
-    """Eigenvalue p(rho_k) - a <C^vee, p> of the special system."""
-    return p.value_at(rs, rho(rs, kvec)) - a_value * c_dual_pairing(rs, p)
-
-
 def _require_reduced(rs):
     if rs.spec.family == "BC":
         raise ValueError("defined for reduced root systems only")
@@ -319,42 +313,6 @@ def _require_reduced(rs):
 def _numeric_couplings(rs, k, kp):
     """The coupling vector at rational (k, k'); k' = None reads as 0."""
     return couplings(rs, Fraction(k), Fraction(kp or 0))
-
-
-def reducibility_check(rs, lam, k, kp=0):
-    """Roots witnessing lambda(a^vee) + k_a in Z, over both signs of R_+."""
-    _require_reduced(rs)
-    kv = _numeric_couplings(rs, k, kp)
-    lam = tuple(Fraction(x) for x in lam)
-    witnesses = []
-    for r in range(rs.n_positive):
-        ka = kv.value(rs.pos_class[r]).const_value()
-        val = Fraction(rs.root_pairing(lam, r))
-        for sign in (1, -1):
-            if (sign * val + ka).denominator == 1:
-                witnesses.append((sign, r))
-    return witnesses
-
-
-def indicial_membership(rs, lam, mu, k, kp=0):
-    """Whether mu solves the indicial equation, i.e. mu + rho_k lies in W lambda."""
-    _require_reduced(rs)
-    kv = _numeric_couplings(rs, k, kp)
-    rho_k = tuple(v.const_value() for v in rho(rs, kv))
-    target = tuple(Fraction(m) + r for m, r in zip(mu, rho_k))
-    lam = tuple(Fraction(x) for x in lam)
-    seen = {lam}
-    queue = [lam]
-    while queue:
-        v = queue.pop()
-        if v == target:
-            return True
-        for i in range(rs.rank):
-            w = tuple(rs.reflect_general(i, v))
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return target in seen
 
 
 def monodromy_spec(rs, k, kp=0):

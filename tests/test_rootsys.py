@@ -21,6 +21,7 @@ from trigdunkl import (
     root_system,
 )
 from trigdunkl.cli import main
+from trigdunkl.verify import PROP32_TYPES
 
 ALL_SMALL = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
              ("B", 4), ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("F", 4),
@@ -346,6 +347,32 @@ def test_positive_roots_are_built_on_first_use():
     assert "positive_roots" not in vars(rs)
     roots = rs.positive_roots
     assert vars(rs)["positive_roots"] is roots and len(roots) == rs.n_positive
+
+
+def test_w0_sigma_is_built_on_first_use():
+    rs = RootSystem(RootSystemSpec("E", 6))
+    assert "w0_sigma" not in vars(rs)
+    sigma = rs.w0_sigma
+    assert vars(rs)["w0_sigma"] is sigma
+    assert sigma == (5, 1, 4, 3, 2, 0)
+
+
+# det of the Cartan matrix per family (BC_n has the Cartan matrix of B_n)
+CARTAN_DET = {"A": lambda n: n + 1, "B": lambda n: 2, "C": lambda n: 2,
+              "D": lambda n: 4, "E": lambda n: 9 - n, "F": lambda n: 1,
+              "G": lambda n: 1, "BC": lambda n: 2}
+
+
+@pytest.mark.parametrize("fam,n", PROP32_TYPES
+                         + tuple(("BC", n) for n in range(1, 5)))
+def test_integer_adjugate_inverts_the_cartan_matrix(fam, n):
+    rs = RootSystem(RootSystemSpec(fam, n))
+    det, adj, cartan = rs._det_cartan, rs._adj_cartan, rs.cartan
+    assert det == CARTAN_DET[fam](n) > 0
+    for i in range(n):
+        for j in range(n):
+            assert sum(adj[i][l] * cartan[l][j] for l in range(n)) \
+                == det * (i == j), (i, j)
 
 
 # sha256 of `trigdunkl roots --type T` and of the per-root tables below, as

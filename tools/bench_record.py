@@ -10,9 +10,11 @@ checkouts the runs form alternated pairs: the first checkout goes first on
 even seed positions, the second on odd ones.  Each OUT gets, per workload and
 end-to-end metric, the median, quartiles and interquartile range over the
 seeds and every value, plus the seeds, the checkout's commit and a hash of
-its src/, the Python version, the cpu count, and the wall time of each
-verify suite in one run of all suites in a fresh process (root systems
-built on first use, as `trigdunkl verify --suite all` does).
+its src/, the Python version, the cpu count, the wall time of each verify
+suite in one run of all suites in a fresh process (root systems built on
+first use, as `trigdunkl verify --suite all` does), and, in another fresh
+process, the time of one cold RootSystem build per type (min of 5) for the
+32 special-exponent types and BC1-BC4.
 """
 from __future__ import annotations
 
@@ -35,6 +37,23 @@ for name, run in SUITES.items():
     t0 = time.perf_counter()
     run(None)
     out[name] = time.perf_counter() - t0
+print(json.dumps(out))
+"""
+
+# one cold RootSystem build per type, min of 5, timed in one process
+_BUILD_TIMES = """
+import json, sys, time
+sys.path.insert(0, "src")
+from trigdunkl.rootsys import RootSystem, RootSystemSpec
+from trigdunkl.verify import PROP32_TYPES
+out = {}
+for f, n in PROP32_TYPES + tuple(("BC", n) for n in range(1, 5)):
+    times = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        RootSystem(RootSystemSpec(f, n))
+        times.append(time.perf_counter() - t0)
+    out[f"{f}{n}"] = min(times)
 print(json.dumps(out))
 """
 
@@ -116,6 +135,7 @@ def main(argv=None):
                 sys.stderr.write(f"{w} seed {seed} {c}: {rate:.3f} requests/s\n")
     for c, (_, out) in zip(checkouts, args.run):
         suites = json.loads(_child([sys.executable, "-c", _SUITE_TIMES], c))
+        builds = json.loads(_child([sys.executable, "-c", _BUILD_TIMES], c))
         doc = {
             "benchmark": " ".join(bench["command"]),
             "seconds": seconds,
@@ -125,6 +145,7 @@ def main(argv=None):
             "cpu_count": os.cpu_count(),
             "workloads": {w: summarize(raw[c, w]) for w in workloads},
             "suite_wall_s": suites,
+            "build_wall_s": builds,
         }
         with open(out, "w") as fh:
             json.dump(doc, fh, indent=1)
