@@ -55,7 +55,6 @@ from .dunkl import (
 from .special import (
     INFINITY,
     SpecialExponentReport,
-    c_dual,
     consecutive_relations,
     dk2_apply,
     e8_exponent_difference,
@@ -65,7 +64,6 @@ from .special import (
     schwarz_table,
     special_exponents,
     verify_quadratic,
-    weight_squared,
 )
 from .verify import SUITES, run_all, run_suite
 

@@ -5,8 +5,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
-from .coeff import RF_ONE, RF_ZERO, _coerce, _Factored
+from .coeff import (RF_ONE, RF_ZERO, _clear, _coerce, _combination, _Factored,
+                    _reduce, _rf, _scaled)
 from .laurent import (
     DivisibilityError,
     Laurent,
@@ -45,17 +47,34 @@ def rho(rs, kvec):
     return tuple(_class_sum(kvec, col) for col in zip(*rs.class_two_rho))
 
 
+def gram_pairing(rs, u, v):
+    """(u, v) for h* vectors in weight coordinates: the nonzero entries
+    cleared once over a common D (in ints while all are constants, else by
+    coeff._clear), G v D formed as integer combinations of G = rs.gram_fw_int,
+    and sum_i u_i D (G v D)_i reduced once over D^2 rs.gram_fw_den."""
+    G = rs.gram_fw_int
+    iu = [i for i, x in enumerate(u) if x]
+    iv = [j for j, x in enumerate(v) if x]
+    if not iu or not iv:
+        return RF_ZERO
+    cs = [_coerce(u[i]) for i in iu] + [_coerce(v[j]) for j in iv]
+    if all(c.num.__class__ is int for c in cs):
+        D = lcm(*(c.den for c in cs))
+        ps = [c.num * (D // c.den) for c in cs]
+        total = sum(p * sum(G[i][j] * q for j, q in zip(iv, ps[len(iu):]))
+                    for i, p in zip(iu, ps))
+        g = gcd(total, D * D * rs.gram_fw_den)
+        return _rf(total // g, D * D * rs.gram_fw_den // g)
+    D, ps = _clear(cs)
+    total = _combination(
+        (1, p * _combination((G[i][j], q) for j, q in zip(iv, ps[len(iu):])))
+        for i, p in zip(iu, ps))
+    return _reduce(total, _scaled(D * D, rs.gram_fw_den))
+
+
 def norm_sq(rs, v):
-    """(v, v) for an h* vector in weight coordinates."""
-    total = RF_ZERO
-    for i in range(rs.rank):
-        if not v[i]:
-            continue
-        for j in range(rs.rank):
-            g = rs.gram_fw[i][j]
-            if g and v[j]:
-                total = total + v[i] * v[j] * g
-    return total
+    """(v, v) for an h* vector in weight coordinates: gram_pairing(rs, v, v)."""
+    return gram_pairing(rs, v, v)
 
 
 def rho_norm(rs, kvec):

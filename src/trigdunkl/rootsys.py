@@ -271,11 +271,12 @@ class RootSystem:
         self.double_root = tuple(index_of.get(tuple(2 * c for c in w))
                                  for w in self.pos_wcoords)
 
-        # (FW_i, FW_j) = sum_l (FW_i)_l (alpha_l, FW_j), and
-        # 2 (alpha_l, FW_j) = <FW_j, alpha_l^vee> (alpha_l, alpha_l)
-        self.gram_fw = tuple(
-            tuple(Fraction(fw[j] * diag[j] * norms[j], 2 * det) for j in range(n))
-            for fw in fw_det)
+        # (FW_i, FW_j) = sum_l (FW_i)_l (alpha_l, FW_j), 2 (alpha_l, FW_j) =
+        # <FW_j, alpha_l^vee> (alpha_l, alpha_l): an integer table over 2 det
+        self.gram_fw_den = 2 * det
+        self.gram_fw_int = gi = tuple(
+            tuple(fw[j] * diag[j] * norms[j] for j in range(n)) for fw in fw_det)
+        self.gram_fw = tuple(tuple(Fraction(g, 2 * det) for g in row) for row in gi)
         self.gram_coroot = tuple(
             tuple(Fraction(2 * gram2[i][j], norms[i] * norms[j]) for j in range(n))
             for i in range(n))

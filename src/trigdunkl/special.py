@@ -7,20 +7,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeff import RF_ZERO, RatFunc, _clear, _combination, _reduce, couplings
-from .dunkl import SymH, _coth_partial, partial_quadratic, rho
+from .dunkl import SymH, _coth_partial, gram_pairing, partial_quadratic, rho
 
 INFINITY = "inf"
-
-
-def weight_squared(rs, v):
-    """mu^2 as a SymH, with entries mu(a_i^vee) mu(a_j^vee)."""
-    y = [rs.pairing_general(v, i) for i in range(rs.rank)]
-    return SymH.make(rs, quadratic=[[a * b for b in y] for a in y])
-
-
-def c_dual(rs):
-    """The dual quadratic form: Gram matrix of the simple coroots."""
-    return SymH.make(rs, quadratic=rs.gram_coroot)
 
 
 @dataclass(frozen=True)
@@ -186,22 +175,15 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
 
 
 def verify_quadratic(rs, report):
-    """Check every exponent kills the quadratic, the a-value identities,
-    and that a generic weight does not satisfy the equation."""
+    """Check every exponent kills the quadratic, a = (mu_1, mu_(n+1)) by one
+    gram_pairing, and that a generic weight does not satisfy the equation."""
     kvec = report.kvec
     per_exponent = tuple(
         quadratic_residual(rs, mu, kvec, report.a_value).is_zero()
         for mu in report.exponents
     )
-    mu1 = report.exponents[0]
-    mun1 = report.exponents[-1]
-    inner = RF_ZERO
-    for i in range(rs.rank):
-        for j in range(rs.rank):
-            g = rs.gram_fw[i][j]
-            if g:
-                inner = inner + mu1[i] * mun1[j] * g
-    a_pairing_ok = inner == report.a_value
+    a_pairing_ok = gram_pairing(rs, report.exponents[0],
+                                report.exponents[-1]) == report.a_value
     generic = tuple(RatFunc.const(p) for p in _PRIMES[:rs.rank])
     exactness = not quadratic_residual(rs, generic, kvec,
                                        report.a_value).is_zero()

@@ -27,15 +27,18 @@ from trigdunkl import (
     norm_sq,
     orbit_sum,
     pair_with_xi,
+    reflect,
     rho,
     rho_norm,
     root_system,
+    special_exponents,
     weyl_act,
 )
 from trigdunkl import dunkl, verify
-from trigdunkl.dunkl import symh_apply, symh_is_invariant
+from trigdunkl.dunkl import gram_pairing, symh_apply, symh_is_invariant
 from trigdunkl.laurent import try_divide
 from trigdunkl.rootsys import unit
+from trigdunkl.verify import PROP32_TYPES
 
 
 def test_rho_examples():
@@ -55,6 +58,53 @@ def test_rho_examples():
         for i in range(n):
             ki = kv.value(rs.pos_class[rs.simple_index[i]])
             assert rs.pairing_general(rr, i) == ki
+
+
+def _fraction_pairing(rs, x, y):
+    """(x, y) as the plain double sum over the Fraction table gram_fw."""
+    n = rs.rank
+    return sum(x[a] * y[b] * rs.gram_fw[a][b] for a in range(n) for b in range(n))
+
+
+GRAM_TYPES = PROP32_TYPES + tuple(("BC", n) for n in range(1, 5))
+
+
+def _gram_inputs(rs):
+    """Vectors in weight coordinates whose pairings exercise every path of
+    gram_pairing: plain ints, constant RatFuncs, zero, and the exponents and
+    spectral points (rho alone on BC) at symbolic couplings, at k = 1/6, and
+    at k = K/(K+1), k' = 1/3, where the common denominator is a polynomial."""
+    n = rs.rank
+    rng = random.Random(n)
+    ints = tuple(rng.randint(-3, 3) or 1 for _ in range(n))
+    out = [ints, tuple(RatFunc.const(Fraction(c, 2)) for c in ints), (0,) * n]
+    for kv in (couplings(rs), couplings(rs, Fraction(1, 6)),
+               couplings(rs, K / (K + 1), Fraction(1, 3))):
+        if rs.spec.family == "BC":
+            out.append(rho(rs, kv))
+        else:
+            rep = special_exponents(rs, kv)
+            out += [rep.exponents[0], rep.exponents[-1], rep.spectral[0],
+                    rep.spectral[-1]]
+    return out
+
+
+@pytest.mark.parametrize("fam,n", GRAM_TYPES)
+def test_gram_pairing_matches_the_fraction_double_sum(fam, n):
+    rs = root_system(fam, n)
+    vs = _gram_inputs(rs)
+    for u, v in list(zip(vs, vs)) + list(zip(vs, vs[1:])):
+        got = gram_pairing(rs, u, v)
+        assert isinstance(got, RatFunc) and got == _fraction_pairing(rs, u, v), (u, v)
+        assert gram_pairing(rs, v, u) == got
+        if u is v:
+            assert norm_sq(rs, v) == got
+    assert gram_pairing(rs, vs[2], vs[-1]) == RF_ZERO
+    # W-invariance with symbolic coordinates, on a pair that differs
+    u, v = vs[3], vs[-1]
+    for i in range(n):
+        assert gram_pairing(rs, reflect(rs, i, u), reflect(rs, i, v)) \
+            == gram_pairing(rs, u, v)
 
 
 def test_mu_tilde_examples():

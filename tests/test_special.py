@@ -15,7 +15,6 @@ from trigdunkl import (
     SymH,
     consecutive_relations,
     couplings,
-    c_dual,
     dk2_apply,
     e8_exponent_difference,
     invariant_apply,
@@ -29,7 +28,6 @@ from trigdunkl import (
     schwarz_table,
     special_exponents,
     verify_quadratic,
-    weight_squared,
 )
 from trigdunkl import verify
 from trigdunkl.verify import PROP32_TYPES
@@ -155,6 +153,12 @@ def _root_pairing(rs, v, r):
     return sum((x * c for c, x in zip(rs.pos_pair[r], v) if c), RF_ZERO)
 
 
+def _weight_squared(rs, v):
+    """mu^2 as a SymH, with entries mu(a_i^vee) mu(a_j^vee)."""
+    y = [rs.pairing_general(v, i) for i in range(rs.rank)]
+    return SymH.make(rs, quadratic=[[a * b for b in y] for a in y])
+
+
 def _per_root_residual(rs, v, kvec, a_value):
     """The quadratic residual summed root by root, as a reference that reads
     no tensor: each root r adds (1/2) mu(k a_r^vee [+ k' a'_r]) w_r[i] w_r[j]
@@ -163,7 +167,7 @@ def _per_root_residual(rs, v, kvec, a_value):
     one RatFunc sum per coefficient, not one per root."""
     n = rs.rank
     k_extra = kvec.extra if rs.spec.family == "A" and n >= 2 else RF_ZERO
-    res = [list(row) for row in weight_squared(rs, v).quadratic]
+    res = [list(row) for row in _weight_squared(rs, v).quadratic]
     weights = [[{} for _ in range(n)] for _ in range(n)]
     for r in range(rs.n_positive):
         coef = kvec.value(rs.pos_class[r]) * _root_pairing(rs, v, r)
@@ -305,12 +309,12 @@ def test_special_system_eigenvalue(fam, n):
     assert all(norm_sq(rs, lam) == rhs for lam in rep.spectral)
 
 
-def test_weight_squared_and_c_dual():
+def test_weight_squared_and_coroot_gram():
     a2 = root_system("A", 2)
-    m = weight_squared(a2, (1, -2)).quadratic
+    m = _weight_squared(a2, (1, -2)).quadratic
     assert m == ((RatFunc.const(1), RatFunc.const(-2)),
                  (RatFunc.const(-2), RatFunc.const(4)))
-    assert c_dual(a2).quadratic[0][0] == RatFunc.const(2)  # coroot Gram = Cartan
+    assert a2.gram_coroot == a2.cartan  # simply laced: coroot Gram = Cartan
 
 
 def test_monodromy_spec():

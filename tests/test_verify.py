@@ -131,6 +131,25 @@ def test_conjugation_suite_fails_on_a_dropped_k2_or_an_off_rho_norm(monkeypatch)
     assert res.cases and not any(c.ok for c in res.cases)
 
 
+def test_gram_suites_fail_on_a_perturbed_gram_table(monkeypatch):
+    # one symmetric off-diagonal pair of the cached A2's integer Gram table,
+    # bumped: compat's Casimir level reads it through norm_sq, and prop32's
+    # a-pairing reads it between mu_1 = (-x, 0) and mu_3 = (0, -y), while the
+    # a-value itself comes from the Fraction table
+    a2 = root_system("A", 2)
+    table = [list(row) for row in a2.gram_fw_int]
+    table[0][1] += 1
+    table[1][0] += 1
+    monkeypatch.setattr(a2, "gram_fw_int", tuple(map(tuple, table)))
+    compat = {c.case_id: c.ok for c in verify.run_compat({"A2"}).cases}
+    assert compat["A2:C(lambda_i) = C(rho) - a n"] is False
+    prop32 = {c.case_id: c.ok for c in verify.run_prop32({"A2"}).cases}
+    assert prop32["A2:a = (mu_1, mu_(n+1))"] is False
+    monkeypatch.undo()
+    assert root_system("A", 2) is a2 and a2.gram_fw_int != tuple(map(tuple, table))
+    assert verify.run_compat({"A2"}).ok and verify.run_prop32({"A2"}).ok
+
+
 def test_case_ids_are_unique():
     ids = [c.case_id for suite in verify.run_all() for c in suite.cases]
     assert len(ids) == len(set(ids))
