@@ -17,9 +17,7 @@ from .rootsys import (
     GREATER,
     INCOMPARABLE,
     LESS,
-    RootSystem,
     RootSystemSpec,
-    build_root_system,
     reflect,
     root_system,
 )
@@ -31,10 +29,8 @@ from .laurent import (
     inner_product,
     is_w_invariant,
     laurent_from_json,
-    localized_from_json,
     orbit_sum,
     weight_function,
-    weyl_act,
 )
 from .dunkl import (
     ResonanceError,
@@ -60,7 +56,6 @@ from .special import (
     e8_exponent_difference,
     kplus_membership,
     monodromy_spec,
-    quadratic_residual,
     schwarz_table,
     special_exponents,
     verify_quadratic,

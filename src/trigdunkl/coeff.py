@@ -8,6 +8,11 @@ keeps num and den as the ints p and q and is computed on as a Fraction is;
 every other value keeps two Polys.  str() divides by den's leading
 coefficient, so the text shows a monic denominator and rational coefficients;
 parse_ratfunc reads that text back through Python's own parser (ast).
+
+Sums of many RatFuncs run on cleared denominators: clear brings values over
+their common denominator D, combine sums integer multiples of the cleared
+values, and over reduces the result over D once, so that one gcd (or none,
+in ints) replaces a gcd per addition.
 """
 from __future__ import annotations
 
@@ -28,7 +33,8 @@ def _grlex_key(m):
 
 
 class Poly:
-    """Polynomial in k, kp with int coefficients (internal to RatFunc)."""
+    """Polynomial in k, kp with int coefficients: the num and den of a
+    RatFunc, and the cleared values of clear."""
 
     __slots__ = ("terms",)
 
@@ -75,6 +81,11 @@ class Poly:
         return Poly({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
+        if other.__class__ is int:
+            if other == 1:
+                return self
+            return Poly({m: c * other for m, c in self.terms.items()}
+                        if other else {})
         res = {}
         for (a, b), c1 in self.terms.items():
             for (d, e), c2 in other.terms.items():
@@ -430,7 +441,7 @@ class RatFunc:
 
     def __eq__(self, other):
         if other.__class__ is not RatFunc:
-            other = _coerce(other)
+            other = coerce(other)
             if other is NotImplemented:
                 return NotImplemented
         return self.num == other.num and self.den == other.den
@@ -443,7 +454,7 @@ class RatFunc:
 
     def __add__(self, other):
         if other.__class__ is not RatFunc:
-            other = _coerce(other)
+            other = coerce(other)
             if other is NotImplemented:
                 return NotImplemented
         return _sum(self.num, self.den, other.num, other.den)
@@ -452,13 +463,13 @@ class RatFunc:
 
     def __sub__(self, other):
         if other.__class__ is not RatFunc:
-            other = _coerce(other)
+            other = coerce(other)
             if other is NotImplemented:
                 return NotImplemented
         return _sum(self.num, self.den, -other.num, other.den)
 
     def __rsub__(self, other):
-        other = _coerce(other)
+        other = coerce(other)
         return NotImplemented if other is NotImplemented else other - self
 
     def __neg__(self):
@@ -466,7 +477,7 @@ class RatFunc:
 
     def __mul__(self, other):
         if other.__class__ is not RatFunc:
-            other = _coerce(other)
+            other = coerce(other)
             if other is NotImplemented:
                 return NotImplemented
         return _prod(self.num, self.den, other.num, other.den)
@@ -475,7 +486,7 @@ class RatFunc:
 
     def __truediv__(self, other):
         if other.__class__ is not RatFunc:
-            other = _coerce(other)
+            other = coerce(other)
             if other is NotImplemented:
                 return NotImplemented
         num, den = other.num, other.den
@@ -486,7 +497,7 @@ class RatFunc:
         return self * _rf(den, num)
 
     def __rtruediv__(self, other):
-        other = _coerce(other)
+        other = coerce(other)
         return NotImplemented if other is NotImplemented else other / self
 
     def __pow__(self, n):
@@ -524,7 +535,9 @@ class RatFunc:
         return f"RatFunc({self})"
 
 
-def _coerce(x):
+def coerce(x):
+    """x as a RatFunc: RatFuncs as they are, ints and Fractions as constants,
+    NotImplemented for anything else (which the operators pass on)."""
     if x.__class__ is RatFunc:
         return x
     if isinstance(x, (int, Fraction)):
@@ -538,12 +551,12 @@ K = _rf(Poly.var("k"), _ONE)
 KP = _rf(Poly.var("kp"), _ONE)
 
 
-def _scaled(p, s, g=1):
-    """p * s / g, for g dividing every coefficient of p * s."""
-    return p if s == g else Poly({m: c * s // g for m, c in p.terms.items()})
+def _divided(p, g):
+    """p / g, for an int g dividing every coefficient of p."""
+    return p if g == 1 else Poly({m: c // g for m, c in p.terms.items()})
 
 
-class _Factored:
+class Factored:
     """n / (q * prod f^e), fac = {f: e} with each f primitive and positively
     led: sums lift both sides to the lcm of their q and factors, so sums over
     the linear denominators <mu~ - nu~, xi> of the eigen-solve run no gcd."""
@@ -557,12 +570,12 @@ class _Factored:
     def of(cls, r):
         """The canonical RatFunc r, its denominator kept as one factor."""
         q = _poly(r.den).content()
-        f = _scaled(_poly(r.den), 1, q)
+        f = _divided(_poly(r.den), q)
         return cls(_poly(r.num), q, {} if f.is_one() else {f: 1})
 
     def _lift(self, q, fac):
         """n over q * prod f^e for the e in fac, a multiple of self's den."""
-        n = _scaled(self.n, q // self.q)
+        n = self.n * (q // self.q)
         for f, e in fac.items():
             for _ in range(e - self.fac.get(f, 0)):
                 n = n * f
@@ -570,31 +583,31 @@ class _Factored:
 
     def _den(self):
         """q * prod f^e: 1 lifted to self's denominator."""
-        return _Factored(_ONE)._lift(self.q, self.fac)
+        return Factored(_ONE)._lift(self.q, self.fac)
 
     def __add__(self, other):
         q = self.q * other.q // gcd(self.q, other.q)
         fac = dict(self.fac)
         for f, e in other.fac.items():
             fac[f] = max(e, fac.get(f, 0))
-        return _Factored(self._lift(q, fac) + other._lift(q, fac), q, fac)
+        return Factored(self._lift(q, fac) + other._lift(q, fac), q, fac)
 
     def __mul__(self, other):
         fac = dict(self.fac)
         for f, e in other.fac.items():
             fac[f] = fac.get(f, 0) + e
-        return _Factored(self.n * other.n, self.q * other.q, fac)
+        return Factored(self.n * other.n, self.q * other.q, fac)
 
     def __truediv__(self, d):
-        return self * _Factored.of(RF_ONE / d)
+        return self * Factored.of(RF_ONE / d)
 
     def reduce(self):
         """(the canonical RatFunc of self, self in lowest terms): trial
         division by linear, so irreducible, factors; a factor of higher degree
-        (from non-polynomial couplings) goes through the gcd of _reduce."""
+        (from non-polynomial couplings) goes through the gcd of over."""
         if any(sum(f.lead()[0]) > 1 for f in self.fac):
-            r = _reduce(self.n, self._den())
-            return r, _Factored.of(r)
+            r = over(self.n, self._den())
+            return r, Factored.of(r)
         n, fac = self.n, dict(self.fac)
         for f in fac:
             try:
@@ -604,39 +617,54 @@ class _Factored:
             except ArithmeticError:
                 pass
         g = gcd(n.content(), self.q)
-        out = _Factored(_scaled(n, 1, g), self.q // g,
-                        {f: e for f, e in fac.items() if e})
+        out = Factored(_divided(n, g), self.q // g,
+                       {f: e for f, e in fac.items() if e})
         return _finish(out.n, out._den()), out
 
 
-def _clear(cs):
+def clear(cs):
     """(D, [c * D for c in cs]) for the RatFuncs cs, D the lcm of their
-    denominators: each c * D is the Poly num * (D / den), by exact division.
-    While every denominator is a constant, D is taken in ints and no
-    poly_gcd runs."""
+    denominators: all ints while every c is a constant, an int D and Polys
+    while every denominator is a constant, else Polys, D found by poly_gcd
+    and each c * D = num * (D / den) by exact division."""
+    if all(c.num.__class__ is int for c in cs):
+        D = lcm(*(c.den for c in cs))
+        return D, [c.num * (D // c.den) for c in cs]
     dens = [_poly(c.den) for c in cs]
     if all(d.is_const() for d in dens):
         D = lcm(*(d.const_value() for d in dens))
-        return Poly.const(D), [_scaled(_poly(c.num), D // d.const_value())
-                               for c, d in zip(cs, dens)]
+        return D, [_poly(c.num) * (D // d.const_value())
+                   for c, d in zip(cs, dens)]
     D = _ONE
     for d in dens:
         D = poly_divexact(D * d, poly_gcd(D, d))
     return D, [_poly(c.num) * poly_divexact(D, d) for c, d in zip(cs, dens)]
 
 
-def _cleared(cs):
-    """c * D for each RatFunc c in cs, as RatFuncs, D as in _clear."""
-    return [_finish(p, _ONE) for p in _clear(cs)[1]]
-
-
-def _combination(terms):
-    """The Poly sum of s * p over the (int s, Poly p) in terms."""
-    acc = {}
+def combine(terms):
+    """The sum of s * p over the (int s, p) in terms, the p all ints or all
+    Polys, as clear gives them: an int or a Poly."""
+    total, acc = 0, None
     for s, p in terms:
+        if p.__class__ is int:
+            total += s * p
+            continue
+        if acc is None:
+            acc = {}
         for m, c in p.terms.items():
             acc[m] = acc.get(m, 0) + s * c
+    if acc is None:
+        return total
     return Poly({m: c for m, c in acc.items() if c})
+
+
+def over(num, den):
+    """The canonical RatFunc num / den, reduced once, for num and den ints or
+    Polys (as clear and combine give them) and den positively led."""
+    if num.__class__ is int and den.__class__ is int:
+        g = gcd(num, den)
+        return _rf(num // g, den // g)
+    return _reduce(_poly(num), _poly(den))
 
 
 def format_poly(p, scale=1):
@@ -723,8 +751,8 @@ class CouplingVector:
     __slots__ = ("by_class", "extra")
 
     def __init__(self, by_class, extra=None):
-        self.by_class = tuple(_coerce(v) for v in by_class)
-        self.extra = _coerce(extra if extra is not None else 0)
+        self.by_class = tuple(coerce(v) for v in by_class)
+        self.extra = coerce(extra if extra is not None else 0)
 
     def value(self, class_index):
         return self.by_class[class_index]
@@ -754,9 +782,9 @@ def couplings(rs, k=None, kp=None, k2=None):
     that differs (B, C, F, G) or the extra A_n modulus; k2 is the BC doubled
     root value.  Unspecified symbolic defaults: k, kp; k2 defaults to zero.
     """
-    k = K if k is None else _coerce(k)
-    kp = KP if kp is None else _coerce(kp)
-    k2 = RF_ZERO if k2 is None else _coerce(k2)
+    k = K if k is None else coerce(k)
+    kp = KP if kp is None else coerce(kp)
+    k2 = RF_ZERO if k2 is None else coerce(k2)
     family = rs.spec.family
     if family == "A":
         return CouplingVector((k,), kp)

@@ -5,10 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 
-from .coeff import (RF_ONE, RF_ZERO, _clear, _coerce, _combination, _Factored,
-                    _reduce, _rf, _scaled)
+from .coeff import RF_ONE, RF_ZERO, Factored, clear, coerce, combine, over
 from .laurent import (
     DivisibilityError,
     Laurent,
@@ -35,7 +33,7 @@ def epsilon(x):
 
 def _class_sum(kvec, twice, const=0):
     """const + sum_c k_c twice[c] / 2: one RatFunc from integer parts."""
-    total = _coerce(const)
+    total = coerce(const)
     for c, h in enumerate(twice):
         if h and kvec.value(c):
             total = total + kvec.value(c) * Fraction(h, 2)
@@ -49,27 +47,19 @@ def rho(rs, kvec):
 
 def gram_pairing(rs, u, v):
     """(u, v) for h* vectors in weight coordinates: the nonzero entries
-    cleared once over a common D (in ints while all are constants, else by
-    coeff._clear), G v D formed as integer combinations of G = rs.gram_fw_int,
-    and sum_i u_i D (G v D)_i reduced once over D^2 rs.gram_fw_den."""
+    cleared once over a common D (coeff.clear), G v D formed as integer
+    combinations of G = rs.gram_fw_int, and sum_i u_i D (G v D)_i reduced
+    once over D^2 rs.gram_fw_den."""
     G = rs.gram_fw_int
     iu = [i for i, x in enumerate(u) if x]
     iv = [j for j, x in enumerate(v) if x]
     if not iu or not iv:
         return RF_ZERO
-    cs = [_coerce(u[i]) for i in iu] + [_coerce(v[j]) for j in iv]
-    if all(c.num.__class__ is int for c in cs):
-        D = lcm(*(c.den for c in cs))
-        ps = [c.num * (D // c.den) for c in cs]
-        total = sum(p * sum(G[i][j] * q for j, q in zip(iv, ps[len(iu):]))
+    D, ps = clear([coerce(u[i]) for i in iu] + [coerce(v[j]) for j in iv])
+    pv = ps[len(iu):]
+    total = combine((1, p * combine((G[i][j], q) for j, q in zip(iv, pv)))
                     for i, p in zip(iu, ps))
-        g = gcd(total, D * D * rs.gram_fw_den)
-        return _rf(total // g, D * D * rs.gram_fw_den // g)
-    D, ps = _clear(cs)
-    total = _combination(
-        (1, p * _combination((G[i][j], q) for j, q in zip(iv, ps[len(iu):])))
-        for i, p in zip(iu, ps))
-    return _reduce(total, _scaled(D * D, rs.gram_fw_den))
+    return over(total, D * D * rs.gram_fw_den)
 
 
 def norm_sq(rs, v):
@@ -107,7 +97,7 @@ def pair_with_xi(rs, v, xi):
     for i, x in enumerate(xi):
         if not x:
             continue
-        p = rs.pairing_general(v, i)
+        p = rs.pairing(v, i)
         if not p:
             continue
         total = total + x * p
@@ -151,26 +141,16 @@ class SymH:
     quadratic: tuple  # symmetric matrix of RatFunc
 
     @classmethod
-    def make(cls, rs, quadratic):
-        n = rs.rank
-        quadratic = tuple(tuple(_coerce(x) for x in row) for row in quadratic)
-        for i in range(n):
-            for j in range(n):
-                if quadratic[i][j] != quadratic[j][i]:
-                    raise ValueError("the matrix must be symmetric")
-        return cls(quadratic)
-
-    @classmethod
     def laplacian(cls, rs):
         """The element with partial(C) e^mu = (mu, mu) e^mu: inv^T gram_fw inv
         for inv the inverse of the diagonal matrix wt_pair."""
         d = [rs.wt_pair[a][a] for a in range(rs.rank)]
-        return cls(tuple(tuple(_coerce(g / (d[a] * d[b])) for b, g in enumerate(row))
+        return cls(tuple(tuple(coerce(g / (d[a] * d[b])) for b, g in enumerate(row))
                          for a, row in enumerate(rs.gram_fw)))
 
     def value_at(self, rs, lam):
         """Evaluate at an h* vector given in weight coordinates."""
-        y = [rs.pairing_general(lam, i) for i in range(rs.rank)]
+        y = [rs.pairing(lam, i) for i in range(rs.rank)]
         total = RF_ZERO
         for i, row in enumerate(self.quadratic):
             if y[i]:
@@ -375,7 +355,7 @@ def jacobi(rs, mu, kvec):
             denoms[nu] = d
         else:
             # running[w]: e^w coefficient of T(xi) on the part of E solved so far
-            coeffs, running = {}, {mu: _Factored.of(RF_ONE)}
+            coeffs, running = {}, {mu: Factored.of(RF_ONE)}
             for nu in order[idx:]:
                 s = running.pop(nu, None)
                 if s is None:
@@ -387,7 +367,7 @@ def jacobi(rs, mu, kvec):
                 f = dunkl_apply(rs, xi, Laurent.monomial(nu), kvec)
                 _require_triangular(mu, nu, f, diag, allowed)
                 for w, a in f.terms.items():
-                    term = cf * _Factored.of(a)
+                    term = cf * Factored.of(a)
                     running[w] = running[w] + term if w in running else term
             return Laurent(coeffs)
     raise ResonanceError(

@@ -2,7 +2,7 @@
 the constant-term inner product, and the localized fraction ring."""
 from __future__ import annotations
 
-from .coeff import RF_ONE, RF_ZERO, RatFunc, _coerce, parse_ratfunc
+from .coeff import RF_ONE, RF_ZERO, RatFunc, coerce, parse_ratfunc
 
 
 class DivisibilityError(ValueError):
@@ -18,7 +18,7 @@ class Laurent:
         self.terms = {}
         if terms:
             for mu, c in terms.items():
-                c = _coerce(c)
+                c = coerce(c)
                 if c:
                     self.terms[tuple(mu)] = c
 
@@ -38,7 +38,7 @@ class Laurent:
 
     @classmethod
     def monomial(cls, mu, coeff=RF_ONE):
-        coeff = _coerce(coeff)
+        coeff = coerce(coeff)
         return cls._raw({tuple(mu): coeff} if coeff else {})
 
     def is_zero(self):
@@ -87,7 +87,7 @@ class Laurent:
     __rmul__ = __mul__
 
     def scale(self, c):
-        c = _coerce(c)
+        c = coerce(c)
         if not c:
             return Laurent.zero()
         return Laurent._raw({mu: c * v for mu, v in self.terms.items()})
@@ -96,12 +96,6 @@ class Laurent:
         """e^mu -> e^(-mu); the identity on the (real) coefficients."""
         return Laurent._raw({tuple(-m for m in mu): c
                              for mu, c in self.terms.items()})
-
-    def constant_term(self):
-        for mu, c in self.terms.items():
-            if not any(mu):
-                return c
-        return RF_ZERO
 
     def map_weights(self, fn):
         res = {}
@@ -144,14 +138,6 @@ def laurent_from_json(data):
     for item in data:
         terms[tuple(item["weight"])] = parse_ratfunc(item["coeff"])
     return Laurent(terms)
-
-
-def weyl_act(rs, word, f):
-    """Apply the Weyl element s_{word[0]} ... s_{word[-1]} to f."""
-    out = f
-    for i in reversed(tuple(word)):
-        out = out.map_weights(lambda mu, i=i: rs.reflect_weight(i, mu))
-    return out
 
 
 def try_divide(rs, f, r):
@@ -363,7 +349,7 @@ class Localized:
                 continue
             coeff = axi * (-m)
             shift = tuple(-a for a in rs.pos_wcoords[r])
-            extra = Laurent._raw({shift: _coerce(coeff)}) * self.num
+            extra = Laurent._raw({shift: coerce(coeff)}) * self.num
             den = dict(self.den)
             den[r] = den.get(r, 0) + 1
             out = out.add(Localized(extra, den), rs)
@@ -380,12 +366,6 @@ class Localized:
         if not self.den:
             return repr(self.num)
         return f"({self.num!r}) / {self.den}"
-
-
-def localized_from_json(data):
-    num = laurent_from_json(data["terms"])
-    den = {item["root_index"]: item["exponent"] for item in data.get("denom", [])}
-    return Localized(num, den)
 
 
 def _partial(rs, xi, f, shift=0):

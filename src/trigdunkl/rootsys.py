@@ -180,8 +180,8 @@ class RootSystem:
     from their dot products, every per-root table from the alpha_i-strings
     in integers, and the fundamental weights and the Gram tables from the
     integer adjugate of the Cartan matrix, with one Fraction per entry.
-    simple_roots, positive_roots, w0_sigma, the A_n alpha' vectors and the
-    residual tensors are built on first use.
+    simple_roots, positive_roots, the A_n alpha' vectors and the residual
+    tensors are built on first use.
     """
 
     def __init__(self, spec):
@@ -281,12 +281,11 @@ class RootSystem:
             tuple(Fraction(2 * gram2[i][j], norms[i] * norms[j]) for j in range(n))
             for i in range(n))
 
-    # --- weight arithmetic (integer coordinate tuples) ---
+    # --- weights and h* vectors in basis coordinates ---
 
-    def pairing(self, mu, i):
-        """<mu, alpha_i^vee> for a weight/h* vector in basis coordinates."""
-        row = self.wt_pair[i]
-        return sum(c * m for c, m in zip(row, mu) if c)
+    def pairing(self, v, i):
+        """<v, alpha_i^vee> for a weight or h* vector in basis coordinates."""
+        return _sparse_dot(self.wt_pair[i], v)
 
     def root_pairing(self, mu, r):
         """<mu, alpha^vee> for the r-th positive root."""
@@ -297,33 +296,12 @@ class RootSystem:
         """alpha_r(xi) for xi in simple-coroot coordinates."""
         return _sparse_dot(self.pos_simple_pair[r], xi)
 
-    def reflect_weight(self, i, mu):
-        c = self.pairing(mu, i)
+    def reflect_weight(self, i, v):
+        """s_i v for a weight or h* vector in basis coordinates."""
+        c = self.pairing(v, i)
         if not c:
-            return tuple(mu)
-        aw = self.alpha_w[i]
-        return tuple(m - c * a for m, a in zip(mu, aw))
-
-    def reflect_root(self, r, mu):
-        """Reflection in the r-th positive root, on basis coordinates."""
-        c = self.root_pairing(mu, r)
-        if not c:
-            return tuple(mu)
-        aw = self.pos_wcoords[r]
-        return tuple(m - c * a for m, a in zip(mu, aw))
-
-    @cached_property
-    def w0_sigma(self):
-        """-w0 as a permutation of the basis weights (w0 = -1 on BC), built
-        on first use: -w0 FW_i = dominant(-FW_i)."""
-        return tuple(self.dominant(tuple(-x for x in unit(self.rank, i))).index(1)
-                     for i in range(self.rank))
-
-    def w0_act(self, mu):
-        out = [0 * m for m in mu]
-        for i, m in enumerate(mu):
-            out[self.w0_sigma[i]] = -m
-        return tuple(out)
+            return tuple(v)
+        return tuple(x - c * a if a else x for x, a in zip(v, self.alpha_w[i]))
 
     def dominant(self, mu):
         """The unique dominant representative of the W-orbit of mu."""
@@ -423,16 +401,6 @@ class RootSystem:
                     seen.add(w)
                     queue.append(w)
         return size
-
-    # --- h* elements with general coefficients ---
-
-    def reflect_general(self, i, v):
-        c = self.pairing_general(v, i)
-        aw = self.alpha_w[i]
-        return tuple(x - c * a if a else x for x, a in zip(v, aw))
-
-    def pairing_general(self, v, i):
-        return _sparse_dot(self.wt_pair[i], v)
 
     # --- A_n alpha' vectors ---
 
@@ -539,21 +507,13 @@ class RootSystem:
 
 
 @lru_cache(maxsize=None)
-def _cached_system(family, rank):
-    return RootSystem(RootSystemSpec(family, rank))
-
-
-def build_root_system(spec):
-    """Construct (or fetch the cached) root system for a validated spec."""
-    return _cached_system(spec.family, spec.rank)
-
-
 def root_system(family, rank):
-    return build_root_system(RootSystemSpec(family, rank))
+    """The root system of a type, built on first use and shared after."""
+    return RootSystem(RootSystemSpec(family, rank))
 
 
 def reflect(rs, i, v):
     """Simple reflection s_i applied to an h* element in weight coordinates."""
     if not 0 <= i < rs.rank:
         raise IndexError(f"simple root index {i} out of range for rank {rs.rank}")
-    return rs.reflect_general(i, tuple(v))
+    return rs.reflect_weight(i, tuple(v))

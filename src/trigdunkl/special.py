@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeff import RF_ZERO, RatFunc, _clear, _combination, _reduce, couplings
+from .coeff import RF_ZERO, RatFunc, clear, combine, couplings, over
 from .dunkl import SymH, _coth_partial, gram_pairing, partial_quadratic, rho
 
 INFINITY = "inf"
@@ -143,7 +143,7 @@ def quadratic_residual(rs, v, kvec, a_value):
     """
     n = rs.rank
     slices, q, gram = rs.residual_tensors
-    y = [rs.pairing_general(v, i) for i in range(n)]
+    y = [rs.pairing(v, i) for i in range(n)]
     half = Fraction(1, 2)
     ks = [kvec.value(c) * half for c in range(rs.n_classes)]
     ks.append(kvec.extra * Fraction(1, 2 * (n + 1) ** 2))
@@ -151,7 +151,7 @@ def quadratic_residual(rs, v, kvec, a_value):
     squares = [(i, j) for a, i in enumerate(supp) for j in supp[a:]]
     linear = [(c, l) for l, x in enumerate(v) if x
               for c, kc in enumerate(ks) if kc]
-    D, nums = _clear([y[i] * y[j] for i, j in squares]
+    D, nums = clear([y[i] * y[j] for i, j in squares]
                      + [ks[c] * v[l] for c, l in linear]
                      + [a_value * Fraction(1, q)])
     terms = {}
@@ -167,7 +167,7 @@ def quadratic_residual(rs, v, kvec, a_value):
         terms.setdefault((i, j), []).append((g, nums[-1]))
     res = [[RF_ZERO] * n for _ in range(n)]
     for (i, j), ts in terms.items():
-        res[i][j] = res[j][i] = _reduce(_combination(ts), D)
+        res[i][j] = res[j][i] = over(combine(ts), D)
     return SymH(tuple(tuple(row) for row in res))
 
 
@@ -219,11 +219,8 @@ def consecutive_relations(rs, report):
     mus = report.exponents
     verdict = {}
     if family in ("A", "B", "C", "F", "G"):
-        chain = all(
-            tuple(rs.reflect_general(i, lam[i])) == lam[i + 1]
-            for i in range(n)
-        )
-        verdict["spectral_chain"] = chain
+        verdict["spectral_chain"] = all(
+            rs.reflect_weight(i, lam[i]) == lam[i + 1] for i in range(n))
         diffs_expected = None
         if family == "A":
             diffs_expected = [(report.x - (i + 1) * k, i) for i in range(n)]
@@ -251,7 +248,7 @@ def consecutive_relations(rs, report):
     else:
         d = _triple_node_distances(rs)
         ok = all(
-            rs.pairing_general(lam[i], i) == RatFunc.const(-d[i]) * k
+            rs.pairing(lam[i], i) == RatFunc.const(-d[i]) * k
             for i in range(n)
         )
         verdict["diagonal_pairings"] = ok

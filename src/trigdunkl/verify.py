@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from .coeff import K, KP, RF_ZERO, RatFunc, _cleared, couplings
+from .coeff import K, KP, RF_ZERO, RatFunc, clear, couplings, over
 from .dunkl import (
     SymH,
     TriangularityError,
@@ -22,7 +22,7 @@ from .dunkl import (
     rho_norm,
 )
 from .laurent import Laurent, Localized, orbit_sum, weight_function, inner_product
-from .rootsys import root_system, unit
+from .rootsys import EQUAL, LESS, reflect, root_system, unit
 from .special import (
     INFINITY,
     consecutive_relations,
@@ -98,7 +98,7 @@ def _sides(lhs, rhs):
 def _above(rs, f, mu):
     """The first support weight of f that is not <=+ mu, or None."""
     return _first(nu for nu in f.terms
-                  if rs.le_plus(nu, mu) not in ("less", "equal"))
+                  if rs.le_plus(nu, mu) not in (LESS, EQUAL))
 
 
 # per-type fixed data: commutativity family, dominant anchor of height <= 3
@@ -187,7 +187,8 @@ def _eigen_failure(rs, kv, mu):
         return f"mu={mu}: support weight {list(nu)} is not <=+ mu"
     # T(xi) is Q(k, k')-linear: E is an eigenfunction iff D E is, D clearing
     # E's denominators, and D E sums without a gcd; a failure shows E itself
-    DE = Laurent._raw(dict(zip(E.terms, _cleared(E.terms.values()))))
+    DE = Laurent._raw({w: over(p, 1) for w, p in
+                       zip(E.terms, clear(list(E.terms.values()))[1])})
     mt = mu_tilde(rs, mu, kv)
     for xi in (unit(rs.rank, i) for i in range(rs.rank)):
         ev = pair_with_xi(rs, mt, xi)
@@ -241,10 +242,6 @@ def _cross_failures(rs, kv, sat):
         dbl = rs.double_root[si]
         k2 = kv.value(rs.pos_class[dbl]) if dbl is not None else RF_ZERO
         ki = kv.value(rs.pos_class[si])
-
-        def reflect(w, i=i):
-            return rs.reflect_weight(i, w)
-
         for jj in range(n):
             xi = unit(n, jj)
             sxi = list(xi)
@@ -252,8 +249,10 @@ def _cross_failures(rs, kv, sat):
             a_xi = rs.pos_simple_pair[si][jj]
             for mu in sat:
                 f = Laurent.monomial(mu)
-                t1 = dunkl_apply(rs, xi, f, kv).map_weights(reflect)
-                t2 = dunkl_apply(rs, tuple(sxi), f.map_weights(reflect), kv)
+                t1 = dunkl_apply(rs, xi, f, kv).map_weights(
+                    lambda w: reflect(rs, i, w))
+                t2 = dunkl_apply(rs, tuple(sxi),
+                                 f.map_weights(lambda w: reflect(rs, i, w)), kv)
                 t3 = f.scale((ki + 2 * k2) * a_xi)
                 yield None if (t1 - t2 + t3).is_zero() else str((i, jj, mu))
 

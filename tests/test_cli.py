@@ -8,10 +8,12 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from trigdunkl import cli, laurent_from_json, localized_from_json
+from trigdunkl import cli, laurent_from_json
 from trigdunkl.cli import main
 from trigdunkl.rootsys import RootSystem
 from trigdunkl.verify import PROP32_TYPES, SUITE_TYPES
+
+from support import localized_from_json
 
 
 def run_cli(*argv):

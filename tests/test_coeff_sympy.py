@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 
 from trigdunkl import K, KP, RF_ONE, RF_ZERO, RatFunc, parse_ratfunc
+from trigdunkl.coeff import Poly, clear, combine, over
 
 sympy = pytest.importorskip("sympy")
 _SK, _SKP = sympy.symbols("k kp")
@@ -15,25 +16,28 @@ def _spoly(terms, domain="QQ"):
     return sympy.Poly.from_dict(terms or {(0, 0): 0}, _SK, _SKP, domain=domain)
 
 
-def _random_ratfunc(rng):
-    """A random element of Q(k, kp), and its numerator and denominator as
-    sympy polynomials."""
+def _random_ratfunc(rng, degree=2, polynomial=False):
+    """A random element of Q(k, kp), of degree at most `degree` in each
+    variable above and below the line (a polynomial when `polynomial`), and
+    its numerator and denominator as sympy polynomials."""
     def poly():
         r, terms = RF_ZERO, {}
         for _ in range(rng.randint(0, 3)):
             c = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-            i, j = rng.randint(0, 2), rng.randint(0, 2)
+            i, j = rng.randint(0, degree), rng.randint(0, degree)
             r = r + RatFunc.const(c) * K**i * KP**j
             terms[(i, j)] = terms.get((i, j), 0) + sympy.Rational(
                 c.numerator, c.denominator)
         return r, _spoly(terms)
 
     num, snum = poly()
-    den, sden = poly()
+    den, sden = RF_ZERO, None
+    if not polynomial:
+        den, sden = poly()
     if den.is_zero():
         den, sden = RF_ONE, _spoly({(0, 0): 1})
     # share a factor between num and den now and then, so cancellation runs
-    if rng.random() < 0.3:
+    if not polynomial and rng.random() < 0.3:
         common, scommon = poly()
         if not common.is_zero():
             num, snum = num * common, snum * scommon
@@ -77,3 +81,49 @@ def test_arithmetic_agrees_with_sympy():
             num, den = _num_den(r)
             assert (num.set_domain("QQ") * q - p * den.set_domain("QQ")).is_zero, str(r)
             assert parse_ratfunc(str(r)) == r
+
+
+def _zz(x):
+    """An int or a Poly of the cleared-denominator seam as a sympy polynomial."""
+    return _spoly(x.terms if isinstance(x, Poly) else {(0, 0): x}, "ZZ")
+
+
+# kind of list: (degree, polynomial) for _random_ratfunc, and the case of
+# clear that such lists reach: (every value constant, every den constant)
+SEAM_KINDS = {"constants": ((0, False), (True, True)),
+              "constant denominators": ((2, True), (False, True)),
+              "polynomial denominators": ((2, False), (False, False))}
+
+
+@pytest.mark.parametrize("kind", sorted(SEAM_KINDS))
+def test_cleared_denominators_agree_with_sympy(kind):
+    rng = random.Random(f"seam {kind}")
+    (degree, polynomial), case = SEAM_KINDS[kind]
+    seen = set()
+    for _ in range(60):
+        cs = [_random_ratfunc(rng, degree, polynomial)[0]
+              for _ in range(rng.randint(1, 4))]
+        D, cleared = clear(cs)
+        # ints while every value is a constant, an int D while every
+        # denominator is one
+        consts = all(c.is_const() for c in cs)
+        const_dens = consts or all(c.den.is_const() for c in cs if not c.is_const())
+        assert isinstance(D, int) == const_dens
+        assert all(isinstance(p, int) == consts for p in cleared)
+        seen.add((consts, const_dens))
+        lcm = _spoly({(0, 0): 1}, "ZZ")
+        for c in cs:
+            lcm = sympy.lcm(lcm, _num_den(c)[1])
+        assert _zz(D) in (lcm, -lcm)
+        for c, p in zip(cs, cleared):
+            num, den = _num_den(c)
+            assert _zz(p) * den == num * _zz(D), str(c)
+        scales = [rng.randint(-5, 5) for _ in cs]
+        total = over(combine(zip(scales, cleared)), D)
+        _assert_canonical(total)
+        assert total == sum((s * c for s, c in zip(scales, cs)), RF_ZERO)
+        # a sum that cancels is the zero of Q(k, kp)
+        D, cleared = clear(cs + [sum(cs, RF_ZERO)])
+        zero = over(combine(zip([1] * len(cs) + [-1], cleared)), D)
+        assert zero == RF_ZERO and zero.num == 0 and zero.den == 1
+    assert case in seen

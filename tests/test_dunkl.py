@@ -32,13 +32,14 @@ from trigdunkl import (
     rho_norm,
     root_system,
     special_exponents,
-    weyl_act,
 )
 from trigdunkl import dunkl, verify
 from trigdunkl.dunkl import gram_pairing, symh_apply, symh_is_invariant
 from trigdunkl.laurent import try_divide
 from trigdunkl.rootsys import unit
 from trigdunkl.verify import PROP32_TYPES
+
+from support import reflect_root, symh, w0_act, weyl_act
 
 
 def test_rho_examples():
@@ -49,15 +50,15 @@ def test_rho_examples():
     b2 = root_system("B", 2)
     r = rho(b2, couplings(b2))
     # defining property: <rho, alpha_i^vee> = k_i
-    assert b2.pairing_general(r, 0) == K
-    assert b2.pairing_general(r, 1) == KP
+    assert b2.pairing(r, 0) == K
+    assert b2.pairing(r, 1) == KP
     for fam, n in [("A", 3), ("C", 3), ("G", 2), ("F", 4), ("D", 4)]:
         rs = root_system(fam, n)
         kv = couplings(rs)
         rr = rho(rs, kv)
         for i in range(n):
             ki = kv.value(rs.pos_class[rs.simple_index[i]])
-            assert rs.pairing_general(rr, i) == ki
+            assert rs.pairing(rr, i) == ki
 
 
 def _fraction_pairing(rs, x, y):
@@ -120,7 +121,7 @@ def test_mu_tilde_examples():
         r = rho(rs, kv)
         mu = (1,) * n
         assert mu_tilde(rs, mu, kv) == tuple(m + x for m, x in zip(mu, r))
-        anti = rs.w0_act(mu)
+        anti = w0_act(rs, mu)
         assert mu_tilde(rs, anti, kv) == tuple(m - x for m, x in zip(anti, r))
 
 
@@ -152,7 +153,7 @@ def _dunkl_per_root(rs, xi, f, kvec):
                             - shift)
                    for mu, c in f.terms.items()})
     for r in range(rs.n_positive):
-        reflected = f.map_weights(lambda mu: rs.reflect_root(r, mu))
+        reflected = f.map_weights(lambda mu: reflect_root(rs, r, mu))
         delta = try_divide(rs, f - reflected, r)
         out = out + delta.scale(kvec.value(rs.pos_class[r]) * rs.root_xi(r, xi))
     return out
@@ -396,7 +397,7 @@ def test_jacobi_specialization_at_resonant_coupling():
 def test_invariant_apply_examples():
     a1 = root_system("A", 1)
     kv = couplings(a1)
-    q = SymH.make(a1, quadratic=((1,),))
+    q = symh(((1,),))
     f = Laurent({(1,): 1, (-1,): 1})
     assert invariant_apply(a1, q, f, kv) == f.scale((1 + K) ** 2)
     # quadratic q on the constant gives q(rho)
@@ -421,7 +422,7 @@ def test_invariant_apply_preconditions():
     C = SymH.laplacian(a2)
     with pytest.raises(ValueError):
         invariant_apply(a2, C, Laurent.monomial((1, 0)), kv)
-    lopsided = SymH.make(a2, quadratic=((1, 0), (0, 0)))
+    lopsided = symh(((1, 0), (0, 0)))
     with pytest.raises(ValueError):
         invariant_apply(a2, lopsided, orbit_sum(a2, (1, 0)), kv)
 
@@ -476,7 +477,7 @@ def test_invariance_check_matches_the_reflected_form(fam, n):
         forms.append(bumped)
     verdicts = set()
     for m in forms:
-        p = SymH.make(rs, quadratic=m)
+        p = symh(m)
         ref = all(_reflected_form(rs, p.quadratic, i) == p.quadratic
                   for i in range(n))
         assert symh_is_invariant(rs, p) == ref, m

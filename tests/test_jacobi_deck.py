@@ -8,7 +8,7 @@ from itertools import product
 from math import gcd
 
 from trigdunkl import K, KP, RF_ONE, RF_ZERO, couplings, jacobi, root_system
-from trigdunkl.coeff import _Factored, poly_gcd
+from trigdunkl.coeff import Factored, poly_gcd
 from trigdunkl.verify import _eigen_failure
 
 # the weight boxes of the benchmark's eigen_symbolic workload:
@@ -63,13 +63,13 @@ def test_factored_sums_agree_with_ratfunc_arithmetic():
     rng = random.Random(1998)
     for _ in range(200):
         forms = [_linear(rng) for _ in range(3)]
-        ref, fac = RF_ZERO, _Factored.of(RF_ZERO)
+        ref, fac = RF_ZERO, Factored.of(RF_ZERO)
         for _ in range(rng.randint(1, 4)):
             a = rng.randint(-2, 2) * K * K + rng.choice(forms) * rng.randint(-3, 3)
             d = rng.choice(forms)
             b = rng.choice(forms) * rng.choice(forms)
             ref = ref + a / d * b
-            fac = fac + _Factored.of(a) / d * _Factored.of(b)
+            fac = fac + Factored.of(a) / d * Factored.of(b)
         c, cf = fac.reduce()
         _assert_canonical(c)
         assert c == ref and cf.reduce()[0] == ref

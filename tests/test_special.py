@@ -22,7 +22,6 @@ from trigdunkl import (
     monodromy_spec,
     norm_sq,
     orbit_sum,
-    quadratic_residual,
     rho,
     root_system,
     schwarz_table,
@@ -30,7 +29,10 @@ from trigdunkl import (
     verify_quadratic,
 )
 from trigdunkl import verify
+from trigdunkl.special import quadratic_residual
 from trigdunkl.verify import PROP32_TYPES
+
+from support import symh
 
 HALF = RatFunc.const(Fraction(1, 2))
 
@@ -155,8 +157,8 @@ def _root_pairing(rs, v, r):
 
 def _weight_squared(rs, v):
     """mu^2 as a SymH, with entries mu(a_i^vee) mu(a_j^vee)."""
-    y = [rs.pairing_general(v, i) for i in range(rs.rank)]
-    return SymH.make(rs, quadratic=[[a * b for b in y] for a in y])
+    y = [rs.pairing(v, i) for i in range(rs.rank)]
+    return symh([[a * b for b in y] for a in y])
 
 
 def _per_root_residual(rs, v, kvec, a_value):
@@ -191,7 +193,7 @@ def _per_root_residual(rs, v, kvec, a_value):
                 res[i][j] = res[i][j] + coef * m
             if rs.gram_coroot[i][j]:
                 res[i][j] = res[i][j] + a_value * rs.gram_coroot[i][j]
-    return SymH.make(rs, quadratic=res)
+    return symh(res)
 
 
 @pytest.mark.parametrize("fam,n", PROP32_TYPES)
@@ -225,14 +227,12 @@ def test_residual_matches_the_per_root_sum_off_constant_denominators(fam, n):
 
 
 def test_residual_tensors_live_and_die_with_the_root_system():
-    from trigdunkl.rootsys import _cached_system
-
     rs, rep = _rep("A", 4)
     verify_quadratic(rs, rep)
     tensors = rs.__dict__["residual_tensors"]
     verify_quadratic(rs, special_exponents(rs, couplings(rs, Fraction(1, 6))))
     assert rs.residual_tensors is tensors  # built once per RootSystem
-    _cached_system.cache_clear()
+    root_system.cache_clear()
     fresh = root_system("A", 4)
     assert fresh is not rs and "residual_tensors" not in fresh.__dict__
     verify_quadratic(fresh, special_exponents(fresh, couplings(fresh)))
@@ -244,7 +244,7 @@ def test_relations_examples():
     # A3: lambda_{i+1} = s_i lambda_i
     rs, rep = _rep("A", 3)
     for i in range(3):
-        assert tuple(rs.reflect_general(i, rep.spectral[i])) == rep.spectral[i + 1]
+        assert rs.reflect_weight(i, rep.spectral[i]) == rep.spectral[i + 1]
     # F4: mu5 - mu4 = -2k a4
     rs, rep = _rep("F", 4)
     diff = tuple(b - a for a, b in zip(rep.exponents[3], rep.exponents[4]))
@@ -256,7 +256,7 @@ def test_relations_examples():
     assert diff == tuple(coeff * a if a else RF_ZERO for a in rs.alpha_w[1])
     # E6: <lambda_2, a_2^vee> = -k (node 2 is adjacent to the triple node 4)
     rs, rep = _rep("E", 6)
-    assert rs.pairing_general(rep.spectral[1], 1) == -K
+    assert rs.pairing(rep.spectral[1], 1) == -K
 
 
 @pytest.mark.parametrize("fam,n", PROP32_TYPES)
@@ -269,7 +269,7 @@ def test_dk2_examples():
     a2 = root_system("A", 2)
     kv = couplings(a2)
     one = Localized.from_laurent(Laurent.one(2))
-    p = SymH.make(a2, quadratic=((0, HALF), (HALF, 0)))  # y_1 y_2
+    p = symh(((0, HALF), (HALF, 0)))  # y_1 y_2
     out = dk2_apply(a2, p, one, kv)
     r = rho(a2, kv)
     from trigdunkl import pair_with_xi

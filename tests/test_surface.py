@@ -1,0 +1,62 @@
+"""The package surface is what the package itself uses: every name that
+trigdunkl exports is used by one of its other modules, or is on the short
+list below, and the coefficient field is reached through its public names."""
+import ast
+from pathlib import Path
+
+import trigdunkl
+
+SRC = Path(trigdunkl.__file__).resolve().parent
+
+# exported for callers although no other module of the package uses them:
+# the coupling vector's class and the error of a pole, the type spec, the
+# special-exponent report, the le_plus verdicts that no suite compares with,
+# and the reader of Laurent JSON (README, "Library example")
+ALLOWED_UNUSED = frozenset({
+    "CouplingVector", "EvaluationError", "GREATER", "INCOMPARABLE",
+    "RootSystemSpec", "SpecialExponentReport", "laurent_from_json",
+})
+
+
+def _modules():
+    """(module name, syntax tree) for every module but __init__."""
+    return [(path.stem, ast.parse(path.read_text(), str(path)))
+            for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+
+
+def _used_names(tree):
+    """Every name a module reads, as a Name, an Attribute or an import."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+            names.add((node.module or "").rpartition(".")[2])
+    return names
+
+
+def test_every_exported_name_is_used_by_another_module():
+    init = ast.parse((SRC / "__init__.py").read_text())
+    # the module each exported name comes from; a submodule is its own
+    home = {alias.asname or alias.name: node.module
+            for node in init.body if isinstance(node, ast.ImportFrom)
+            for alias in node.names}
+    used = {name: _used_names(tree) for name, tree in _modules()}
+    unused = {name for name in trigdunkl.__all__
+              if not any(name in names for mod, names in used.items()
+                         if mod != home.get(name, name))}
+    assert unused == ALLOWED_UNUSED
+
+
+def test_no_module_imports_a_private_coeff_name():
+    for name, tree in _modules():
+        if name == "coeff":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module in (
+                    "coeff", "trigdunkl.coeff"):
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                assert not private, (name, private)

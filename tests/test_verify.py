@@ -1,6 +1,7 @@
 """The verify suites report their first counterexample when a defect is
 injected into the operators they check."""
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -148,6 +149,32 @@ def test_gram_suites_fail_on_a_perturbed_gram_table(monkeypatch):
     monkeypatch.undo()
     assert root_system("A", 2) is a2 and a2.gram_fw_int != tuple(map(tuple, table))
     assert verify.run_compat({"A2"}).ok and verify.run_prop32({"A2"}).ok
+
+
+# source mutants of the Dunkl operator, each a module-level name of dunkl
+# patched in-process: (name, replacement given the original), and the
+# suites among _MUTANT_SUITES that FAIL on A1 while it is in place
+_MUTANTS = {
+    "epsilon": (lambda eps: lambda x: 1 if x >= 0 else -1,  # epsilon(0) = +1
+                {"eigen"}),
+    "divided_difference": (  # the divided-difference term halved
+        lambda dd: lambda rs, r, f: dd(rs, r, f).scale(Fraction(1, 2)),
+        {"cross", "hermitian", "thm23", "compat", "eigen"}),
+    "_partial": (  # the rho shift with its sign flipped
+        lambda partial: lambda rs, xi, f, shift=0: partial(rs, xi, f, -shift),
+        {"eigen", "cross", "thm23", "compat"}),
+}
+_MUTANT_SUITES = ("eigen", "cross", "hermitian", "thm23", "compat")
+
+
+@pytest.mark.parametrize("name", sorted(_MUTANTS))
+def test_suites_fail_on_a_source_mutant_and_pass_without_it(monkeypatch, name):
+    mutate, failing = _MUTANTS[name]
+    monkeypatch.setattr(dunkl, name, mutate(getattr(dunkl, name)))
+    assert {s for s in _MUTANT_SUITES
+            if not verify.run_suite(s, {"A1"}).ok} == failing
+    monkeypatch.undo()
+    assert all(verify.run_suite(s, {"A1"}).ok for s in _MUTANT_SUITES)
 
 
 def test_case_ids_are_unique():

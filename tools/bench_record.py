@@ -13,8 +13,10 @@ seeds and every value, plus the seeds, the checkout's commit and a hash of
 its src/, the Python version, the cpu count, the wall time of each verify
 suite in one run of all suites in a fresh process (root systems built on
 first use, as `trigdunkl verify --suite all` does), and, in another fresh
-process, the time of one cold RootSystem build per type (min of 5) for the
-32 special-exponent types and BC1-BC4.
+process, the time of one cold RootSystem build per type for the 32
+special-exponent types and BC1-BC4: the min over BUILD_PROCESSES fresh
+processes per checkout, the checkouts alternated process by process, of the
+min of 3 builds in each.
 """
 from __future__ import annotations
 
@@ -40,20 +42,26 @@ for name, run in SUITES.items():
 print(json.dumps(out))
 """
 
-# one cold RootSystem build per type, min of 5, timed in one process
+# fresh processes per checkout that time the RootSystem builds: on a shared
+# 2-core machine the 32-type sum of one process read 22-45 ms for the same
+# code, a few processes fast and most slow, so only a min over many is stable
+BUILD_PROCESSES = 20
+
+# one cold RootSystem build per type, timed in one process: the min over 3
+# rounds that each build every type once, so that a burst of load on the
+# machine slows one round of a type, not all of its samples
 _BUILD_TIMES = """
 import json, sys, time
 sys.path.insert(0, "src")
 from trigdunkl.rootsys import RootSystem, RootSystemSpec
 from trigdunkl.verify import PROP32_TYPES
 out = {}
-for f, n in PROP32_TYPES + tuple(("BC", n) for n in range(1, 5)):
-    times = []
-    for _ in range(5):
+for _ in range(3):
+    for f, n in PROP32_TYPES + tuple(("BC", n) for n in range(1, 5)):
         t0 = time.perf_counter()
         RootSystem(RootSystemSpec(f, n))
-        times.append(time.perf_counter() - t0)
-    out[f"{f}{n}"] = min(times)
+        t = time.perf_counter() - t0
+        out[f"{f}{n}"] = min(t, out.get(f"{f}{n}", t))
 print(json.dumps(out))
 """
 
@@ -100,6 +108,19 @@ def run_once(checkout, workload, seed, seconds):
     return json.loads(out.strip().splitlines()[-1])
 
 
+def build_times(checkouts):
+    """Per checkout, in order, the min per type of _BUILD_TIMES over
+    BUILD_PROCESSES fresh processes, the checkouts taking turns to go first."""
+    best = [{} for _ in checkouts]
+    turns = list(enumerate(checkouts))
+    for rep in range(BUILD_PROCESSES):
+        for i, c in turns if rep % 2 == 0 else turns[::-1]:
+            times = json.loads(_child([sys.executable, "-c", _BUILD_TIMES], c))
+            for t, v in times.items():
+                best[i][t] = min(v, best[i].get(t, v))
+    return best
+
+
 def summarize(results):
     """Median, quartiles and interquartile range of each metric over runs."""
     metrics = {}
@@ -133,9 +154,9 @@ def main(argv=None):
                 raw[c, w].append(result)
                 rate = result["metrics"]["requests_per_s"]["value"]
                 sys.stderr.write(f"{w} seed {seed} {c}: {rate:.3f} requests/s\n")
-    for c, (_, out) in zip(checkouts, args.run):
+    builds = build_times(checkouts)
+    for c, (_, out), build in zip(checkouts, args.run, builds):
         suites = json.loads(_child([sys.executable, "-c", _SUITE_TIMES], c))
-        builds = json.loads(_child([sys.executable, "-c", _BUILD_TIMES], c))
         doc = {
             "benchmark": " ".join(bench["command"]),
             "seconds": seconds,
@@ -145,7 +166,7 @@ def main(argv=None):
             "cpu_count": os.cpu_count(),
             "workloads": {w: summarize(raw[c, w]) for w in workloads},
             "suite_wall_s": suites,
-            "build_wall_s": builds,
+            "build_wall_s": build,
         }
         with open(out, "w") as fh:
             json.dump(doc, fh, indent=1)
