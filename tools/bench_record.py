@@ -12,11 +12,10 @@ end-to-end metric, the median, quartiles and interquartile range over the
 seeds and every value, plus the seeds, the checkout's commit and a hash of
 its src/, the Python version, the cpu count, the wall time of each verify
 suite in one run of all suites in a fresh process (root systems built on
-first use, as `trigdunkl verify --suite all` does), and, in another fresh
-process, the time of one cold RootSystem build per type for the 32
-special-exponent types and BC1-BC4: the min over BUILD_PROCESSES fresh
-processes per checkout, the checkouts alternated process by process, of the
-min of 3 builds in each.
+first use, as `trigdunkl verify --suite all` does), and the time of one cold
+RootSystem build per type for the 32 special-exponent types and BC1-BC4:
+the min over BUILD_PROCESSES fresh processes, each of which loads every
+checkout and alternates them build by build.
 """
 from __future__ import annotations
 
@@ -42,26 +41,34 @@ for name, run in SUITES.items():
 print(json.dumps(out))
 """
 
-# fresh processes per checkout that time the RootSystem builds: on a shared
-# 2-core machine the 32-type sum of one process read 22-45 ms for the same
-# code, a few processes fast and most slow, so only a min over many is stable
-BUILD_PROCESSES = 20
+# fresh processes that time the RootSystem builds of every checkout: on a
+# shared 2-core machine the 32-type sum of one process read 22-45 ms for the
+# same code, so the checkouts take turns inside each process, where they meet
+# the same load, and each type keeps its min over the processes
+BUILD_PROCESSES = 10
 
-# one cold RootSystem build per type, timed in one process: the min over 3
-# rounds that each build every type once, so that a burst of load on the
-# machine slows one round of a type, not all of its samples
+# one cold RootSystem build per type and checkout, the checkouts (argv[1], a
+# JSON list) loaded side by side as packages of their own and alternated
+# build by build, in 3 rounds over all types: the min per type and checkout
 _BUILD_TIMES = """
-import json, sys, time
-sys.path.insert(0, "src")
-from trigdunkl.rootsys import RootSystem, RootSystemSpec
-from trigdunkl.verify import PROP32_TYPES
-out = {}
-for _ in range(3):
-    for f, n in PROP32_TYPES + tuple(("BC", n) for n in range(1, 5)):
-        t0 = time.perf_counter()
-        RootSystem(RootSystemSpec(f, n))
-        t = time.perf_counter() - t0
-        out[f"{f}{n}"] = min(t, out.get(f"{f}{n}", t))
+import importlib.util, json, sys, time
+mods = []
+for i, c in enumerate(json.loads(sys.argv[1])):
+    name, path = f"trigdunkl_{i}", f"{c}/src/trigdunkl"
+    spec = importlib.util.spec_from_file_location(
+        name, f"{path}/__init__.py", submodule_search_locations=[path])
+    sys.modules[name] = module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    mods.append(importlib.import_module(f"{name}.rootsys"))
+types = importlib.import_module("trigdunkl_0.verify").PROP32_TYPES
+out = [{} for _ in mods]
+for r in range(3):
+    for f, n in types + tuple(("BC", n) for n in range(1, 5)):
+        for i in range(len(mods)) if r % 2 == 0 else range(len(mods))[::-1]:
+            t0 = time.perf_counter()
+            mods[i].RootSystem(mods[i].RootSystemSpec(f, n))
+            t = time.perf_counter() - t0
+            out[i][f"{f}{n}"] = min(t, out[i].get(f"{f}{n}", t))
 print(json.dumps(out))
 """
 
@@ -110,14 +117,14 @@ def run_once(checkout, workload, seed, seconds):
 
 def build_times(checkouts):
     """Per checkout, in order, the min per type of _BUILD_TIMES over
-    BUILD_PROCESSES fresh processes, the checkouts taking turns to go first."""
+    BUILD_PROCESSES fresh processes."""
     best = [{} for _ in checkouts]
-    turns = list(enumerate(checkouts))
-    for rep in range(BUILD_PROCESSES):
-        for i, c in turns if rep % 2 == 0 else turns[::-1]:
-            times = json.loads(_child([sys.executable, "-c", _BUILD_TIMES], c))
+    for _ in range(BUILD_PROCESSES):
+        out = _child([sys.executable, "-c", _BUILD_TIMES, json.dumps(checkouts)],
+                     checkouts[0])
+        for b, times in zip(best, json.loads(out)):
             for t, v in times.items():
-                best[i][t] = min(v, best[i].get(t, v))
+                b[t] = min(v, b.get(t, v))
     return best
 
 
