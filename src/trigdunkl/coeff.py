@@ -153,9 +153,10 @@ def poly_divexact(a, b):
     return Poly(quo)
 
 
-# --- gcd: one primitive PRS in (Z[kp])[k] (Knuth, TAOCP vol. 2, 4.6.1) ---
-# A polynomial in kp is a list of ints, lowest degree first, with no trailing
-# zero; a polynomial in k over Z[kp] is a dict deg_k -> nonempty such list.
+# --- gcd: one primitive PRS (Knuth, TAOCP vol. 2, 4.6.1), run at two depths ---
+# A dense polynomial is a list of coefficients, lowest degree first, with no
+# trailing zero: ints for a polynomial in kp, dense polynomials in kp for one
+# in k over Z[kp].  The zero of the ints is 0, that of Z[kp] the list [].
 
 
 def _trim(u):
@@ -164,127 +165,105 @@ def _trim(u):
     return u
 
 
-def _uni_mul(u, v):
-    res = [0] * (len(u) + len(v) - 1)
+def _neg(u):
+    return -u if u.__class__ is int else [_neg(x) for x in u]
+
+
+def _add(u, v):
+    if u.__class__ is int:
+        return u + v
+    if len(u) < len(v):
+        u, v = v, u
+    return _trim([_add(x, y) for x, y in zip(u, v)] + u[len(v):])
+
+
+def _mul(u, v):
+    if u.__class__ is int:
+        return u * v
+    if not u or not v:
+        return []
+    res = [0 if u[0].__class__ is int else []] * (len(u) + len(v) - 1)
     for i, a in enumerate(u):
         if a:
             for j, b in enumerate(v):
-                res[i + j] += a * b
+                if b:
+                    res[i + j] = _add(res[i + j], _mul(a, b))
     return res
 
 
-def _uni_primitive(u):
-    """u over its integer content, with a positive leading coefficient."""
-    c = 0
-    for x in u:
-        c = gcd(c, x)
-        if c == 1:
-            break
-    if u[-1] < 0:
-        c = -c
-    return u if c == 1 else [x // c for x in u]
-
-
-def _uni_prem(u, v):
-    """Pseudo-remainder of u by v."""
-    r = list(u)
-    dv = len(v) - 1
-    lv = v[-1]
-    while len(r) > dv:
-        lr = r[-1]
-        off = len(r) - 1 - dv
-        r = [x * lv for x in r]
-        for i, c in enumerate(v):
-            r[off + i] -= lr * c
-        _trim(r)
-    return r
-
-
-def _uni_gcd(u, v):
-    """gcd in Z[kp], with a positive leading coefficient."""
-    if not u or not v:
-        w = u or v
-        return [-x for x in w] if w[-1] < 0 else w
-    c = gcd(*u, *v)
-    if len(u) == 1 or len(v) == 1:
-        return [c]
-    u, v = _uni_primitive(u), _uni_primitive(v)
-    if len(u) < len(v):
-        u, v = v, u
-    while v:
-        if len(v) == 1:  # a unit: the primitive parts are coprime
-            u = [1]
-            break
-        u, v = v, _trim(_uni_prem(u, v))
-        if v:
-            v = _uni_primitive(v)
-    return u if c == 1 else [c * x for x in u]
-
-
-def _uni_divexact(u, v):
-    """Exact quotient u / v in Z[kp]."""
-    if len(v) == 1:
-        return [x // v[0] for x in u]
-    q = [0] * (len(u) - len(v) + 1)
-    r = list(u)
-    for pos in range(len(q) - 1, -1, -1):
-        c, rest = divmod(r[pos + len(v) - 1], v[-1])
-        if rest:
-            raise ArithmeticError("inexact integer polynomial division")
-        q[pos] = c
+def _divexact(u, v):
+    """The quotient u / v of ints or of dense polynomials of one depth, for v
+    dividing u: a dense remainder raises ArithmeticError, which also catches
+    an inexact int quotient inside it."""
+    if u.__class__ is int:
+        return u // v
+    q, u = [], list(u)
+    for pos in range(len(u) - len(v), -1, -1):
+        c = _divexact(u[pos + len(v) - 1], v[-1])
+        q.append(c)
         if c:
+            c = _neg(c)
             for i, b in enumerate(v):
-                r[pos + i] -= c * b
-    if any(r):
+                u[pos + i] = _add(u[pos + i], _mul(c, b))
+    if any(u):
         raise ArithmeticError("inexact integer polynomial division")
-    return q
+    return q[::-1]
 
 
-def _in_k(p):
-    """p as a polynomial in k over Z[kp]."""
-    out = {}
-    for (a, b), c in p.terms.items():
-        u = out.setdefault(a, [])
-        if len(u) <= b:
-            u.extend([0] * (b + 1 - len(u)))
-        u[b] = c
+def _primitive(u):
+    """(content, primitive part) of a nonzero dense polynomial, the content
+    the gcd of its coefficients; over the ints, the part's lead is positive."""
+    c = u[-1]
+    for x in u[:-1]:
+        if c in (1, [1]):
+            break
+        if x:
+            c = _gcd(c, x)
+    if c.__class__ is int and (c < 0) != (u[-1] < 0):
+        c = -c
+    return c, (u if c in (1, [1]) else [_divexact(x, c) for x in u])
+
+
+def _prem(u, v):
+    """Pseudo-remainder of u by v, for len(u) >= len(v)."""
+    dv, lv = len(v) - 1, v[-1]
+    while len(u) > dv:
+        minus_lead, off = _neg(u[-1]), len(u) - 1 - dv
+        u = [_mul(x, lv) for x in u]
+        for i, c in enumerate(v):
+            u[off + i] = _add(u[off + i], _mul(minus_lead, c))
+        _trim(u)
+    return u
+
+
+def _dense(p):
+    """p as a dense polynomial in k over Z[kp]."""
+    out = [[] for _ in range(1 + max(i for i, _ in p.terms))]
+    for (i, j), c in p.terms.items():
+        u = out[i]
+        if len(u) <= j:
+            u.extend([0] * (j + 1 - len(u)))
+        u[j] = c
     return out
 
 
-def _primitive_in_k(d):
-    """(content in Z[kp], primitive part) of a polynomial in k over Z[kp]."""
-    g = []
-    for u in d.values():
-        g = _uni_gcd(g, u)
-        if g == [1]:
-            return g, d
-    return g, {a: _uni_divexact(u, g) for a, u in d.items()}
-
-
-def _prem_in_k(u, v):
-    """Pseudo-remainder of u by v in (Z[kp])[k]."""
-    dv = max(v)
-    lv = v[dv]
-    r = u
-    while r and max(r) >= dv:
-        dr = max(r)
-        lr = r[dr]
-        nr = {a: _uni_mul(c, lv) for a, c in r.items()}
-        for a, c in v.items():
-            shift = a + dr - dv
-            sub = _uni_mul(c, lr)
-            cur = nr.get(shift, [])
-            res = [0] * max(len(cur), len(sub))
-            for i, x in enumerate(cur):
-                res[i] += x
-            for i, x in enumerate(sub):
-                res[i] -= x
-            if _trim(res):
-                nr[shift] = res
-            else:
-                nr.pop(shift, None)
-        r = nr
-    return r
+def _gcd(u, v):
+    """The gcd of two nonzero ints or dense polynomials of one depth: in Z[kp]
+    with a positive lead, in Z[kp][k] up to sign."""
+    if u.__class__ is int:
+        return gcd(u, v)
+    cu, u = _primitive(u)
+    cv, v = _primitive(v)
+    if len(u) < len(v):
+        u, v = v, u
+    while len(v) > 1:
+        u, v = v, _prem(u, v)
+        if v:
+            v = _primitive(v)[1]
+    if v:  # a unit: the primitive parts are coprime
+        u = v
+    c = _gcd(cu, cv)
+    return u if c in (1, [1]) else [_mul(x, c) for x in u]
 
 
 def poly_gcd(a, b):
@@ -295,23 +274,9 @@ def poly_gcd(a, b):
         return _positive(a)
     if a.is_const() or b.is_const():
         return Poly.const(gcd(a.content(), b.content()))
-    ca, u = _primitive_in_k(_in_k(a))
-    cb, v = _primitive_in_k(_in_k(b))
-    if max(u) < max(v):
-        u, v = v, u
-    while v:
-        if max(v) == 0:  # a unit: the primitive parts are coprime
-            u = {0: [1]}
-            break
-        r = _prem_in_k(u, v)
-        u, v = v, (_primitive_in_k(r)[1] if r else {})
-    cont = _uni_gcd(ca, cb)
-    terms = {}
-    for i, w in u.items():
-        for j, c in enumerate(_uni_mul(w, cont)):
-            if c:
-                terms[(i, j)] = c
-    return _positive(Poly(terms))
+    g = _gcd(_dense(a), _dense(b))
+    return _positive(Poly({(i, j): c for i, w in enumerate(g)
+                           for j, c in enumerate(w) if c}))
 
 
 # --- RatFunc ---

@@ -11,9 +11,9 @@ from .laurent import (
     DivisibilityError,
     Laurent,
     Localized,
-    _partial,
     divided_difference,
     is_w_invariant,
+    partial,
 )
 from .rootsys import unit
 
@@ -120,7 +120,7 @@ def dunkl_apply(rs, xi, f, kvec):
         for w, a in divided_difference(rs, r, f).terms.items():
             s = acc.get(w)
             acc[w] = a * axi if s is None else s + a * axi
-    out = _partial(rs, xi, f, shift=shift).terms
+    out = partial(rs, xi, f, shift=shift).terms
     for c, acc in sums.items():
         ka = kvec.value(c)
         for w, s in acc.items():
@@ -208,35 +208,36 @@ def lk_apply(rs, f, kvec):
     """The conjugated operator on invariants; output stays in C[P]."""
     if not is_w_invariant(rs, f):
         raise ValueError("f is not W-invariant")
-    loc = _lk_localized(rs, Localized.from_laurent(f), kvec, check=True)
+    loc = _lk_localized(rs, Localized.from_laurent(f), kvec)
+    if loc.den:
+        raise DivisibilityError("localized sum did not normalize; "
+                                "input was not an invariant element")
     return loc.num
 
 
-def _lk_localized(rs, F, kvec, check=False):
+def _lk_localized(rs, F, kvec):
     """partial(C) + (1/2) sum k_a (a,a) (1+e^-a)/(1-e^-a) partial(a^vee)."""
-    out = _partial_c_localized(rs, F)
-    half = Fraction(1, 2)
+    return coth_sum(rs, SymH.laplacian(rs), F, kvec).normalize(rs)
+
+
+def coth_sum(rs, p, F, kvec):
+    """partial(p) F + (1/2) sum_a k_a p(a) (1+e^-a)/(1-e^-a) partial(a^vee) F
+    for a quadratic form p on h* and a localized element F."""
+    out = partial_quadratic(rs, p, F)
     for r in range(rs.n_positive):
         ka = kvec.value(rs.pos_class[r])
-        if not ka:
+        p_alpha = ka and p.value_at(rs, rs.pos_wcoords[r])
+        if not p_alpha:
             continue
-        scale = ka * (half * rs.pos_norms[r])
-        out = out.add(_coth_partial(rs, F, r).scale(scale), rs)
-    out = out.normalize(rs)
-    if check and out.den:
-        raise DivisibilityError("localized sum did not normalize; "
-                                "input was not an invariant element")
+        # the coth term: g = partial(a^vee) F times (1 + e^-a) over (1 - e^-a)
+        g = F.derivative(rs, rs.pos_coroot_scoords[r])
+        onep = Laurent._raw({(0,) * rs.rank: RF_ONE,
+                             tuple(-a for a in rs.pos_wcoords[r]): RF_ONE})
+        den = dict(g.den)
+        den[r] = den.get(r, 0) + 1
+        coth = Localized(g.num * onep, den).normalize(rs)
+        out = out.add(coth.scale(ka * (p_alpha * Fraction(1, 2))), rs)
     return out
-
-
-def _coth_partial(rs, F, r):
-    """(1 + e^-a)/(1 - e^-a) partial(a^vee) F for the positive root a = r."""
-    g = F.derivative(rs, rs.pos_coroot_scoords[r])
-    onep = Laurent._raw({(0,) * rs.rank: RF_ONE,
-                         tuple(-a for a in rs.pos_wcoords[r]): RF_ONE})
-    den = dict(g.den)
-    den[r] = den.get(r, 0) + 1
-    return Localized(g.num * onep, den).normalize(rs)
 
 
 def partial_quadratic(rs, p, F):
@@ -263,13 +264,9 @@ def partial_quadratic(rs, p, F):
     return out
 
 
-def _partial_c_localized(rs, F):
-    return partial_quadratic(rs, SymH.laplacian(rs), F)
-
-
 def hamiltonian_apply(rs, F, kvec):
     """Quantum Hamiltonian: Laplacian plus the inverse-square potential."""
-    out = _partial_c_localized(rs, F)
+    out = partial_quadratic(rs, SymH.laplacian(rs), F)
     for r in range(rs.n_positive):
         ka = kvec.value(rs.pos_class[r])
         dbl = rs.double_root[r]

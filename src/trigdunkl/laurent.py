@@ -48,40 +48,20 @@ class Laurent:
         return isinstance(other, Laurent) and self.terms == other.terms
 
     def __add__(self, other):
-        res = dict(self.terms)
-        for mu, c in other.terms.items():
-            s = res.get(mu, RF_ZERO) + c
-            if s:
-                res[mu] = s
-            elif mu in res:
-                del res[mu]
-        return Laurent._raw(res)
+        return _collect(other.terms.items(), dict(self.terms))
 
     def __sub__(self, other):
-        res = dict(self.terms)
-        for mu, c in other.terms.items():
-            s = res.get(mu, RF_ZERO) - c
-            if s:
-                res[mu] = s
-            elif mu in res:
-                del res[mu]
-        return Laurent._raw(res)
+        return _collect(((mu, -c) for mu, c in other.terms.items()),
+                        dict(self.terms))
 
     def __neg__(self):
         return Laurent._raw({mu: -c for mu, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Laurent):
-            res = {}
-            for mu, c1 in self.terms.items():
-                for nu, c2 in other.terms.items():
-                    w = tuple(a + b for a, b in zip(mu, nu))
-                    s = res.get(w, RF_ZERO) + c1 * c2
-                    if s:
-                        res[w] = s
-                    elif w in res:
-                        del res[w]
-            return Laurent._raw(res)
+            return _collect((tuple(a + b for a, b in zip(mu, nu)), c1 * c2)
+                            for mu, c1 in self.terms.items()
+                            for nu, c2 in other.terms.items())
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -98,15 +78,7 @@ class Laurent:
                              for mu, c in self.terms.items()})
 
     def map_weights(self, fn):
-        res = {}
-        for mu, c in self.terms.items():
-            w = fn(mu)
-            s = res.get(w, RF_ZERO) + c
-            if s:
-                res[w] = s
-            elif w in res:
-                del res[w]
-        return Laurent._raw(res)
+        return _collect((fn(mu), c) for mu, c in self.terms.items())
 
     def substitute(self, k_val, kp_val=0):
         """Specialize every coefficient at rational couplings."""
@@ -131,6 +103,17 @@ class Laurent:
     def to_json(self):
         return [{"weight": list(mu), "coeff": str(c)}
                 for mu, c in self.sorted_terms()]
+
+
+def _collect(pairs, res=None):
+    """The Laurent element sum c e^w over the (w, c) in pairs, added onto the
+    dict res, which it takes over: a coefficient is summed only where a
+    weight repeats, and zeros are dropped once, at the end."""
+    res = {} if res is None else res
+    for w, c in pairs:
+        s = res.get(w)
+        res[w] = c if s is None else s + c
+    return Laurent._raw({w: c for w, c in res.items() if c})
 
 
 def laurent_from_json(data):
@@ -173,20 +156,19 @@ def divided_difference(rs, r, f):
     + ... + e^(nu-(n-1)alpha) for n > 0, to -(e^(nu+alpha) + ... +
     e^(nu-n alpha)) for n < 0, and to 0 for n = 0."""
     alpha = rs.pos_wcoords[r]
-    out = {}
-    for nu, c in f.terms.items():
-        n = rs.root_pairing(nu, r)
-        if n > 0:
-            steps = range(0, -n, -1)
-        elif n < 0:
-            steps, c = range(1, 1 - n), -c
-        else:
-            continue
-        for t in steps:
-            w = tuple(m + t * a for m, a in zip(nu, alpha))
-            s = out.get(w)
-            out[w] = c if s is None else s + c
-    return Laurent._raw({w: c for w, c in out.items() if c})
+
+    def strings():
+        for nu, c in f.terms.items():
+            n = rs.root_pairing(nu, r)
+            if n > 0:
+                steps = range(0, -n, -1)
+            elif n < 0:
+                steps, c = range(1, 1 - n), -c
+            else:
+                continue
+            for t in steps:
+                yield tuple(m + t * a for m, a in zip(nu, alpha)), c
+    return _collect(strings())
 
 
 def one_minus_exp(rs, r, power=1):
@@ -342,7 +324,7 @@ class Localized:
 
     def derivative(self, rs, xi):
         """partial(xi) with xi in simple-coroot coordinates, by quotient rule."""
-        out = Localized(_partial(rs, xi, self.num), dict(self.den))
+        out = Localized(partial(rs, xi, self.num), dict(self.den))
         for r, m in self.den.items():
             axi = rs.root_xi(r, xi)
             if not axi:
@@ -368,7 +350,7 @@ class Localized:
         return f"({self.num!r}) / {self.den}"
 
 
-def _partial(rs, xi, f, shift=0):
+def partial(rs, xi, f, shift=0):
     """partial(xi) - shift on C[P]: e^mu -> (mu(xi) - shift) e^mu, with xi in
     simple-coroot coordinates."""
     res = {}

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeff import RF_ZERO, RatFunc, clear, combine, couplings, over
-from .dunkl import SymH, _coth_partial, gram_pairing, partial_quadratic, rho
+from .dunkl import SymH, coth_sum, gram_pairing, rho
 
 INFINITY = "inf"
 
@@ -266,19 +266,13 @@ def dk2_apply(rs, p, F, kvec):
     """The degree-2 operator map applied to a localized element."""
     if rs.spec.family == "BC":
         raise ValueError("the degree-2 map is defined for reduced systems only")
-    out = partial_quadratic(rs, p, F)
-    half = Fraction(1, 2)
+    out = coth_sum(rs, p, F, kvec)
     k_extra = kvec.extra if rs.spec.family == "A" and rs.rank >= 2 else RF_ZERO
-    for r in range(rs.n_positive):
+    for r in range(rs.n_positive if k_extra else 0):
         p_alpha = p.value_at(rs, rs.pos_wcoords[r])
-        if not p_alpha:
-            continue
-        ka = kvec.value(rs.pos_class[r])
-        if ka:
-            out = out.add(_coth_partial(rs, F, r).scale(p_alpha * ka * half), rs)
-        if k_extra:
+        if p_alpha:
             gp = F.derivative(rs, rs.alpha_prime_pairing(r))
-            out = out.add(gp.scale(p_alpha * k_extra * half), rs)
+            out = out.add(gp.scale(p_alpha * k_extra * Fraction(1, 2)), rs)
     rho_k = rho(rs, kvec)
     out = out.add(F.scale(p.value_at(rs, rho_k)), rs)
     return out.normalize(rs)

@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 
 from trigdunkl import K, KP, RF_ONE, RF_ZERO, RatFunc, parse_ratfunc
-from trigdunkl.coeff import Poly, clear, combine, over
+from trigdunkl.coeff import Poly, clear, combine, over, poly_gcd
 
 sympy = pytest.importorskip("sympy")
 _SK, _SKP = sympy.symbols("k kp")
@@ -127,3 +127,59 @@ def test_cleared_denominators_agree_with_sympy(kind):
         zero = over(combine(zip([1] * len(cs) + [-1], cleared)), D)
         assert zero == RF_ZERO and zero.num == 0 and zero.den == 1
     assert case in seen
+
+
+# kind of gcd input: which of (deg_k, deg_kp) a random factor may raise
+GCD_KINDS = {"k and kp": (True, True), "k only": (True, False),
+             "kp only": (False, True)}
+
+
+def _random_poly(rng, kind, degree=2):
+    """A nonzero Poly of the given kind, of degree at most `degree` in each
+    variable, times an integer content that is often above 1."""
+    in_k, in_kp = GCD_KINDS[kind]
+    terms = {}
+    while not terms:
+        for _ in range(rng.randint(1, 4)):
+            m = (rng.randint(0, degree) if in_k else 0,
+                 rng.randint(0, degree) if in_kp else 0)
+            terms[m] = terms.get(m, 0) + rng.randint(-5, 5)
+        terms = {m: c for m, c in terms.items() if c}
+    content = rng.choice((1, 1, 2, 3, 6, -4))
+    return Poly({m: c * content for m, c in terms.items()})
+
+
+def _assert_gcd(a, b):
+    g = poly_gcd(a, b)
+    expected = sympy.gcd(_zz(a), _zz(b))
+    assert _zz(g) in (expected, -expected), (a, b, g)
+    if g.terms:
+        assert max(g.terms.items(), key=lambda t: (sum(t[0]), t[0][0]))[1] > 0
+    return g
+
+
+@pytest.mark.parametrize("kind", sorted(GCD_KINDS))
+def test_gcd_agrees_with_sympy(kind):
+    rng = random.Random(f"gcd {kind}")
+    for _ in range(100):
+        # a planted common factor, so the gcd is rarely a constant; the
+        # products reach degree 4 in each variable the kind allows
+        common = _random_poly(rng, kind)
+        a, b = (common * _random_poly(rng, kind) for _ in range(2))
+        g = _assert_gcd(a, b)
+        # the planted factor divides the gcd
+        assert _zz(g).set_domain("QQ").rem(_zz(common).set_domain("QQ")).is_zero
+        _assert_gcd(a, _random_poly(rng, kind, 4))
+
+
+def test_gcd_of_zero_and_of_a_coprime_pair():
+    k, kp, zero = Poly.var("k"), Poly.var("kp"), Poly({})
+    a = Poly({(2, 0): -6, (0, 1): 4})  # -6 k^2 + 4 kp, content 2
+    assert poly_gcd(zero, a).terms == {(2, 0): 6, (0, 1): -4}
+    assert poly_gcd(a, zero).terms == {(2, 0): 6, (0, 1): -4}
+    assert poly_gcd(zero, zero).terms == {}
+    assert poly_gcd(k * kp + Poly.const(1), k + kp).is_one()
+    assert poly_gcd(a, Poly.const(-4)).terms == {(0, 0): 2}
+    for x, y in [(zero, a), (a, zero), (k * kp + Poly.const(1), k + kp),
+                 (a, Poly.const(-4))]:
+        _assert_gcd(x, y)

@@ -597,7 +597,7 @@ def _lifted_coth_partial(rs, F, r):
 
 
 def _lifted_lk_localized(rs, F, kvec):
-    out = dunkl._partial_c_localized(rs, F)
+    out = dunkl.partial_quadratic(rs, SymH.laplacian(rs), F)
     for r in range(rs.n_positive):
         ka = kvec.value(rs.pos_class[r])
         if ka:
@@ -607,7 +607,7 @@ def _lifted_lk_localized(rs, F, kvec):
 
 
 def _lifted_hamiltonian_apply(rs, F, kvec):
-    out = dunkl._partial_c_localized(rs, F)
+    out = dunkl.partial_quadratic(rs, SymH.laplacian(rs), F)
     for r in range(rs.n_positive):
         ka = kvec.value(rs.pos_class[r])
         dbl = rs.double_root[r]

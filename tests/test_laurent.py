@@ -68,6 +68,34 @@ def test_divided_difference_matches_the_division(fam, n):
     assert divided_difference(a1, 0, Laurent({(3,): 1, (-3,): 1})).is_zero()
 
 
+def test_arithmetic_keeps_its_operands_and_drops_zeros():
+    """+, -, *, map_weights and divided_difference sum equal weights in a
+    dict of their own: both operands keep their terms, no zero coefficient
+    is returned, and f - f is zero, for symbolic and constant coefficients."""
+    rs = root_system("A", 2)
+    rng = random.Random("collector")
+    coeffs = (K, -K, 1 - K, K - 1, K * K, Fraction(2, 3), Fraction(-2, 3), 1, -1)
+
+    def element():
+        return Laurent({(rng.randint(-2, 2), rng.randint(-2, 2)):
+                        rng.choice(coeffs) for _ in range(rng.randint(0, 6))})
+
+    cancelled = 0
+    for _ in range(60):
+        f, g = element(), element()
+        before = dict(f.terms), dict(g.terms)
+        results = [f + g, f - g, f * g, g * f,
+                   f.map_weights(lambda mu: (0, mu[1])),
+                   g.map_weights(lambda mu: (mu[0] + mu[1], 0))]
+        results += [divided_difference(rs, r, f) for r in range(rs.n_positive)]
+        assert (f.terms, g.terms) == before
+        for h in results:
+            assert all(h.terms.values()), h
+        assert (f - f).is_zero() and (f - f).terms == {}
+        cancelled += len((f + g).terms) < len(f.terms.keys() | g.terms.keys())
+    assert cancelled  # some sums cancelled a weight, so zeros were dropped
+
+
 def test_weyl_act_examples():
     a1 = root_system("A", 1)
     assert weyl_act(a1, [0], Laurent({(1,): 1})) == Laurent({(-1,): 1})

@@ -160,7 +160,7 @@ _MUTANTS = {
     "divided_difference": (  # the divided-difference term halved
         lambda dd: lambda rs, r, f: dd(rs, r, f).scale(Fraction(1, 2)),
         {"cross", "hermitian", "thm23", "compat", "eigen"}),
-    "_partial": (  # the rho shift with its sign flipped
+    "partial": (  # the rho shift with its sign flipped
         lambda partial: lambda rs, xi, f, shift=0: partial(rs, xi, f, -shift),
         {"eigen", "cross", "thm23", "compat"}),
 }

@@ -15,7 +15,9 @@ suite in one run of all suites in a fresh process (root systems built on
 first use, as `trigdunkl verify --suite all` does), and the time of one cold
 RootSystem build per type for the 32 special-exponent types and BC1-BC4:
 the min over BUILD_PROCESSES fresh processes, each of which loads every
-checkout and alternates them build by build.
+checkout and alternates them build by build, and per workload the median and
+quartiles of SETUP_RUNS fresh `perfbench/setup_sample.py` set-ups, the
+checkouts alternating run by run.
 """
 from __future__ import annotations
 
@@ -73,6 +75,13 @@ print(json.dumps(out))
 """
 
 
+# fresh set-up runs per workload and checkout: perfbench's setup_s is the
+# median of a few samples of one checkout, which on a shared 2-core machine
+# read 0.057 and 0.083 s for the same code in two records; alternated runs
+# meet the same load on both sides
+SETUP_RUNS = 20
+
+
 def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
@@ -128,17 +137,35 @@ def build_times(checkouts):
     return best
 
 
+def setup_times(checkouts, workloads):
+    """Per checkout, in order, and workload: the spread of SETUP_RUNS fresh
+    set-ups in seconds, the checkouts taking turns run by run."""
+    samples = [{w: [] for w in workloads} for _ in checkouts]
+    for w in workloads:
+        for run in range(SETUP_RUNS):
+            order = range(len(checkouts))
+            for i in order if run % 2 == 0 else order[::-1]:
+                out = _child([sys.executable, "perfbench/setup_sample.py", w],
+                             checkouts[i])
+                samples[i][w].append(float(out))
+    return [{w: spread(v) for w, v in s.items()} for s in samples]
+
+
+def spread(values):
+    """Median, quartiles and interquartile range of values, and the values."""
+    if len(values) > 1:
+        q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    else:
+        q1 = med = q3 = values[0]
+    return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1,
+            "values": values}
+
+
 def summarize(results):
     """Median, quartiles and interquartile range of each metric over runs."""
-    metrics = {}
-    for name, first in results[0]["metrics"].items():
-        values = [r["metrics"][name]["value"] for r in results]
-        if len(values) > 1:
-            q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
-        else:
-            q1 = med = q3 = values[0]
-        metrics[name] = {"unit": first["unit"], "median": med, "q1": q1,
-                         "q3": q3, "iqr": q3 - q1, "values": values}
+    metrics = {name: {"unit": first["unit"], **spread(
+                   [r["metrics"][name]["value"] for r in results])}
+               for name, first in results[0]["metrics"].items()}
     return {"correct": all(r["correct"] for r in results),
             "attempted": [r["attempted"] for r in results],
             "failed": [r["failed"] for r in results],
@@ -162,7 +189,8 @@ def main(argv=None):
                 rate = result["metrics"]["requests_per_s"]["value"]
                 sys.stderr.write(f"{w} seed {seed} {c}: {rate:.3f} requests/s\n")
     builds = build_times(checkouts)
-    for c, (_, out), build in zip(checkouts, args.run, builds):
+    setups = setup_times(checkouts, workloads)
+    for c, (_, out), build, setup in zip(checkouts, args.run, builds, setups):
         suites = json.loads(_child([sys.executable, "-c", _SUITE_TIMES], c))
         doc = {
             "benchmark": " ".join(bench["command"]),
@@ -174,6 +202,7 @@ def main(argv=None):
             "workloads": {w: summarize(raw[c, w]) for w in workloads},
             "suite_wall_s": suites,
             "build_wall_s": build,
+            "setup_wall_s": setup,
         }
         with open(out, "w") as fh:
             json.dump(doc, fh, indent=1)
