@@ -142,11 +142,13 @@ class SymH:
 
     @classmethod
     def laplacian(cls, rs):
-        """The element with partial(C) e^mu = (mu, mu) e^mu: inv^T gram_fw inv
-        for inv the inverse of the diagonal matrix wt_pair."""
-        d = [rs.wt_pair[a][a] for a in range(rs.rank)]
-        return cls(tuple(tuple(coerce(g / (d[a] * d[b])) for b, g in enumerate(row))
-                         for a, row in enumerate(rs.gram_fw)))
+        """The element with partial(C) e^mu = (mu, mu) e^mu: entry (a, b) is
+        (FW_a, FW_b) / (<FW_a, a_a^vee> <FW_b, a_b^vee>), read off the
+        integer Gram table."""
+        d, den = rs.wt_diag, rs.gram_fw_den
+        return cls(tuple(tuple(coerce(Fraction(g, den * d[a] * d[b]))
+                               for b, g in enumerate(row))
+                         for a, row in enumerate(rs.gram_fw_int)))
 
     def value_at(self, rs, lam):
         """Evaluate at an h* vector given in weight coordinates."""

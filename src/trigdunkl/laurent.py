@@ -72,11 +72,6 @@ class Laurent:
             return Laurent.zero()
         return Laurent._raw({mu: c * v for mu, v in self.terms.items()})
 
-    def bar(self):
-        """e^mu -> e^(-mu); the identity on the (real) coefficients."""
-        return Laurent._raw({tuple(-m for m in mu): c
-                             for mu, c in self.terms.items()})
-
     def map_weights(self, fn):
         return _collect((fn(mu), c) for mu, c in self.terms.items())
 

@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G", "BC")
 
@@ -94,11 +94,6 @@ def _sparse_dot(row, v):
     return 0 if total is None else total
 
 
-def _ambient(acoords, cols2):
-    """The ambient vector sum_l a_l alpha_l, from the columns of 2 alpha_l."""
-    return tuple(Fraction(_sparse_dot(acoords, col), 2) for col in cols2)
-
-
 def _det_adj(m):
     """det(m) and the adjugate of m, an integer matrix whose leading principal
     minors are nonzero (for a Cartan matrix of finite type they are the
@@ -116,12 +111,6 @@ def _det_adj(m):
                 a[i] = [(p * x - f * t) // prev for x, t in zip(a[i], top)]
         prev = p
     return prev, tuple(tuple(row[n:]) for row in a)
-
-
-def _as_int(x):
-    if x.denominator != 1:
-        raise AssertionError(f"expected an integer, got {x}")
-    return int(x)
 
 
 def _exact_quotient(a, b):
@@ -175,13 +164,14 @@ class RootSystem:
     """Cartan, root and weight data for one irreducible type, set once here.
 
     Simple-root and node indices are 0-based in this API; node i corresponds
-    to Bourbaki node i+1.  The Bourbaki ambient vectors are used only for
-    the simple roots, doubled to integers; the Cartan and Gram matrices come
-    from their dot products, every per-root table from the alpha_i-strings
-    in integers, and the fundamental weights and the Gram tables from the
-    integer adjugate of the Cartan matrix, with one Fraction per entry.
-    simple_roots, positive_roots, the A_n alpha' vectors and the residual
-    tensors are built on first use.
+    to Bourbaki node i+1.  Every table is held once, in integers: the
+    Bourbaki simple roots, doubled to integer vectors, give the Cartan matrix
+    by their dot products; every per-root table comes from the
+    alpha_i-strings, and the Gram table of the weight basis from the integer
+    adjugate of the Cartan matrix, over one common denominator.  Only the
+    BC doubles have half-integral coroot coordinates.  The A_n alpha'
+    pairings and the residual tensors are built on first use; the ambient
+    fundamental weights only by to_json.
     """
 
     def __init__(self, spec):
@@ -189,8 +179,6 @@ class RootSystem:
         family, n = spec.family, spec.rank
         self.rank = n
         rows2 = _simple_roots2(family, n)
-        # cols2[k][l] = 2 (alpha_l)_k; every ambient entry is a half-integer
-        self._cols2 = cols2 = list(zip(*rows2))
         # gram2[l][m] = 2 (alpha_l, alpha_m), an integer in every realization
         gram2 = [[_dot(s, t) // 2 for t in rows2] for s in rows2]
         norms = [gram2[i][i] // 2 for i in range(n)]
@@ -200,22 +188,13 @@ class RootSystem:
         # det(cartan) cartan^-1 is the integer adjugate
         self._det_cartan, self._adj_cartan = det, adj = _det_adj(self.cartan)
 
-        # pairing of the weight basis with the simple coroots:
-        # wt_pair[i][j] = <FW_j, alpha_i^vee>.  The identity for reduced
-        # types; for BC the basis is e_1 + ... + e_j, and <e_1 + ... + e_n,
-        # 2 e_n> = 2.  Diagonal: pos_wcoords and SymH.laplacian divide by it.
-        wt_pair = [list(unit(n, i)) for i in range(n)]
-        if family == "BC":
-            wt_pair[n - 1][n - 1] = 2
-        self.wt_pair = tuple(tuple(row) for row in wt_pair)
-        diag = [wt_pair[j][j] for j in range(n)]
-
-        # fw_det[j] = det FW_j in simple-root coordinates: column j of
-        # adj wt_pair, for FW_j = sum_l <FW_j, alpha_l^vee> (cartan^-1)_l
+        # <FW_i, alpha_i^vee>; <FW_i, alpha_j^vee> = 0 for i != j.  It is 1
+        # but on BC's last node: there the basis is e_1 + ... + e_n, and
+        # <e_1 + ... + e_n, 2 e_n> = 2.
+        self.wt_diag = diag = (1,) * (n - 1) + (2 if family == "BC" else 1,)
+        # fw_det[j] = det FW_j in simple-root coordinates:
+        # FW_j = sum_l <FW_j, alpha_j^vee> (cartan^-1)_lj alpha_l
         fw_det = [[row[j] * diag[j] for row in adj] for j in range(n)]
-        self.fundamental_weights = tuple(
-            tuple(Fraction(_sparse_dot(a, col), 2 * det) for col in cols2)
-            for a in fw_det)
 
         roots = _positive_acoords(self.cartan)
         # the Weyl group of BC_n is that of B_n: degrees before the doubling
@@ -274,18 +253,14 @@ class RootSystem:
         # (FW_i, FW_j) = sum_l (FW_i)_l (alpha_l, FW_j), 2 (alpha_l, FW_j) =
         # <FW_j, alpha_l^vee> (alpha_l, alpha_l): an integer table over 2 det
         self.gram_fw_den = 2 * det
-        self.gram_fw_int = gi = tuple(
+        self.gram_fw_int = tuple(
             tuple(fw[j] * diag[j] * norms[j] for j in range(n)) for fw in fw_det)
-        self.gram_fw = tuple(tuple(Fraction(g, 2 * det) for g in row) for row in gi)
-        self.gram_coroot = tuple(
-            tuple(Fraction(2 * gram2[i][j], norms[i] * norms[j]) for j in range(n))
-            for i in range(n))
 
     # --- weights and h* vectors in basis coordinates ---
 
     def pairing(self, v, i):
         """<v, alpha_i^vee> for a weight or h* vector in basis coordinates."""
-        return _sparse_dot(self.wt_pair[i], v)
+        return v[i] * self.wt_diag[i]
 
     def root_pairing(self, mu, r):
         """<mu, alpha^vee> for the r-th positive root."""
@@ -402,56 +377,32 @@ class RootSystem:
                     queue.append(w)
         return size
 
-    # --- A_n alpha' vectors ---
+    # --- A_n alpha' pairings ---
 
     @cached_property
-    def _alpha_prime(self):
-        """The alpha' vectors of A_n, n >= 2, built on first use; None on
-        every other type."""
-        if self.spec.family != "A" or self.rank < 2:
+    def _alpha_prime_pairs(self):
+        """d^2 FW_l(alpha'_r) for every positive root r and node l of A_n,
+        n >= 2, built on first use; None on every other type.  For
+        r = e_i - e_j, alpha'_r is e_i + e_j projected to sum e = 0, and with
+        FW_l = e_0 + ... + e_l - (l + 1) / d sum e, d = n + 1, the pairing is
+        d^2 ([i <= l] + [j <= l]) - 2 (l + 1) d."""
+        n = self.rank
+        if self.spec.family != "A" or n < 2:
             return None
-        dim = self.rank + 1
-        shift = Fraction(2, dim)
+        d = n + 1
         out = []
         for a in self.pos_acoords:
             # a is a run of 1s on nodes i..j-1: the root e_i - e_j
             i = a.index(1)
             j = i + sum(a)
-            ap = tuple(Fraction(int(l == i) + int(l == j)) - shift
-                       for l in range(dim))
-            out.append(ap)
+            out.append(tuple(d * d * ((i <= l) + (j <= l)) - 2 * (l + 1) * d
+                             for l in range(n)))
         return tuple(out)
-
-    def alpha_prime(self, r):
-        """The projected e_i + e_j vector attached to the r-th positive root."""
-        if self._alpha_prime is None:
-            raise ValueError("alpha' is defined for type A_n, n >= 2, only")
-        return self._alpha_prime[r]
-
-    @cached_property
-    def simple_roots(self):
-        """Ambient Bourbaki vectors of the simple roots, built on first use."""
-        return tuple(tuple(Fraction(x, 2) for x in row)
-                     for row in zip(*self._cols2))
-
-    @cached_property
-    def positive_roots(self):
-        """Ambient vectors of the positive roots, in pos_acoords order, built
-        on first use: no table of the root system is derived from them."""
-        return tuple(_ambient(a, self._cols2) for a in self.pos_acoords)
-
-    @cached_property
-    def _alpha_prime_pairs(self):
-        """d^2 FW_l(alpha'_r) for every positive root r and node l, in
-        integers: d FW_l and d alpha'_r are integer vectors, d = n + 1."""
-        d = self.rank + 1
-        aps = [[_as_int(d * x) for x in self.alpha_prime(r)]
-               for r in range(self.n_positive)]
-        fws = [[_as_int(d * x) for x in fw] for fw in self.fundamental_weights]
-        return tuple(tuple(_dot(fw, ap) for fw in fws) for ap in aps)
 
     def alpha_prime_pairing(self, r):
         """Fractions p with mu(alpha') = sum_j mu_j p_j in weight coordinates."""
+        if self._alpha_prime_pairs is None:
+            raise ValueError("alpha' is defined for type A_n, n >= 2, only")
         d2 = (self.rank + 1) ** 2
         return tuple(Fraction(p, d2) for p in self._alpha_prime_pairs[r])
 
@@ -466,16 +417,17 @@ class RootSystem:
         coordinates of r.  For A_n, n >= 2, it also lists, under
         c = n_classes, s = sum_r w_r[i] w_r[j] (n + 1)^2 FW_l(alpha'_r).
         gram lists the nonzero (i, j, q C^vee_ij) with i <= j, q the least
-        common denominator of the coroot Gram matrix C^vee.
+        common denominator of the coroot Gram matrix
+        C^vee_ij = 2 cartan[i][j] / (alpha_j, alpha_j).
         """
-        n, prime = self.rank, self.n_classes
+        n, prime, aps = self.rank, self.n_classes, self._alpha_prime_pairs
         acc = [{} for _ in range(n)]
         for r in range(self.n_positive):
             w = self.pos_wcoords[r]
             nz = [i for i in range(n) if w[i]]
             rows = [(self.pos_class[r], self.pos_pair[r])]
-            if self._alpha_prime is not None:
-                rows.append((prime, self._alpha_prime_pairs[r]))
+            if aps is not None:
+                rows.append((prime, aps[r]))
             for c, row in rows:
                 for l, p in enumerate(row):
                     if p:
@@ -486,23 +438,31 @@ class RootSystem:
                                 terms[i, j, c] = terms.get((i, j, c), 0) + wp * w[j]
         slices = tuple(tuple(key + (s,) for key, s in sorted(terms.items()) if s)
                        for terms in acc)
-        q = lcm(*(g.denominator for row in self.gram_coroot for g in row))
-        gram = tuple((i, j, g.numerator * (q // g.denominator))
-                     for i, row in enumerate(self.gram_coroot)
-                     for j, g in enumerate(row) if j >= i and g)
+        norms = [self.pos_norms[s] for s in self.simple_index]
+        q = lcm(*(m // gcd(2 * c, m) for row in self.cartan
+                  for c, m in zip(row, norms)))
+        gram = tuple((i, j, 2 * c * q // m) for i, row in enumerate(self.cartan)
+                     for j, (c, m) in enumerate(zip(row, norms)) if j >= i and c)
         return slices, q, gram
 
     def __repr__(self):
         return f"RootSystem({self.spec})"
 
     def to_json(self):
+        """The printed root system: its fundamental weights as ambient
+        Bourbaki vectors, FW_j = sum_l <FW_j, alpha_j^vee> (cartan^-1)_lj
+        alpha_l, from the doubled simple roots and the integer adjugate."""
+        cols2 = list(zip(*_simple_roots2(self.spec.family, self.rank)))
+        den = 2 * self._det_cartan
+        fws = [[row[j] * d for row in self._adj_cartan]
+               for j, d in enumerate(self.wt_diag)]
         return {
             "family": self.spec.family,
             "rank": self.rank,
             "cartan": [list(row) for row in self.cartan],
             "positive_roots": [list(a) for a in self.pos_acoords],
-            "fundamental_weights": [[str(c) for c in fw]
-                                    for fw in self.fundamental_weights],
+            "fundamental_weights": [[str(Fraction(_dot(fw, col), den))
+                                     for col in cols2] for fw in fws],
         }
 
 

@@ -121,7 +121,8 @@ def special_exponents(rs, kvec):
         mus.append(mus[3])  # triple node 4 doubled
     rho_k = rho(rs, kvec)
     spectral = tuple(tuple(a + b for a, b in zip(mu, rho_k)) for mu in mus)
-    a_val = x * y * rs.gram_fw[0][n - 1]  # = (mu_1, mu_(n+1))
+    # a = (mu_1, mu_(n+1))
+    a_val = x * y * Fraction(rs.gram_fw_int[0][n - 1], rs.gram_fw_den)
     return SpecialExponentReport(family, n, tuple(mus), spectral, x, y,
                                  a_val, kvec)
 

@@ -1,9 +1,12 @@
 """Helpers that only the tests use: the Weyl action of a word, the constant
 term, the longest element, reflections in any positive root, a SymH from a
-matrix of numbers, and a Localized read back from its JSON."""
+matrix of numbers, a Localized read back from its JSON, and the Fraction and
+ambient tables that RootSystem does not hold, as oracles."""
+from fractions import Fraction
+
 from trigdunkl import RF_ZERO, Localized, SymH, laurent_from_json
 from trigdunkl.coeff import coerce
-from trigdunkl.rootsys import unit
+from trigdunkl.rootsys import _simple_roots2, unit
 
 
 def weyl_act(rs, word, f):
@@ -52,3 +55,50 @@ def localized_from_json(data):
     """The Localized element that Localized.to_json wrote."""
     den = {item["root_index"]: item["exponent"] for item in data.get("denom", [])}
     return Localized(laurent_from_json(data["terms"]), den)
+
+
+# --- Fraction and ambient oracles of the root-system tables ---
+
+
+def gram_fw(rs):
+    """(FW_i, FW_j) as Fractions, from the integer Gram table."""
+    return tuple(tuple(Fraction(g, rs.gram_fw_den) for g in row)
+                 for row in rs.gram_fw_int)
+
+
+def gram_coroot(rs):
+    """(alpha_i^vee, alpha_j^vee) = 4 (alpha_i, alpha_j) / (|alpha_i|^2
+    |alpha_j|^2), from the ambient simple roots."""
+    roots = simple_roots(rs)
+    dots = [[sum(a * b for a, b in zip(s, t)) for t in roots] for s in roots]
+    return tuple(tuple(4 * dots[i][j] / (dots[i][i] * dots[j][j])
+                       for j in range(rs.rank)) for i in range(rs.rank))
+
+
+def simple_roots(rs):
+    """The ambient Bourbaki vectors of the simple roots."""
+    return tuple(tuple(Fraction(x, 2) for x in row)
+                 for row in _simple_roots2(rs.spec.family, rs.rank))
+
+
+def positive_roots(rs):
+    """The ambient vectors of the positive roots, in pos_acoords order."""
+    cols = list(zip(*simple_roots(rs)))
+    return tuple(tuple(sum(a * x for a, x in zip(acoords, col)) for col in cols)
+                 for acoords in rs.pos_acoords)
+
+
+def fundamental_weights(rs):
+    """The ambient fundamental weights, read back from the printed roots."""
+    return tuple(tuple(Fraction(c) for c in fw)
+                 for fw in rs.to_json()["fundamental_weights"])
+
+
+def alpha_prime(rs, r):
+    """The alpha' vector of the r-th positive root e_i - e_j of A_n: e_i + e_j
+    projected to sum e = 0."""
+    a = rs.pos_acoords[r]
+    i = a.index(1)
+    j = i + sum(a)
+    dim = rs.rank + 1
+    return tuple((l == i) + (l == j) - Fraction(2, dim) for l in range(dim))

@@ -39,7 +39,7 @@ from trigdunkl.laurent import try_divide
 from trigdunkl.rootsys import unit
 from trigdunkl.verify import PROP32_TYPES
 
-from support import reflect_root, symh, w0_act, weyl_act
+from support import gram_fw, reflect_root, symh, w0_act, weyl_act
 
 
 def test_rho_examples():
@@ -63,8 +63,8 @@ def test_rho_examples():
 
 def _fraction_pairing(rs, x, y):
     """(x, y) as the plain double sum over the Fraction table gram_fw."""
-    n = rs.rank
-    return sum(x[a] * y[b] * rs.gram_fw[a][b] for a in range(n) for b in range(n))
+    n, gram = rs.rank, gram_fw(rs)
+    return sum(x[a] * y[b] * gram[a][b] for a in range(n) for b in range(n))
 
 
 GRAM_TYPES = PROP32_TYPES + tuple(("BC", n) for n in range(1, 5))
@@ -360,17 +360,20 @@ LAPLACIAN_TYPES = ([("A", n) for n in range(1, 9)]
 
 @pytest.mark.parametrize("fam,n", LAPLACIAN_TYPES)
 def test_laplacian_matches_the_general_congruence(fam, n):
-    """SymH.laplacian divides gram_fw by the diagonal of wt_pair; the
-    reference checks its inverse of wt_pair by the matrix product and forms
-    the full congruence inv^T G inv."""
+    """SymH.laplacian divides the Gram table of the weight basis by wt_diag;
+    the reference reads the full matrix wt_pair[i][j] = <FW_j, a_i^vee> off
+    rs.pairing, checks its inverse by the matrix product and forms the full
+    congruence inv^T G inv."""
     rs = root_system(fam, n)
-    assert all(not rs.wt_pair[i][j] for i in range(n) for j in range(n)
-               if i != j)
-    inv = [[Fraction(int(i == j), rs.wt_pair[i][i]) for j in range(n)]
+    wt_pair = [[rs.pairing(unit(n, j), i) for j in range(n)] for i in range(n)]
+    assert all(not wt_pair[i][j] for i in range(n) for j in range(n) if i != j)
+    assert tuple(wt_pair[i][i] for i in range(n)) == rs.wt_diag
+    inv = [[Fraction(int(i == j), wt_pair[i][i]) for j in range(n)]
            for i in range(n)]
-    assert all(sum(inv[i][l] * rs.wt_pair[l][j] for l in range(n)) == (i == j)
+    assert all(sum(inv[i][l] * wt_pair[l][j] for l in range(n)) == (i == j)
                for i in range(n) for j in range(n))
-    ref = tuple(tuple(RatFunc.const(sum(inv[i][a] * rs.gram_fw[i][j] * inv[j][b]
+    gram = gram_fw(rs)
+    ref = tuple(tuple(RatFunc.const(sum(inv[i][a] * gram[i][j] * inv[j][b]
                                         for i in range(n) for j in range(n)))
                       for b in range(n)) for a in range(n))
     assert SymH.laplacian(rs).quadratic == ref

@@ -19,10 +19,19 @@ from trigdunkl import (
     root_system,
 )
 from trigdunkl.cli import main
-from trigdunkl.rootsys import RootSystem
+from trigdunkl.rootsys import RootSystem, unit
 from trigdunkl.verify import PROP32_TYPES
 
-from support import w0_act, w0_sigma
+from support import (
+    alpha_prime,
+    fundamental_weights,
+    gram_coroot,
+    gram_fw,
+    positive_roots,
+    simple_roots,
+    w0_act,
+    w0_sigma,
+)
 
 ALL_SMALL = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
              ("B", 4), ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("F", 4),
@@ -61,7 +70,8 @@ def test_cartan_and_weights(fam, n):
         for j in range(n):
             assert rs.cartan[i][j] in (2, 0, -1, -2, -3)
             # <w_i, a_j^vee> = delta_ij for the reduced types
-            assert rs.wt_pair[j][i] == int(i == j)
+            assert rs.pairing(unit(n, i), j) == int(i == j)
+    assert rs.wt_diag == (1,) * n
     for acoords in rs.pos_acoords:
         assert all(c >= 0 for c in acoords)
 
@@ -192,7 +202,7 @@ def test_reflect_is_involutive_and_isometric():
                 assert reflect(rs, i, su) == u
 
                 def ip(x, y):
-                    return sum(x[a] * y[b] * rs.gram_fw[a][b]
+                    return sum(x[a] * y[b] * gram_fw(rs)[a][b]
                                for a in range(n) for b in range(n))
 
                 assert ip(su, sv) == ip(u, v)
@@ -236,37 +246,39 @@ def test_le_plus_orbit_extremes(fam, n):
 
 
 def test_alpha_prime_examples():
+    # the ambient oracle of tests/support.py
     a2 = root_system("A", 2)
     r = a2.pos_wcoords.index((2, -1))  # alpha_1 = e1 - e2
-    ap = a2.alpha_prime(r)
+    ap = alpha_prime(a2, r)
     assert ap == (Fraction(1, 3), Fraction(1, 3), Fraction(-2, 3))
     # beta(alpha') > 0 for beta = e2 - e3
-    beta = a2.positive_roots[a2.pos_wcoords.index((-1, 2))]
+    beta = positive_roots(a2)[a2.pos_wcoords.index((-1, 2))]
     assert sum(b * x for b, x in zip(beta, ap)) > 0
     # highest root of A3 pairs to zero with its own alpha'
     a3 = root_system("A", 3)
     hr = a3.pos_wcoords.index((1, 0, 1))
-    ap3 = a3.alpha_prime(hr)
-    theta = a3.positive_roots[hr]
+    ap3 = alpha_prime(a3, hr)
+    theta = positive_roots(a3)[hr]
     assert sum(b * x for b, x in zip(theta, ap3)) == 0
     with pytest.raises(ValueError):
-        root_system("B", 2).alpha_prime(0)
+        root_system("B", 2).alpha_prime_pairing(0)
     with pytest.raises(ValueError):
-        root_system("A", 1).alpha_prime(0)
+        root_system("A", 1).alpha_prime_pairing(0)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_alpha_prime_norm_identity(n):
     rs = root_system("A", n)
+    roots = positive_roots(rs)
     for r in range(rs.n_positive):
-        ap = rs.alpha_prime(r)
-        alpha = rs.positive_roots[r]
+        ap = alpha_prime(rs, r)
+        alpha = roots[r]
         norm_ap = sum(x * x for x in ap)
         norm_a = sum(x * x for x in alpha)
         assert norm_ap * norm_a == Fraction(4 * (n - 1), n + 1)
         # orthogonal roots pair to zero
         for s in range(rs.n_positive):
-            beta = rs.positive_roots[s]
+            beta = roots[s]
             if sum(a * b for a, b in zip(alpha, beta)) == 0:
                 assert sum(b * x for b, x in zip(beta, ap)) == 0
 
@@ -274,10 +286,11 @@ def test_alpha_prime_norm_identity(n):
 @pytest.mark.parametrize("n", range(2, 7))
 def test_alpha_prime_pairing_is_the_ambient_dot(n):
     rs = root_system("A", n)
+    fws = fundamental_weights(rs)
     for r in range(rs.n_positive):
-        ap = rs.alpha_prime(r)
+        ap = alpha_prime(rs, r)
         assert rs.alpha_prime_pairing(r) == tuple(
-            sum(a * b for a, b in zip(fw, ap)) for fw in rs.fundamental_weights)
+            sum(a * b for a, b in zip(fw, ap)) for fw in fws)
     with pytest.raises(ValueError):
         root_system("A", 1).alpha_prime_pairing(0)
     with pytest.raises(ValueError):
@@ -290,12 +303,12 @@ def test_det_acoords_recovers_root_coordinates(fam, n):
     d = rs._det_cartan
     for w, a in zip(rs.pos_wcoords, rs.pos_acoords):
         assert rs.det_acoords(w) == [d * c for c in a]
+    fws = fundamental_weights(rs)
     for j in range(n):  # FW_j in simple-root coordinates, from the ambient
         fw = [Fraction(t, d)
               for t in rs.det_acoords(tuple(int(i == j) for i in range(n)))]
         assert tuple(sum(c * x for c, x in zip(fw, col))
-                     for col in zip(*rs.simple_roots)) \
-            == rs.fundamental_weights[j]
+                     for col in zip(*simple_roots(rs))) == fws[j]
 
 
 def test_w0_action():
@@ -342,14 +355,42 @@ def test_build_root_system_deterministic():
     root_system.cache_clear()
     s2 = root_system("F", 4)
     assert s2 is not s1  # built again, with the same tables
-    assert s1.positive_roots == s2.positive_roots
+    assert {t: getattr(s1, t) for t in vars(s2)} == vars(s2)
+    assert s1.to_json() == s2.to_json()
 
 
-def test_positive_roots_are_built_on_first_use():
-    rs = RootSystem(RootSystemSpec("E", 8))
-    assert "positive_roots" not in vars(rs)
-    roots = rs.positive_roots
-    assert vars(rs)["positive_roots"] is roots and len(roots) == rs.n_positive
+def test_residual_tensors_are_built_on_first_use():
+    rs = RootSystem(RootSystemSpec("A", 8))
+    assert not {"residual_tensors", "_alpha_prime_pairs"} & vars(rs).keys()
+    tensors = rs.residual_tensors
+    assert vars(rs)["residual_tensors"] is tensors
+    assert len(vars(rs)["_alpha_prime_pairs"]) == rs.n_positive
+
+
+def _fractions(x):
+    """Every Fraction in a nest of tuples, lists and dicts."""
+    if isinstance(x, Fraction):
+        return [x]
+    if isinstance(x, dict):
+        x = [*x.keys(), *x.values()]
+    if isinstance(x, (tuple, list)):
+        return [f for y in x for f in _fractions(y)]
+    return []
+
+
+@pytest.mark.parametrize("fam,n", PROP32_TYPES
+                         + tuple(("BC", n) for n in range(1, 5)))
+def test_a_fresh_build_holds_no_fraction(fam, n):
+    """Every table of a fresh build is integral; only the coroots of the BC
+    doubles have half-integral simple-coroot coordinates."""
+    rs = RootSystem(RootSystemSpec(fam, n))
+    tables = dict(vars(rs))
+    scoords = tables.pop("pos_coroot_scoords")
+    assert not _fractions(tables)
+    halves = [(r, x) for r, row in enumerate(scoords) for x in _fractions(row)]
+    assert all(x.denominator == 2 and rs.double_root[r] is None
+               and r in rs.double_root for r, x in halves)
+    assert bool(halves) == (fam == "BC")
 
 
 # det of the Cartan matrix per family (BC_n has the Cartan matrix of B_n)
@@ -372,10 +413,13 @@ def test_integer_adjugate_inverts_the_cartan_matrix(fam, n):
 
 # sha256 of `trigdunkl roots --type T` and of the per-root tables below, as
 # computed by the ambient reflection-closure build these tables replaced;
-# w0_sigma is read from the test helper of that name.
+# w0_sigma and the tables that RootSystem does not hold are read from the
+# test helpers of those names.
 GOLDEN_TABLES = ("pos_wcoords", "pos_pair", "pos_norms", "pos_coroot_scoords",
                  "pos_simple_pair", "gram_fw", "gram_coroot", "double_root",
                  "class_norms", "pos_class", "w0_sigma", "positive_roots")
+_HELPERS = {"w0_sigma": w0_sigma, "gram_fw": gram_fw,
+            "gram_coroot": gram_coroot, "positive_roots": positive_roots}
 
 GOLDEN = {
     "A1": ("716224b37b9b9140b0e6aba93a83f94bb2f14b040194949699282bd92bdf1fce",
@@ -468,7 +512,7 @@ def test_root_data_golden(name):
         assert main(["roots", "--type", name]) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == roots_sha
     rs = root_system(name.rstrip("0123456789"), int(name.lstrip("ABCDEFG")))
-    doc = json.dumps({t: _exact(w0_sigma(rs) if t == "w0_sigma" else getattr(rs, t))
-                      for t in GOLDEN_TABLES},
+    doc = json.dumps({t: _exact(_HELPERS[t](rs) if t in _HELPERS
+                                else getattr(rs, t)) for t in GOLDEN_TABLES},
                      sort_keys=True)
     assert hashlib.sha256(doc.encode()).hexdigest() == tables_sha

@@ -32,7 +32,7 @@ from trigdunkl import verify
 from trigdunkl.special import quadratic_residual
 from trigdunkl.verify import PROP32_TYPES
 
-from support import symh
+from support import gram_coroot, gram_fw, symh
 
 HALF = RatFunc.const(Fraction(1, 2))
 
@@ -138,7 +138,7 @@ def test_a_values_match_stated_table():
     for n in range(4, 9):
         assert _rep("D", n)[1].a_value == (n - 2) * K * K
     rs, rep = _rep("A", 2)
-    assert rep.a_value == rep.x * rep.y * rs.gram_fw[0][1]
+    assert rep.a_value == rep.x * rep.y * gram_fw(rs)[0][1]
 
 
 def test_perturbed_exponent_fails_quadratic():
@@ -167,7 +167,7 @@ def _per_root_residual(rs, v, kvec, a_value):
     to entry (i, j).  The integers w_r[i] w_r[j] are summed per entry and
     per distinct coefficient first, so that a polynomial denominator costs
     one RatFunc sum per coefficient, not one per root."""
-    n = rs.rank
+    n, coroot = rs.rank, gram_coroot(rs)
     k_extra = kvec.extra if rs.spec.family == "A" and n >= 2 else RF_ZERO
     res = [list(row) for row in _weight_squared(rs, v).quadratic]
     weights = [[{} for _ in range(n)] for _ in range(n)]
@@ -191,8 +191,8 @@ def _per_root_residual(rs, v, kvec, a_value):
         for j in range(n):
             for coef, m in weights[i][j].items():
                 res[i][j] = res[i][j] + coef * m
-            if rs.gram_coroot[i][j]:
-                res[i][j] = res[i][j] + a_value * rs.gram_coroot[i][j]
+            if coroot[i][j]:
+                res[i][j] = res[i][j] + a_value * coroot[i][j]
     return symh(res)
 
 
@@ -302,7 +302,7 @@ def test_special_system_eigenvalue(fam, n):
     trace pairing <C^vee, C> is the rank."""
     rs, rep = _rep(fam, n)
     C = SymH.laplacian(rs)
-    trace = sum((q * g for row, grow in zip(C.quadratic, rs.gram_coroot)
+    trace = sum((q * g for row, grow in zip(C.quadratic, gram_coroot(rs))
                  for q, g in zip(row, grow) if g), RF_ZERO)
     assert trace == RatFunc.const(n)
     rhs = C.value_at(rs, rho(rs, rep.kvec)) - rep.a_value * n
@@ -314,7 +314,8 @@ def test_weight_squared_and_coroot_gram():
     m = _weight_squared(a2, (1, -2)).quadratic
     assert m == ((RatFunc.const(1), RatFunc.const(-2)),
                  (RatFunc.const(-2), RatFunc.const(4)))
-    assert a2.gram_coroot == a2.cartan  # simply laced: coroot Gram = Cartan
+    assert gram_coroot(a2) == a2.cartan  # simply laced: coroot Gram = Cartan
+    assert a2.residual_tensors[1:] == (1, ((0, 0, 2), (0, 1, -1), (1, 1, 2)))
 
 
 def test_monodromy_spec():

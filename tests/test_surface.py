@@ -1,6 +1,7 @@
 """The package surface is what the package itself uses: every name that
-trigdunkl exports is used by one of its other modules, or is on the short
-list below, and no module reaches into another through a private name."""
+trigdunkl exports is used by one of its other modules, every table that
+RootSystem stores is read by some module, each but those on the short lists
+below, and no module reaches into another through a private name."""
 import ast
 from pathlib import Path
 
@@ -16,6 +17,13 @@ ALLOWED_UNUSED = frozenset({
     "CouplingVector", "EvaluationError", "GREATER", "INCOMPARABLE",
     "RootSystemSpec", "SpecialExponentReport", "laurent_from_json",
 })
+
+
+# stored by RootSystem.__init__ although no module reads them: the norm of
+# each coupling class, which the golden tables of tests/test_rootsys.py pin,
+# and the Coxeter number, kept for the Schwarz checks to derive the E8
+# exponent difference from
+ALLOWED_UNREAD = frozenset({"class_norms", "coxeter_number"})
 
 
 def _modules():
@@ -57,3 +65,26 @@ def test_no_module_imports_a_private_name():
             if isinstance(node, ast.ImportFrom) and node.module:
                 private = [a.name for a in node.names if a.name.startswith("_")]
                 assert not private, (name, node.module, private)
+
+
+def _self_targets(target):
+    """The attribute names of self that an assignment target stores."""
+    if isinstance(target, ast.Tuple):
+        return [name for t in target.elts for name in _self_targets(t)]
+    if (isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name)
+            and target.value.id == "self"):
+        return [target.attr]
+    return []
+
+
+def test_every_root_system_table_is_read():
+    cls = next(node for node in dict(_modules())["rootsys"].body
+               if isinstance(node, ast.ClassDef) and node.name == "RootSystem")
+    init = next(node for node in cls.body
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    stored = {name for node in ast.walk(init) if isinstance(node, ast.Assign)
+              for target in node.targets for name in _self_targets(target)}
+    read = {node.attr for _, tree in _modules() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    assert "spec" in stored and "gram_fw_int" in stored
+    assert stored - read == ALLOWED_UNREAD

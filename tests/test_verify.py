@@ -132,23 +132,43 @@ def test_conjugation_suite_fails_on_a_dropped_k2_or_an_off_rho_norm(monkeypatch)
     assert res.cases and not any(c.ok for c in res.cases)
 
 
+def _bump_gram(monkeypatch, rs, i, j):
+    """Patch one symmetric off-diagonal pair of rs's integer Gram table up by
+    one; returns the bumped table."""
+    table = [list(row) for row in rs.gram_fw_int]
+    table[i][j] += 1
+    table[j][i] += 1
+    monkeypatch.setattr(rs, "gram_fw_int", tuple(map(tuple, table)))
+    return rs.gram_fw_int
+
+
 def test_gram_suites_fail_on_a_perturbed_gram_table(monkeypatch):
-    # one symmetric off-diagonal pair of the cached A2's integer Gram table,
-    # bumped: compat's Casimir level reads it through norm_sq, and prop32's
-    # a-pairing reads it between mu_1 = (-x, 0) and mu_3 = (0, -y), while the
-    # a-value itself comes from the Fraction table
+    # one symmetric off-diagonal pair of a cached root system's integer Gram
+    # table, bumped.  On A2 the Laplacian built from it is no longer
+    # W-invariant, and the quadratic certificate, whose a-value reads the
+    # same table, fails.  prop32's a-pairing cannot fail there: on A, B, C, F
+    # and G, mu_1 = -x w_1 and mu_(n+1) = -y w_n, so both of its sides are
+    # x y (w_1, w_n) read off one table.  On D4 and E6 mu_(n+1) is another
+    # weight: compat's Casimir level and prop32's a-pairing fail.
     a2 = root_system("A", 2)
-    table = [list(row) for row in a2.gram_fw_int]
-    table[0][1] += 1
-    table[1][0] += 1
-    monkeypatch.setattr(a2, "gram_fw_int", tuple(map(tuple, table)))
-    compat = {c.case_id: c.ok for c in verify.run_compat({"A2"}).cases}
-    assert compat["A2:C(lambda_i) = C(rho) - a n"] is False
+    bumped = _bump_gram(monkeypatch, a2, 0, 1)
+    with pytest.raises(ValueError, match="not W-invariant"):
+        verify.run_compat({"A2"})
     prop32 = {c.case_id: c.ok for c in verify.run_prop32({"A2"}).cases}
-    assert prop32["A2:a = (mu_1, mu_(n+1))"] is False
+    assert prop32["A2:quadratic residual zero for all 3 exponents"] is False
     monkeypatch.undo()
-    assert root_system("A", 2) is a2 and a2.gram_fw_int != tuple(map(tuple, table))
+    assert root_system("A", 2) is a2 and a2.gram_fw_int != bumped
     assert verify.run_compat({"A2"}).ok and verify.run_prop32({"A2"}).ok
+    for name, (i, j) in (("D4", (0, 1)), ("E6", (0, 3))):
+        rs = root_system(name[0], int(name[1]))
+        bumped = _bump_gram(monkeypatch, rs, i, j)
+        compat = {c.case_id: c.ok for c in verify.run_compat({name}).cases}
+        assert compat[f"{name}:C(lambda_i) = C(rho) - a n"] is False
+        prop32 = {c.case_id: c.ok for c in verify.run_prop32({name}).cases}
+        assert prop32[f"{name}:a = (mu_1, mu_(n+1))"] is False
+        monkeypatch.undo()
+        assert rs.gram_fw_int != bumped
+        assert verify.run_compat({name}).ok and verify.run_prop32({name}).ok
 
 
 # source mutants of the Dunkl operator, each a module-level name of dunkl
