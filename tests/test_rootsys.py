@@ -194,6 +194,7 @@ def test_reflect_is_involutive_and_isometric():
     rng = random.Random(3)
     for fam, n in [("A", 2), ("B", 2), ("D", 4), ("G", 2)]:
         rs = root_system(fam, n)
+        gram = gram_fw(rs)
         for _ in range(5):
             u = tuple(rng.randint(-3, 3) for _ in range(n))
             v = tuple(rng.randint(-3, 3) for _ in range(n))
@@ -202,7 +203,7 @@ def test_reflect_is_involutive_and_isometric():
                 assert reflect(rs, i, su) == u
 
                 def ip(x, y):
-                    return sum(x[a] * y[b] * gram_fw(rs)[a][b]
+                    return sum(x[a] * y[b] * gram[a][b]
                                for a in range(n) for b in range(n))
 
                 assert ip(su, sv) == ip(u, v)
