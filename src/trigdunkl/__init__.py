@@ -18,6 +18,7 @@ from .rootsys import (
     INCOMPARABLE,
     LESS,
     RootSystemSpec,
+    pair_with_xi,
     reflect,
     root_system,
 )
@@ -44,7 +45,6 @@ from .dunkl import (
     lk_apply,
     mu_tilde,
     norm_sq,
-    pair_with_xi,
     rho,
     rho_norm,
 )

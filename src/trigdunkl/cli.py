@@ -35,11 +35,12 @@ _TYPE_RE = re.compile(r"^(BC|[ABCDEFG])(\d+)$")
 # orbits of 696,729,600)
 ORBIT_CAP = 100_000
 # the most weights, mu and those below it, that `jacobi` solves over (B3 is
-# the slowest type measured: on 2 cores, 871 take 9 s and 1,261 take 18 s)
+# the slowest type measured: on 2 cores, B3 -2,-2,-2 with 871 takes 5.4 s and
+# -3,-2,-2 with 1,261 takes 13 s)
 SATURATED_CAP = 1_000
 # the most divided differences `invariant` runs: orbit size x positive roots x
-# 2 rank, as in symh_apply (on 2 cores, E7 omega_2 at 508,032 takes 1.5 s and
-# E8 omega_1 at 4,147,200 takes 12 s)
+# 2 rank, as in symh_apply (on 2 cores, E7 omega_2 at 508,032 takes 1.6-2.0 s
+# and E8 omega_1 at 4,147,200 takes 11-14 s)
 INVARIANT_CAP = 5_000_000
 
 

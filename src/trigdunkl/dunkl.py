@@ -15,7 +15,7 @@ from .laurent import (
     is_w_invariant,
     partial,
 )
-from .rootsys import unit
+from .rootsys import pair_with_xi, unit
 
 
 class ResonanceError(RuntimeError):
@@ -88,20 +88,6 @@ def mu_tilde(rs, mu, kvec):
     the signed roots summed in integers per coupling class first."""
     return tuple(_class_sum(kvec, col, m)
                  for m, col in zip(mu, zip(*_two_shift(rs, mu))))
-
-
-def pair_with_xi(rs, v, xi):
-    """<v, xi> with v in weight coords and xi in simple-coroot coords; an int
-    for integer v."""
-    total = 0
-    for i, x in enumerate(xi):
-        if not x:
-            continue
-        p = rs.pairing(v, i)
-        if not p:
-            continue
-        total = total + x * p
-    return total
 
 
 def dunkl_apply(rs, xi, f, kvec):

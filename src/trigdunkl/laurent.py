@@ -1,8 +1,9 @@
-"""Group algebra of the weight lattice, its Weyl action, the bar involution,
-the constant-term inner product, and the localized fraction ring."""
+"""Group algebra of the weight lattice, its Weyl action, the constant-term
+inner product, and the localized fraction ring."""
 from __future__ import annotations
 
 from .coeff import RF_ONE, RF_ZERO, RatFunc, coerce, parse_ratfunc
+from .rootsys import pair_with_xi
 
 
 class DivisibilityError(ValueError):
@@ -350,12 +351,7 @@ def partial(rs, xi, f, shift=0):
     simple-coroot coordinates."""
     res = {}
     for mu, c in f.terms.items():
-        val = 0
-        for i, x in enumerate(xi):
-            if x:
-                p = rs.pairing(mu, i)
-                if p:
-                    val = val + x * p
+        val = pair_with_xi(rs, mu, xi)
         if shift:
             val = val - shift
         if val:

@@ -85,15 +85,6 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def _sparse_dot(row, v):
-    """sum_j v[j] * row[j] over the nonzero integer entries of row."""
-    total = None
-    for c, x in zip(row, v):
-        if c:
-            total = x * c if total is None else total + x * c
-    return 0 if total is None else total
-
-
 def _det_adj(m):
     """det(m) and the adjugate of m, an integer matrix whose leading principal
     minors are nonzero (for a Cartan matrix of finite type they are the
@@ -160,6 +151,16 @@ def _degrees(acoords):
     return tuple(m + 1 for m in sorted(h) for _ in range(h[m] - h[m + 1]))
 
 
+def pair_with_xi(rs, v, xi):
+    """<v, xi> with v in weight coords and xi in simple-coroot coords; an int
+    for integer v."""
+    total = 0
+    for i, x in enumerate(xi):
+        if x and v[i]:
+            total = total + x * (v[i] * rs.wt_diag[i])
+    return total
+
+
 class RootSystem:
     """Cartan, root and weight data for one irreducible type, set once here.
 
@@ -171,7 +172,8 @@ class RootSystem:
     adjugate of the Cartan matrix, over one common denominator.  Only the
     BC doubles have half-integral coroot coordinates.  The A_n alpha'
     pairings and the residual tensors are built on first use; the ambient
-    fundamental weights only by to_json.
+    fundamental weights only by to_json.  Saturated sets and their sizes
+    come from one walk over the dominant weights below, dominant_below.
     """
 
     def __init__(self, spec):
@@ -221,8 +223,6 @@ class RootSystem:
         self.pos_wcoords = tuple(wcoords[r] for r in order)
         self.pos_pair = tuple(pos_pair[r] for r in order)
         self.pos_norms = tuple(data[r][2] for r in order)
-        # <alpha_r, alpha_i^vee> for every positive root r and simple i
-        self.pos_simple_pair = tuple(data[r][1] for r in order)
         self.n_positive = len(order)
         # alpha_r^vee in simple-coroot coordinates: integral but for the
         # half-integral BC doubles
@@ -269,7 +269,7 @@ class RootSystem:
 
     def root_xi(self, r, xi):
         """alpha_r(xi) for xi in simple-coroot coordinates."""
-        return _sparse_dot(self.pos_simple_pair[r], xi)
+        return pair_with_xi(self, self.pos_wcoords[r], xi)
 
     def reflect_weight(self, i, v):
         """s_i v for a weight or h* vector in basis coordinates."""
@@ -315,7 +315,7 @@ class RootSystem:
         """det(cartan) times the simple-root coordinates of a weight-basis
         vector: the integer adjugate of cartan applied to its pairings."""
         pair = [self.pairing(v, i) for i in range(self.rank)]
-        return [_sparse_dot(row, pair) for row in self._adj_cartan]
+        return [_dot(row, pair) for row in self._adj_cartan]
 
     def dominance_le(self, mu, nu):
         """mu <= nu iff nu - mu is a nonnegative integer sum of simple roots."""
@@ -341,40 +341,36 @@ class RootSystem:
             return GREATER
         return INCOMPARABLE
 
-    def saturated_set(self, mu):
-        """All weights nu with nu_+ <= mu_+ (the weights of the extremal orbit)."""
+    def dominant_below(self, mu):
+        """The dominant nu <= mu_+, mu_+ first and each once: subtracting
+        positive roots while staying dominant reaches them all from mu_+
+        (Stembridge, Adv. Math. 136, 1998)."""
         top = self.dominant(mu)
-        seen = {top}
-        queue = [top]
+        seen, queue = {top}, [top]
         while queue:
             v = queue.pop()
-            for i in range(self.rank):
-                w = self.reflect_weight(i, v)
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-            for i in range(self.rank):
-                w = tuple(m - a for m, a in zip(v, self.alpha_w[i]))
-                if w not in seen and self.dominance_le(self.dominant(w), top):
-                    seen.add(w)
-                    queue.append(w)
-        return seen
-
-    def saturated_size(self, mu, cap=None):
-        """len(saturated_set(mu)) as the sum of orbit_size over the dominant
-        nu <= mu_+, which subtracting positive roots while staying dominant
-        reaches from mu_+ (Stembridge 1998); it stops once it passes cap."""
-        top = self.dominant(mu)
-        seen, queue, size = {top}, [top], 0
-        while queue and (cap is None or size <= cap):
-            v = queue.pop()
-            size += self.orbit_size(v)
+            yield v
             for a in self.pos_wcoords:
                 w = tuple(m - x for m, x in zip(v, a))
-                if w not in seen and all(self.pairing(w, i) >= 0
-                                         for i in range(self.rank)):
+                if w not in seen and min(w) >= 0:  # dominant: wt_diag > 0
                     seen.add(w)
                     queue.append(w)
+
+    def saturated_set(self, mu):
+        """All weights nu with nu_+ <= mu_+: the orbits of dominant_below."""
+        out = set()
+        for v in self.dominant_below(mu):
+            out |= self.orbit(v)
+        return out
+
+    def saturated_size(self, mu, cap=None):
+        """len(saturated_set(mu)) as the sum of orbit_size over
+        dominant_below(mu); it stops once it passes cap."""
+        size = 0
+        for v in self.dominant_below(mu):
+            size += self.orbit_size(v)
+            if cap is not None and size > cap:
+                break
         return size
 
     # --- A_n alpha' pairings ---

@@ -17,12 +17,11 @@ from .dunkl import (
     lk_apply,
     mu_tilde,
     norm_sq,
-    pair_with_xi,
     rho,
     rho_norm,
 )
 from .laurent import Laurent, Localized, orbit_sum, weight_function, inner_product
-from .rootsys import EQUAL, LESS, reflect, root_system, unit
+from .rootsys import EQUAL, LESS, pair_with_xi, reflect, root_system, unit
 from .special import (
     INFINITY,
     consecutive_relations,
@@ -167,17 +166,19 @@ def _coord_box(n, bound=2):
     return sorted(product(range(-bound, bound + 1), repeat=n))
 
 
-def _solve(rs, mu, kv):
-    """(E(mu), None), or (None, why) when jacobi finds T(xi) not triangular."""
+def _attempt(error, fn, *args):
+    """(fn(*args), None), or (None, why) when fn raises error: a refusal such
+    as a non-triangular T(xi) or a q that is not W-invariant is a failed
+    case, not a crash."""
     try:
-        return jacobi(rs, mu, kv), None
-    except TriangularityError as exc:
+        return fn(*args), None
+    except error as exc:
         return None, str(exc)
 
 
 def _eigen_failure(rs, kv, mu):
     """The first failing check on E(mu): leading term, support, eigenvalue."""
-    E, why = _solve(rs, mu, kv)
+    E, why = _attempt(TriangularityError, jacobi, rs, mu, kv)
     if why:
         return why
     if E.terms.get(mu) != RatFunc.const(1):
@@ -206,7 +207,7 @@ def _k0_failure(rs, kv0, mu):
         lhs = dunkl_apply(rs, unit(rs.rank, i), f, kv0)
         if lhs != f.scale(rs.pairing(mu, i)):
             return str((mu, i))
-    E, why = _solve(rs, mu, kv0)
+    E, why = _attempt(TriangularityError, jacobi, rs, mu, kv0)
     return why or (None if E == f else str((mu, "E_0")))
 
 
@@ -219,10 +220,10 @@ def run_eigen(types=None):
                           for mu in _coord_box(rs.rank)))
     for (rs,) in _systems((("A", 1),), types):
         kv = couplings(rs)
-        E, why = _solve(rs, (0,), kv)
+        E, why = _attempt(TriangularityError, jacobi, rs, (0,), kv)
         res.add("A1:E(0) = 1", E == Laurent.one(1), why or "")
         closed = Laurent({(-1,): RatFunc.const(1), (1,): K / (1 + K)})
-        E, why = _solve(rs, (-1,), kv)
+        E, why = _attempt(TriangularityError, jacobi, rs, (-1,), kv)
         res.add("A1:E(-w) = e^-w + k/(1+k) e^w", E == closed, why or "")
     # degenerate couplings: the operator reduces to the plain derivative
     for (rs,) in _systems(_EIGEN_TYPES, types):
@@ -246,7 +247,7 @@ def _cross_failures(rs, kv, sat):
             xi = unit(n, jj)
             sxi = list(xi)
             sxi[i] -= sum(rs.cartan[j][i] * xi[j] for j in range(n))
-            a_xi = rs.pos_simple_pair[si][jj]
+            a_xi = rs.cartan[jj][i]
             for mu in sat:
                 f = Laurent.monomial(mu)
                 t1 = dunkl_apply(rs, xi, f, kv).map_weights(
@@ -307,11 +308,10 @@ def run_thm23(types=None):
         rn = rho_norm(rs, kv)
         for mu in _orbit_sum_weights(n):
             f = orbit_sum(rs, mu)
-            lhs = invariant_apply(rs, C, f, kv)
-            rhs = lk_apply(rs, f, kv) + f.scale(rn)
+            lhs, why = _attempt(ValueError, invariant_apply, rs, C, f, kv)
             res.record(
                 f"{rs.spec}:D(C) = L + (rho,rho) on orbit sum of {list(mu)}",
-                _sides(lhs, rhs))
+                why or _sides(lhs, lk_apply(rs, f, kv) + f.scale(rn)))
     return res
 
 
@@ -390,11 +390,13 @@ def run_compat(types=None):
         C = SymH.laplacian(rs)
         for mu in _orbit_sum_weights(rs.rank):
             f = orbit_sum(rs, mu)
-            via_inv = invariant_apply(rs, C, f, kv)
-            via_dk2 = dk2_apply(rs, C, Localized.from_laurent(f), kv)
-            ok = not via_dk2.den and via_dk2.num == via_inv
+            via_inv, why = _attempt(ValueError, invariant_apply, rs, C, f, kv)
+            ok = why is None
+            if ok:
+                via_dk2 = dk2_apply(rs, C, Localized.from_laurent(f), kv)
+                ok = not via_dk2.den and via_dk2.num == via_inv
             res.add(f"{rs.spec}:dk2(C) = invariant(C) on orbit sum of {list(mu)}",
-                    ok)
+                    ok, why or "")
     for (rs,) in _systems(PROP32_TYPES, types):
         kv = couplings(rs)
         rep = special_exponents(rs, kv)

@@ -1,7 +1,8 @@
 """Helpers that only the tests use: the Weyl action of a word, the constant
 term, the longest element, reflections in any positive root, a SymH from a
-matrix of numbers, a Localized read back from its JSON, and the Fraction and
-ambient tables that RootSystem does not hold, as oracles."""
+matrix of numbers, a Localized read back from its JSON, and, as oracles, the
+saturated set by a search that tests its definition and the Fraction,
+ambient and pairing tables that RootSystem does not hold."""
 from fractions import Fraction
 
 from trigdunkl import RF_ZERO, Localized, SymH, laurent_from_json
@@ -40,6 +41,28 @@ def reflect_root(rs, r, mu):
     """Reflection in the r-th positive root, on basis coordinates."""
     c = rs.root_pairing(mu, r)
     return tuple(m - c * a for m, a in zip(mu, rs.pos_wcoords[r]))
+
+
+def saturated_reference(rs, mu):
+    """All weights nu with nu_+ <= mu_+, searched from mu_+ by the simple
+    reflections and by subtracting simple roots, each candidate kept when
+    its dominant weight is <= mu_+."""
+    top = rs.dominant(mu)
+    seen = {top}
+    queue = [top]
+    while queue:
+        v = queue.pop()
+        for i in range(rs.rank):
+            w = rs.reflect_weight(i, v)
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+        for i in range(rs.rank):
+            w = tuple(m - a for m, a in zip(v, rs.alpha_w[i]))
+            if w not in seen and rs.dominance_le(rs.dominant(w), top):
+                seen.add(w)
+                queue.append(w)
+    return seen
 
 
 def symh(quadratic):
@@ -92,6 +115,13 @@ def fundamental_weights(rs):
     """The ambient fundamental weights, read back from the printed roots."""
     return tuple(tuple(Fraction(c) for c in fw)
                  for fw in rs.to_json()["fundamental_weights"])
+
+
+def pos_simple_pair(rs):
+    """<alpha_r, alpha_j^vee> = sum_i a_i cartan[j][i] for every positive root
+    r = sum_i a_i alpha_i and simple j."""
+    return tuple(tuple(sum(a * c for a, c in zip(acoords, row))
+                       for row in rs.cartan) for acoords in rs.pos_acoords)
 
 
 def alpha_prime(rs, r):

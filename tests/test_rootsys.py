@@ -27,7 +27,9 @@ from support import (
     fundamental_weights,
     gram_coroot,
     gram_fw,
+    pos_simple_pair,
     positive_roots,
+    saturated_reference,
     simple_roots,
     w0_act,
     w0_sigma,
@@ -142,22 +144,42 @@ def test_orbit_size_matches_the_orbit(fam, n):
         assert rs.orbit_size(mu) == len(rs.orbit(mu)), mu
 
 
-@pytest.mark.parametrize("fam,n", [("A", 1), ("A", 3), ("B", 3), ("C", 3),
-                                   ("D", 4), ("G", 2), ("F", 4), ("BC", 1),
-                                   ("BC", 3)])
-def test_saturated_size_matches_the_saturated_set(fam, n):
-    rs = root_system(fam, n)
+SATURATED_TYPES = [("A", 1), ("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2),
+                   ("F", 4), ("BC", 1), ("BC", 3)]
+
+
+def _saturated_weights(fam, n):
+    if fam == "F":  # saturated sets of F4 grow fast: keep to small weights
+        return [(0, 0, 0, 1), (1, 0, 0, -1), (0, 0, -1, 1), (0, -1, 0, 0)]
     rng = random.Random(13)
-    weights = [(0,) * n, (1,) * n, (-1,) * n] + [
+    return [(0,) * n, (1,) * n, (-1,) * n] + [
         tuple(rng.choice((0, 0, 1, -1, 2, -2)) for _ in range(n))
         for _ in range(5)]
-    if fam == "F":  # saturated sets of F4 grow fast: keep to small weights
-        weights = [(0, 0, 0, 1), (1, 0, 0, -1), (0, 0, -1, 1), (0, -1, 0, 0)]
-    for mu in weights:
-        size = len(rs.saturated_set(mu))
+
+
+@pytest.mark.parametrize("fam,n", SATURATED_TYPES)
+def test_saturated_size_matches_the_saturated_set(fam, n):
+    rs = root_system(fam, n)
+    for mu in _saturated_weights(fam, n):
+        sat = saturated_reference(rs, mu)
+        size = len(sat)
+        assert rs.saturated_set(mu) == sat, mu
         assert rs.saturated_size(mu) == size, mu
         assert rs.saturated_size(mu, cap=size) == size, mu
         assert rs.saturated_size(mu, cap=size - 1) > size - 1, mu
+
+
+@pytest.mark.parametrize("fam,n", SATURATED_TYPES)
+def test_dominant_below_lists_each_dominant_weight_below_once(fam, n):
+    rs = root_system(fam, n)
+    for mu in _saturated_weights(fam, n):
+        top = rs.dominant(mu)
+        walk = list(rs.dominant_below(mu))
+        assert walk[0] == top, mu
+        assert len(walk) == len(set(walk)), mu
+        assert set(walk) == {nu for nu in saturated_reference(rs, mu)
+                             if rs.dominant(nu) == nu}, mu
+        assert all(rs.dominance_le(nu, top) for nu in walk), mu
 
 
 def test_saturated_size_stops_past_the_cap():
@@ -420,7 +442,8 @@ GOLDEN_TABLES = ("pos_wcoords", "pos_pair", "pos_norms", "pos_coroot_scoords",
                  "pos_simple_pair", "gram_fw", "gram_coroot", "double_root",
                  "class_norms", "pos_class", "w0_sigma", "positive_roots")
 _HELPERS = {"w0_sigma": w0_sigma, "gram_fw": gram_fw,
-            "gram_coroot": gram_coroot, "positive_roots": positive_roots}
+            "gram_coroot": gram_coroot, "positive_roots": positive_roots,
+            "pos_simple_pair": pos_simple_pair}
 
 GOLDEN = {
     "A1": ("716224b37b9b9140b0e6aba93a83f94bb2f14b040194949699282bd92bdf1fce",

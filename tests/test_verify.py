@@ -1,6 +1,8 @@
 """The verify suites report their first counterexample when a defect is
 injected into the operators they check."""
+import io
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from trigdunkl import (
     root_system,
 )
 from trigdunkl import dunkl, verify
+from trigdunkl.cli import main
 from trigdunkl.rootsys import RootSystem, RootSystemSpec, unit
 
 
@@ -145,19 +148,27 @@ def _bump_gram(monkeypatch, rs, i, j):
 def test_gram_suites_fail_on_a_perturbed_gram_table(monkeypatch):
     # one symmetric off-diagonal pair of a cached root system's integer Gram
     # table, bumped.  On A2 the Laplacian built from it is no longer
-    # W-invariant, and the quadratic certificate, whose a-value reads the
-    # same table, fails.  prop32's a-pairing cannot fail there: on A, B, C, F
-    # and G, mu_1 = -x w_1 and mu_(n+1) = -y w_n, so both of its sides are
-    # x y (w_1, w_n) read off one table.  On D4 and E6 mu_(n+1) is another
-    # weight: compat's Casimir level and prop32's a-pairing fail.
+    # W-invariant, so thm23's and compat's orbit-sum cases FAIL with that
+    # refusal as their detail, and the quadratic certificate, whose a-value
+    # reads the same table, fails.  prop32's a-pairing cannot fail there: on
+    # A, B, C, F and G, mu_1 = -x w_1 and mu_(n+1) = -y w_n, so both of its
+    # sides are x y (w_1, w_n) read off one table.  On D4 and E6 mu_(n+1) is
+    # another weight: compat's Casimir level and prop32's a-pairing fail.
     a2 = root_system("A", 2)
     bumped = _bump_gram(monkeypatch, a2, 0, 1)
-    with pytest.raises(ValueError, match="not W-invariant"):
-        verify.run_compat({"A2"})
+    for suite, check in (("thm23", "D(C) = L + (rho,rho)"),
+                         ("compat", "dk2(C) = invariant(C)")):
+        cases = {c.case_id: c for c in verify.run_suite(suite, {"A2"}).cases}
+        for mu in ([1, 0], [1, 1]):
+            case = cases[f"A2:{check} on orbit sum of {mu}"]
+            assert not case.ok and case.detail == "q is not W-invariant"
+    with redirect_stderr(io.StringIO()), redirect_stdout(io.StringIO()):
+        assert main(["verify", "--suite", "compat", "--type", "A2"]) == 1
     prop32 = {c.case_id: c.ok for c in verify.run_prop32({"A2"}).cases}
     assert prop32["A2:quadratic residual zero for all 3 exponents"] is False
     monkeypatch.undo()
     assert root_system("A", 2) is a2 and a2.gram_fw_int != bumped
+    assert verify.run_thm23({"A2"}).ok
     assert verify.run_compat({"A2"}).ok and verify.run_prop32({"A2"}).ok
     for name, (i, j) in (("D4", (0, 1)), ("E6", (0, 3))):
         rs = root_system(name[0], int(name[1]))
