@@ -34,9 +34,9 @@ def _grlex_key(m):
 
 class Poly:
     """Polynomial in k, kp with int coefficients: the num and den of a
-    RatFunc, and the cleared values of clear."""
+    RatFunc, and the cleared values of clear; never changed once built."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms):
         self.terms = terms  # no zero coefficients
@@ -64,8 +64,12 @@ class Poly:
     def __eq__(self, other):
         return isinstance(other, Poly) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+    def __hash__(self):  # computed on first use, kept in the slot
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(frozenset(self.terms.items()))
+            return self._hash
 
     def __add__(self, other):
         res = dict(self.terms)
@@ -130,26 +134,32 @@ def _positive(p):
 
 
 def poly_divexact(a, b):
-    """Exact quotient a / b in Z[k, kp]; ArithmeticError if there is none."""
+    """Exact quotient a / b in Z[k, kp]; ArithmeticError if there is none.
+    A step changes only monomials below the one it clears: one sweep down
+    the graded lex order visits each monomial once."""
     if not b.terms:
         raise ZeroDivisionError("polynomial division by zero")
     quo = {}
     rem = dict(a.terms)
     (bi, bj), bc = b.lead()
-    while rem:
-        m = max(rem, key=_grlex_key)
-        qi, qj = m[0] - bi, m[1] - bj
-        qc, r = divmod(rem[m], bc)
-        if qi < 0 or qj < 0 or r:
-            raise ArithmeticError("inexact polynomial division")
-        quo[(qi, qj)] = qc
-        for (i, j), c in b.terms.items():
-            mm = (qi + i, qj + j)
-            s = rem.get(mm, 0) - qc * c
-            if s:
-                rem[mm] = s
-            else:
-                del rem[mm]
+    rest = [(m, c) for m, c in b.terms.items() if m != (bi, bj)]
+    for d in range(max(map(sum, rem), default=0), -1, -1):
+        for i in range(d, -1, -1):
+            c = rem.pop((i, d - i), 0)
+            if not c:
+                continue
+            qi, qj = i - bi, d - i - bj
+            qc, r = divmod(c, bc)
+            if qi < 0 or qj < 0 or r:
+                raise ArithmeticError("inexact polynomial division")
+            quo[(qi, qj)] = qc
+            for (u, v), e in rest:
+                mm = (qi + u, qj + v)
+                s = rem.get(mm, 0) - qc * e
+                if s:
+                    rem[mm] = s
+                else:
+                    del rem[mm]
     return Poly(quo)
 
 
@@ -295,6 +305,11 @@ def _poly(x):
     return x if x.__class__ is Poly else (_ONE if x == 1 else Poly.const(x))
 
 
+def _divided(p, g):
+    """p / g, for an int g dividing every coefficient of p."""
+    return p if g == 1 else Poly({m: c // g for m, c in p.terms.items()})
+
+
 def _finish(num, den):
     """RatFunc from coprime num, den (den's lead positive): constants as ints."""
     if num.is_const() and den.is_const():
@@ -309,9 +324,11 @@ def _reduce(num, den, rest=_ONE):
         return RF_ZERO
     if not den.is_one():
         # over a constant den, the gcd is that of the integer contents
-        g = (Poly.const(gcd(num.content(), den.const_value()))
+        g = (gcd(num.content(), den.const_value())
              if den.is_const() else poly_gcd(num, den))
-        if not g.is_one():
+        if g.__class__ is int:
+            num, den = _divided(num, g), _divided(den, g)
+        elif not g.is_one():
             num, den = poly_divexact(num, g), poly_divexact(den, g)
     return _finish(num, den if rest is _ONE else den * rest)
 
@@ -514,11 +531,6 @@ RF_ZERO = _rf(0, 1)
 RF_ONE = _rf(1, 1)
 K = _rf(Poly.var("k"), _ONE)
 KP = _rf(Poly.var("kp"), _ONE)
-
-
-def _divided(p, g):
-    """p / g, for an int g dividing every coefficient of p."""
-    return p if g == 1 else Poly({m: c // g for m, c in p.terms.items()})
 
 
 class Factored:

@@ -296,52 +296,68 @@ def conjugation_check(rs, F, kvec):
 # --- Jacobi eigenfunctions by the triangular eigen-solve ---
 
 
-def _le_plus_sort_key(rs, nu):
-    # heights scaled by det(cartan) > 0, which keeps their order
-    nup = rs.dominant(nu)
-    return (-sum(rs.det_acoords(nup)), sum(rs.det_acoords(nu)), nu)
+def _stencil(rs, xi, nu):
+    """T(xi) e^nu as integer rows {w: row}, the e^w coefficient being
+    (row[0] + sum_c k_c row[1 + c]) / 2: row[0] = 2<nu, xi> on the diagonal,
+    each root's string the divided difference of 2<a, xi> e^nu, and the
+    rho_k shift -<2 rho_c, xi> on the diagonal of class c."""
+    rows = {nu: [2 * pair_with_xi(rs, nu, xi)]
+            + [-pair_with_xi(rs, t, xi) for t in rs.class_two_rho]}
+    for r in range(rs.n_positive):
+        axi = rs.root_xi(r, xi)
+        if not axi:
+            continue
+        c = 1 + rs.pos_class[r]
+        for w, a in divided_difference(
+                rs, r, Laurent._raw({nu: 2 * axi})).terms.items():
+            rows.setdefault(w, [0] * (1 + rs.n_classes))[c] += a
+    return rows
 
 
-def _require_triangular(mu, nu, f, diag, allowed):
-    """Raise unless f = T(xi) e^nu has the form the solve for E(mu) relies on:
-    support in `allowed` (mu and the weights below it) and e^nu coefficient
-    diag[nu] = <nu~, xi>."""
-    if not allowed.issuperset(f.terms) or f.terms.get(nu, RF_ZERO) != diag[nu]:
-        raise TriangularityError(
-            f"non-triangular eigen-solve at mu={mu}: T(xi) e^{list(nu)} is not "
-            f"<nu~, xi> e^{list(nu)} plus terms below mu")
+def _triangular(nu, rows, two, allowed):
+    """Whether rows = _stencil(rs, xi, nu) has the form the solve relies on:
+    support in `allowed`, diagonal two = 2<nu~, xi> and integer entries."""
+    return (allowed.issuperset(rows) and rows.get(nu) == two
+            and all(x.__class__ is int for row in rows.values() for x in row))
 
 
 def jacobi(rs, mu, kvec):
     """The eigenfunction e^mu + (lower <_+ terms) of all Dunkl operators."""
     mu = tuple(mu)
-    order = sorted(rs.saturated_set(mu), key=lambda nu: _le_plus_sort_key(rs, nu))
-    idx = order.index(mu)
-    below = order[idx + 1:]
-    if not below:
+    keyed = []  # heights scaled by det(cartan) > 0, which keeps their order
+    for top in rs.dominant_below(mu):
+        h = -sum(rs.det_acoords(top))  # one dominant height per orbit
+        keyed += [(h, sum(rs.det_acoords(nu)), nu) for nu in rs.orbit(top)]
+    order = [nu for _, _, nu in sorted(keyed)]
+    order = order[order.index(mu):]  # mu and the weights below it
+    if len(order) == 1:
         return Laurent.monomial(mu)
-    allowed = set(order[idx:])
-    two_shift = {nu: _two_shift(rs, nu) for nu in order[idx:]}
+    allowed = set(order)
+    two_shift = {nu: _two_shift(rs, nu) for nu in order}
+    # the halved couplings cleared once, ks = [D / 2, k_1 D / 2, ...]: the
+    # coefficient of a stencil row is combine(zip(row, ks)) over D
+    D, ks = clear([RF_ONE / 2] + [kvec.value(c) / 2 for c in range(rs.n_classes)])
+    over_d = Factored.of(over(1, D))
     # On the moment curve xi(t) = (1, t, ..., t^(n-1)), <mu~ - nu~, xi(t)> is a
     # polynomial of degree < n in t, nonzero unless mu~ = nu~; so at most
     # (n-1)|below| values of t make a denominator vanish.
-    for t in range(2, 3 + (rs.rank - 1) * len(below)):
+    for t in range(2, 3 + (rs.rank - 1) * (len(order) - 1)):
         xi = tuple(t**i for i in range(rs.rank))
-        # diag[nu] = <nu~, xi> = <nu, xi> + sum_c k_c <two_shift_c(nu), xi> / 2
-        diag = {nu: _class_sum(kvec, [pair_with_xi(rs, v, xi) for v in vs],
-                               pair_with_xi(rs, nu, xi))
-                for nu, vs in two_shift.items()}
+        # two[nu] = 2<nu~, xi> = 2<nu, xi> + sum_c k_c <two_shift_c(nu), xi>
+        two = {nu: [2 * pair_with_xi(rs, nu, xi)]
+               + [pair_with_xi(rs, v, xi) for v in vs]
+               for nu, vs in two_shift.items()}
         denoms = {mu: RF_ONE}
-        for nu in below:
+        for nu in order[1:]:
             # zero-tested as a RatFunc: at numeric k the classes can cancel
-            d = diag[mu] - diag[nu]
+            d = over(combine(zip([a - b for a, b in zip(two[mu], two[nu])], ks)), D)
             if d.is_zero():
                 break
             denoms[nu] = d
         else:
             # running[w]: e^w coefficient of T(xi) on the part of E solved so far
             coeffs, running = {}, {mu: Factored.of(RF_ONE)}
-            for nu in order[idx:]:
+            for nu in order:
                 s = running.pop(nu, None)
                 if s is None:
                     continue
@@ -349,11 +365,23 @@ def jacobi(rs, mu, kvec):
                 if not c:
                     continue
                 coeffs[nu] = c
-                f = dunkl_apply(rs, xi, Laurent.monomial(nu), kvec)
-                _require_triangular(mu, nu, f, diag, allowed)
-                for w, a in f.terms.items():
-                    term = cf * Factored.of(a)
-                    running[w] = running[w] + term if w in running else term
+                rows = _stencil(rs, xi, nu)
+                # e^mu's row also through dunkl_apply, the operator the suites check
+                if not _triangular(nu, rows, two[nu], allowed) or (
+                        nu == mu and dunkl_apply(rs, xi, Laurent.monomial(mu),
+                                                 kvec)
+                        != Laurent({w: over(combine(zip(row, ks)), D)
+                                    for w, row in rows.items()})):
+                    raise TriangularityError(
+                        f"non-triangular eigen-solve at mu={mu}: T(xi) "
+                        f"e^{list(nu)} is not <nu~, xi> e^{list(nu)} plus "
+                        "terms below mu")
+                cf = cf * over_d
+                for w, row in rows.items():
+                    a = w != nu and combine(zip(row, ks))  # off the diagonal
+                    if a:
+                        term = Factored(cf.n * a, cf.q, cf.fac)
+                        running[w] = running[w] + term if w in running else term
             return Laurent(coeffs)
     raise ResonanceError(
         f"resonant eigen-solve at mu={mu}: mu~ equals nu~ for a weight nu "

@@ -159,3 +159,31 @@ def test_constants_stay_integer_pairs():
     assert c.const_value() == Fraction(-8, 3)
     assert (K - K).is_const() and (K / K) == RF_ONE
     assert ((2 * K + 1) / 2 - K).const_value() == Fraction(1, 2)
+
+
+def test_poly_hash_is_that_of_its_terms():
+    from trigdunkl.coeff import Poly
+    p = (K * K + 3 * KP - 1).num
+    h = hash(frozenset(p.terms.items()))
+    assert hash(p) == h and hash(p) == h  # the kept value on the second call
+    assert hash(Poly(dict(p.terms))) == h and Poly(dict(p.terms)) == p
+    assert hash(Poly({})) == hash(frozenset())
+
+
+def test_poly_divexact_refuses_an_inexact_step_below_the_lead():
+    from trigdunkl.coeff import Poly, poly_divexact
+    k, kp, one = Poly.var("k"), Poly.var("kp"), Poly.const(1)
+    b = k + one
+    assert poly_divexact(k * k + k, b) == k
+    # the lead step is exact; the remainder 1 lies below b's lead monomial
+    with pytest.raises(ArithmeticError):
+        poly_divexact(k * k + k + one, b)
+    # the second step's coefficient, 1, is not a multiple of b's lead, 2
+    with pytest.raises(ArithmeticError):
+        poly_divexact(k * k * 2 + k * 2, k * 2 + one)
+    # a remainder in kp alone, of lower degree than b's lead k * kp
+    with pytest.raises(ArithmeticError):
+        poly_divexact(k * kp * k + kp, k * kp)
+    assert poly_divexact(Poly({}), b) == Poly({})
+    with pytest.raises(ZeroDivisionError):
+        poly_divexact(b, Poly({}))

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 from fractions import Fraction
 from math import factorial
@@ -349,6 +350,92 @@ def test_eigen_suite_fails_fast_on_a_non_triangular_operator(monkeypatch,
                     if c.case_id == f"{fam}:T E(mu) = mu~ E(mu), |coords|<=2")
         assert case.detail.startswith(
             "non-triangular eigen-solve at mu=(-2, -2): T(xi) e^[")
+
+
+def _flipped_rho_shift(monkeypatch):
+    partial = dunkl.partial
+    monkeypatch.setattr(dunkl, "partial", lambda rs, xi, f, shift=0:
+                        partial(rs, xi, f, -shift))
+
+
+@pytest.mark.parametrize("defect", [_epsilon_zero_positive,
+                                    _halved_divided_difference,
+                                    _flipped_rho_shift])
+@pytest.mark.parametrize("fam,n", [("A", 2), ("B", 2)])
+def test_jacobi_refuses_every_solve_under_a_source_mutant(monkeypatch, defect,
+                                                          fam, n):
+    # the integer stencil must not let a defect through as another exception:
+    # the eigen suite and the CLI catch TriangularityError only
+    rs = root_system(fam, n)
+    defect(monkeypatch)
+    for kv in (couplings(rs), couplings(rs, Fraction(1, 6), Fraction(1, 6))):
+        for mu in itertools.product(range(-2, 3), repeat=n):
+            if rs.dominant(mu) == mu and len(rs.saturated_set(mu)) == \
+                    rs.orbit_size(mu):
+                # nothing below mu: no stencil is built
+                assert jacobi(rs, mu, kv) == Laurent.monomial(mu)
+                continue
+            with pytest.raises(TriangularityError,
+                               match=re.escape(f"at mu={mu}:")):
+                jacobi(rs, mu, kv)
+
+
+def test_jacobi_checks_the_stencil_of_mu_against_the_operator(monkeypatch):
+    # an off-diagonal bump keeps the stencil integral and triangular: only
+    # the pass of e^mu through dunkl_apply can see it
+    b2, mu = root_system("B", 2), (-1, -1)
+    kv = couplings(b2)
+    stencil = dunkl._stencil
+
+    def bumped(rs, xi, nu):
+        rows = stencil(rs, xi, nu)
+        if nu == mu:
+            rows[next(w for w in rows if w != mu)][1] += 2
+        return rows
+
+    monkeypatch.setattr(dunkl, "_stencil", bumped)
+    with pytest.raises(TriangularityError, match=r"at mu=\(-1, -1\)"):
+        jacobi(b2, mu, kv)
+    monkeypatch.undo()
+    assert jacobi(b2, mu, kv).terms[mu] == RF_ONE
+
+
+# the weight boxes of perfbench's eigen_symbolic workload
+_EIGEN_BOXES = (("A", 2, 2), ("B", 2, 2), ("C", 2, 2), ("G", 2, 1),
+                ("A", 3, 1), ("BC", 1, 4))
+
+
+def _stencil_couplings(rs):
+    """Symbolic couplings, k = 1/6, k = K^2 and k = 1/(1+K); on BC1 the
+    second value is the doubled-root coupling."""
+    for k, kp in ((K, KP), (Fraction(1, 6), Fraction(1, 6)), (K * K, KP),
+                  (1 / (1 + K), KP)):
+        if rs.spec.family == "BC":
+            yield couplings(rs, k, None, kp)
+        else:
+            yield couplings(rs, k, kp)
+
+
+@pytest.mark.parametrize("fam,n,bound", _EIGEN_BOXES)
+def test_stencil_at_the_couplings_is_dunkl_apply(fam, n, bound):
+    """_stencil(rs, xi, nu), row by row (row[0] + sum_c k_c row[1 + c]) / 2,
+    is T(xi) e^nu, with <nu~, xi> on the diagonal, at the simple coroots
+    and the moment-curve points xi(t), t = 2, 3."""
+    rs = root_system(fam, n)
+    xis = [unit(n, i) for i in range(n)]
+    xis += [tuple(t**i for i in range(n)) for t in (2, 3)]
+    for kv in _stencil_couplings(rs):
+        for nu in itertools.product(range(-bound, bound + 1), repeat=n):
+            nt = mu_tilde(rs, nu, kv)
+            for xi in xis:
+                rows = dunkl._stencil(rs, xi, nu)
+                assert all(x.__class__ is int
+                           for row in rows.values() for x in row)
+                value = Laurent({w: (row[0] + sum(
+                    (kv.value(c) * x for c, x in enumerate(row[1:])),
+                    RF_ZERO)) / 2 for w, row in rows.items()})
+                assert value == dunkl_apply(rs, xi, Laurent.monomial(nu), kv)
+                assert value.terms.get(nu, RF_ZERO) == pair_with_xi(rs, nt, xi)
 
 
 LAPLACIAN_TYPES = ([("A", n) for n in range(1, 9)]

@@ -18,6 +18,11 @@ the min over BUILD_PROCESSES fresh processes, each of which loads every
 checkout and alternates them build by build, and per workload the median and
 quartiles of SETUP_RUNS fresh `perfbench/setup_sample.py` set-ups, the
 checkouts alternating run by run.
+
+Every Python child runs with -B and PYTHONDONTWRITEBYTECODE=1, so that no
+process writes bytecode, and a checkout whose src/ holds a __pycache__ is
+refused (exit 2): a checkout that compiles src/ in every process reads a
+slower set-up than one that loads a cache left by an earlier run.
 """
 from __future__ import annotations
 
@@ -90,10 +95,25 @@ def parse_args(argv=None):
     return ap.parse_args(argv)
 
 
-def _child(argv, cwd):
+def _child(argv, cwd, env=None):
     proc = subprocess.run(argv, cwd=cwd, capture_output=True, text=True,
-                          check=True)
+                          check=True, env=env)
     return proc.stdout
+
+
+def _python(args, cwd):
+    """The output of a Python child run with -B; PYTHONDONTWRITEBYTECODE
+    keeps the processes it starts (perfbench's set-up samples) from writing
+    bytecode too."""
+    return _child([sys.executable, "-B", *args], cwd,
+                  {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+
+
+def bytecode_caches(checkout):
+    """The __pycache__ directories under a checkout's src/."""
+    return sorted(os.path.join(root, d)
+                  for root, dirs, _ in os.walk(os.path.join(checkout, "src"))
+                  for d in dirs if d == "__pycache__")
 
 
 def identity(checkout):
@@ -119,8 +139,8 @@ def identity(checkout):
 
 def run_once(checkout, workload, seed, seconds):
     """The result line of one perfbench run."""
-    out = _child([sys.executable, "perfbench/run.py", "--workload", workload,
-                  "--seed", str(seed), "--seconds", str(seconds)], checkout)
+    out = _python(["perfbench/run.py", "--workload", workload,
+                   "--seed", str(seed), "--seconds", str(seconds)], checkout)
     return json.loads(out.strip().splitlines()[-1])
 
 
@@ -129,8 +149,7 @@ def build_times(checkouts):
     BUILD_PROCESSES fresh processes."""
     best = [{} for _ in checkouts]
     for _ in range(BUILD_PROCESSES):
-        out = _child([sys.executable, "-c", _BUILD_TIMES, json.dumps(checkouts)],
-                     checkouts[0])
+        out = _python(["-c", _BUILD_TIMES, json.dumps(checkouts)], checkouts[0])
         for b, times in zip(best, json.loads(out)):
             for t, v in times.items():
                 b[t] = min(v, b.get(t, v))
@@ -145,8 +164,7 @@ def setup_times(checkouts, workloads):
         for run in range(SETUP_RUNS):
             order = range(len(checkouts))
             for i in order if run % 2 == 0 else order[::-1]:
-                out = _child([sys.executable, "perfbench/setup_sample.py", w],
-                             checkouts[i])
+                out = _python(["perfbench/setup_sample.py", w], checkouts[i])
                 samples[i][w].append(float(out))
     return [{w: spread(v) for w, v in s.items()} for s in samples]
 
@@ -175,6 +193,11 @@ def summarize(results):
 def main(argv=None):
     args = parse_args(argv)
     checkouts = [os.path.abspath(c) for c, _ in args.run]
+    cached = [p for c in checkouts for p in bytecode_caches(c)]
+    if cached:
+        sys.stderr.write(f"error: {cached[0]} holds a bytecode cache; remove "
+                         "every __pycache__ under src/ first\n")
+        return 2
     with open(os.path.join(checkouts[0], "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     workloads = [w["name"] for w in bench["workloads"]]
@@ -191,7 +214,7 @@ def main(argv=None):
     builds = build_times(checkouts)
     setups = setup_times(checkouts, workloads)
     for c, (_, out), build, setup in zip(checkouts, args.run, builds, setups):
-        suites = json.loads(_child([sys.executable, "-c", _SUITE_TIMES], c))
+        suites = json.loads(_python(["-c", _SUITE_TIMES], c))
         doc = {
             "benchmark": " ".join(bench["command"]),
             "seconds": seconds,
