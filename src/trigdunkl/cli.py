@@ -35,8 +35,8 @@ _TYPE_RE = re.compile(r"^(BC|[ABCDEFG])(\d+)$")
 # orbits of 696,729,600)
 ORBIT_CAP = 100_000
 # the most weights, mu and those below it, that `jacobi` solves over (B3 is
-# the slowest type measured: on 2 cores, B3 -2,-2,-2 with 871 takes 5.4 s and
-# -3,-2,-2 with 1,261 takes 13 s)
+# the slowest type measured: on 2 cores, B3 -2,-2,-2 with 871 takes 3.4-3.6 s
+# and -3,-2,-2 with 1,261 takes 6.5-7.9 s)
 SATURATED_CAP = 1_000
 # the most divided differences `invariant` runs: orbit size x positive roots x
 # 2 rank, as in symh_apply (on 2 cores, E7 omega_2 at 508,032 takes 1.6-2.0 s

@@ -61,8 +61,13 @@ def test_every_python_child_writes_no_bytecode(bench_record, tmp_path,
                               str(tmp_path / "b.json")])
     assert code == 0
     python = [(argv, env) for argv, env in calls if argv[0] != "git"]
-    # 4 runs, 2 build processes, 2 x 2 set-ups and one suite timing each
-    assert len(python) == 4 + 2 + 4 + 2
+    # 4 runs, 2 build processes, 2 x 2 set-ups, and one suite timing and
+    # one traced round each
+    assert len(python) == 4 + 2 + 4 + 2 + 2
+    traced = [argv for argv, _ in python if "--trace" in argv
+              and argv[argv.index("--trace") + 1] == "1"]
+    assert len(traced) == 2
+    assert all(argv[argv.index("--seed") + 1] == "1" for argv in traced)
     for argv, env in python:
         assert argv[:2] == [sys.executable, "-B"], argv
         assert env["PYTHONDONTWRITEBYTECODE"] == "1"
@@ -70,6 +75,7 @@ def test_every_python_child_writes_no_bytecode(bench_record, tmp_path,
     assert doc["seeds"] == [1, 2] and doc["checkout"]["commit"] is None
     rate = doc["workloads"]["eigen_symbolic"]["metrics"]["requests_per_s"]
     assert rate["values"] == [2.0, 2.0]
+    assert doc["trace"]["eigen_symbolic"]["correct"] is True
 
 
 def test_a_checkout_with_a_bytecode_cache_is_refused(bench_record, tmp_path,

@@ -17,7 +17,8 @@ RootSystem build per type for the 32 special-exponent types and BC1-BC4:
 the min over BUILD_PROCESSES fresh processes, each of which loads every
 checkout and alternates them build by build, and per workload the median and
 quartiles of SETUP_RUNS fresh `perfbench/setup_sample.py` set-ups, the
-checkouts alternating run by run.
+checkouts alternating run by run, and the per-layer metrics of one traced
+round per workload at seed TRACE_SEED.
 
 Every Python child runs with -B and PYTHONDONTWRITEBYTECODE=1, so that no
 process writes bytecode, and a checkout whose src/ holds a __pycache__ is
@@ -137,10 +138,16 @@ def identity(checkout):
     return {"commit": commit, "dirty": dirty, "src_sha256": digest.hexdigest()}
 
 
-def run_once(checkout, workload, seed, seconds):
-    """The result line of one perfbench run."""
+# the seed of the traced round: its call counts repeat exactly for one
+# commit, so the counts of records of different commits compare
+TRACE_SEED = 1
+
+
+def run_once(checkout, workload, seed, seconds, trace=0):
+    """The result line of one perfbench run, traced with trace=1."""
     out = _python(["perfbench/run.py", "--workload", workload,
-                   "--seed", str(seed), "--seconds", str(seconds)], checkout)
+                   "--seed", str(seed), "--seconds", str(seconds),
+                   "--trace", str(trace)], checkout)
     return json.loads(out.strip().splitlines()[-1])
 
 
@@ -226,6 +233,8 @@ def main(argv=None):
             "suite_wall_s": suites,
             "build_wall_s": build,
             "setup_wall_s": setup,
+            "trace": {w: run_once(c, w, TRACE_SEED, seconds, trace=1)
+                      for w in workloads},
         }
         with open(out, "w") as fh:
             json.dump(doc, fh, indent=1)
