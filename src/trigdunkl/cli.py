@@ -63,9 +63,16 @@ def _parse_fraction(s, flag):
 def _coupling_vector(rs, args):
     k = K if args.k is None else _parse_fraction(args.k, "--k")
     kp = KP if args.kp is None else _parse_fraction(args.kp, "--kp")
+    # k' is the class of alpha_n on B, C, F, G and BC_n (n >= 2), and the A_n
+    # modulus that only special reads
+    family = rs.spec.family
+    if args.kp is not None and rs.n_classes != 2 + (family == "BC") and not (
+            family == "A" and args.command == "special"):
+        raise ValueError("--kp applies to B, C, F, G and BC_n (n >= 2) "
+                         "systems, and to special on A_n")
     k2 = getattr(args, "k2", None)  # special takes no --k2
     if k2 is not None:
-        if rs.spec.family != "BC":
+        if family != "BC":
             raise ValueError("--k2 applies to BC systems only")
         k2 = _parse_fraction(k2, "--k2")
     return couplings(rs, k, kp, k2)

@@ -14,6 +14,7 @@ from .laurent import (
     divided_difference,
     is_w_invariant,
     partial,
+    root_factors,
 )
 from .rootsys import pair_with_xi, unit
 
@@ -274,14 +275,7 @@ def half_weight(rs, kvec):
     ints = kvec.integer_values()
     if any(v < 0 or v % 2 for v in ints):
         raise ValueError("conjugation weight needs even nonnegative couplings")
-    rho_coords = []
-    for v in rho(rs, kvec):
-        c = v.const_value()
-        if c.denominator != 1:
-            raise ValueError("rho is not a lattice weight at these couplings")
-        rho_coords.append(int(c))
-    powers = {r: ints[c] for r, c in enumerate(rs.pos_class) if ints[c]}
-    return tuple(rho_coords), powers
+    return root_factors(rs, [v // 2 for v in ints])
 
 
 def conjugation_check(rs, F, kvec):
@@ -335,9 +329,9 @@ def jacobi(rs, mu, kvec):
     allowed = set(order)
     two_shift = {nu: _two_shift(rs, nu) for nu in order}
     # the halved couplings cleared once, ks = [D / 2, k_1 D / 2, ...]: the
-    # coefficient of a stencil row is combine(zip(row, ks)) over D
+    # coefficient of a stencil row is combine(zip(row, ks)) over D, and so is
+    # each 2<mu~ - nu~, xi>, so D cancels from every quotient of the solve
     D, ks = clear([RF_ONE / 2] + [kvec.value(c) / 2 for c in range(rs.n_classes)])
-    over_d = Factored.of(over(1, D))
     # On the moment curve xi(t) = (1, t, ..., t^(n-1)), <mu~ - nu~, xi(t)> is a
     # polynomial of degree < n in t, nonzero unless mu~ = nu~; so at most
     # (n-1)|below| values of t make a denominator vanish.
@@ -350,7 +344,7 @@ def jacobi(rs, mu, kvec):
         denoms = {mu: RF_ONE}
         for nu in order[1:]:
             # zero-tested as a RatFunc: at numeric k the classes can cancel
-            d = over(combine(zip([a - b for a, b in zip(two[mu], two[nu])], ks)), D)
+            d = over(combine(zip([a - b for a, b in zip(two[mu], two[nu])], ks)), 1)
             if d.is_zero():
                 break
             denoms[nu] = d
@@ -376,7 +370,6 @@ def jacobi(rs, mu, kvec):
                         f"non-triangular eigen-solve at mu={mu}: T(xi) "
                         f"e^{list(nu)} is not <nu~, xi> e^{list(nu)} plus "
                         "terms below mu")
-                cf = cf * over_d
                 for w, row in rows.items():
                     a = w != nu and combine(zip(row, ks))  # off the diagonal
                     if a:

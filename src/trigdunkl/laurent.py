@@ -2,6 +2,8 @@
 inner product, and the localized fraction ring."""
 from __future__ import annotations
 
+from math import comb
+
 from .coeff import RF_ONE, RF_ZERO, RatFunc, coerce, parse_ratfunc
 from .rootsys import pair_with_xi
 
@@ -168,37 +170,40 @@ def divided_difference(rs, r, f):
 
 
 def one_minus_exp(rs, r, power=1):
-    """(1 - e^(-alpha_r))^power as a Laurent element."""
-    rank = rs.rank
+    """(1 - e^(-alpha_r))^power as a Laurent element, binomially expanded."""
     alpha = rs.pos_wcoords[r]
-    base = Laurent._raw({(0,) * rank: RF_ONE,
-                         tuple(-a for a in alpha): -RF_ONE})
-    out = Laurent.one(rank)
-    for _ in range(power):
-        out = out * base
-    return out
+    return Laurent._raw({tuple(-j * a for a in alpha):
+                         RatFunc.const((-1) ** j * comb(power, j))
+                         for j in range(power + 1)})
+
+
+def times_root_factors(rs, f, powers):
+    """f prod_r (1 - e^(-alpha_r))^powers[r]: the one expander of root-factor
+    products."""
+    for r, p in sorted(powers.items()):
+        if p:
+            f = f * one_minus_exp(rs, r, p)
+    return f
+
+
+def root_factors(rs, h):
+    """prod_{alpha>0} (e^(alpha/2) - e^(-alpha/2))^(2 h_alpha), for integers
+    h[c] per coupling class, as the pair (sum h_alpha alpha, {r: 2 h_alpha}):
+    e^weight times the root factors of those powers."""
+    weight = tuple(sum(x * t for x, t in zip(h, col))
+                   for col in zip(*rs.class_two_rho))
+    return weight, {r: 2 * h[c] for r, c in enumerate(rs.pos_class) if h[c]}
 
 
 def weight_function(rs, kvec):
-    """prod_{alpha>0} (2 - e^alpha - e^(-alpha))^{k_alpha} for integer k >= 0."""
+    """prod_{alpha>0} (2 - e^alpha - e^(-alpha))^{k_alpha} for integer k >= 0:
+    each factor is -(e^(alpha/2) - e^(-alpha/2))^2."""
     ints = kvec.integer_values()
     if any(v < 0 for v in ints):
         raise ValueError("weight function needs nonnegative integer couplings")
-    rank = rs.rank
-    out = Laurent.one(rank)
-    for r in range(rs.n_positive):
-        e = ints[rs.pos_class[r]]
-        if not e:
-            continue
-        alpha = rs.pos_wcoords[r]
-        factor = Laurent._raw({
-            (0,) * rank: RatFunc.const(2),
-            alpha: -RF_ONE,
-            tuple(-a for a in alpha): -RF_ONE,
-        })
-        for _ in range(e):
-            out = out * factor
-    return out
+    weight, powers = root_factors(rs, ints)
+    sign = (-1) ** sum(ints[c] for c in rs.pos_class)
+    return times_root_factors(rs, Laurent.monomial(weight, sign), powers)
 
 
 def inner_product(rs, f, g, kvec, delta=None):
@@ -249,29 +254,21 @@ class Localized:
     def is_zero(self):
         return self.num.is_zero()
 
-    def den_laurent(self, rs):
-        rank = rs.rank
-        out = Laurent.one(rank)
-        for r, m in sorted(self.den.items()):
-            out = out * one_minus_exp(rs, r, m)
-        return out
-
     def scale(self, c):
         return Localized(self.num.scale(c), dict(self.den))
 
-    def add(self, other, rs):
+    def _common(self, other, rs):
+        """The least common denominator and both numerators over it."""
         den = dict(self.den)
         for r, m in other.den.items():
             den[r] = max(den.get(r, 0), m)
-        nums = []
-        for x in (self, other):
-            num = x.num
-            for r, m in den.items():
-                extra = m - x.den.get(r, 0)
-                if extra:
-                    num = num * one_minus_exp(rs, r, extra)
-            nums.append(num)
-        return Localized(nums[0] + nums[1], den)
+        return den, [times_root_factors(
+            rs, x.num, {r: m - x.den.get(r, 0) for r, m in den.items()})
+            for x in (self, other)]
+
+    def add(self, other, rs):
+        den, (a, b) = self._common(other, rs)
+        return Localized(a + b, den)
 
     def mul(self, other, rs):
         den = dict(self.den)
@@ -284,13 +281,9 @@ class Localized:
         cancelled against the denominator first, and only the rest expanded."""
         num = Laurent._raw({tuple(m + w for m, w in zip(mu, weight)): c
                             for mu, c in self.num.terms.items()})
-        den = dict(self.den)
-        for r, e in sorted(powers.items()):
-            cancel = min(e, den.get(r, 0))
-            den[r] = den.get(r, 0) - cancel
-            if e > cancel:
-                num = num * one_minus_exp(rs, r, e - cancel)
-        return Localized(num, den)
+        den = {r: max(m - powers.get(r, 0), 0) for r, m in self.den.items()}
+        rest = {r: max(e - self.den.get(r, 0), 0) for r, e in powers.items()}
+        return Localized(times_root_factors(rs, num, rest), den)
 
     def normalize(self, rs):
         """Divide out every full (1 - e^(-alpha)) factor that cancels."""
@@ -310,13 +303,10 @@ class Localized:
         return Localized(num, den)
 
     def equals(self, other, rs):
-        """Exact equality: numerators over equal denominators, else cross
-        multiplication (representation-free)."""
-        if self.den == other.den:
-            return self.num == other.num
-        lhs = self.num * other.den_laurent(rs)
-        rhs = other.num * self.den_laurent(rs)
-        return lhs == rhs
+        """Exact equality: both numerators over the least common denominator
+        (representation-free)."""
+        _, (a, b) = self._common(other, rs)
+        return a == b
 
     def derivative(self, rs, xi):
         """partial(xi) with xi in simple-coroot coordinates, by quotient rule."""

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 from .coeff import RF_ZERO, RatFunc, clear, combine, couplings, over
 from .dunkl import SymH, coth_sum, gram_pairing, rho
+from .rootsys import root_system
 
 INFINITY = "inf"
 
@@ -336,7 +337,7 @@ def schwarz_table(n_max=100):
 
 
 def e8_exponent_difference(k):
-    """(1 - 30k, (1 - 30k)/2): the exponent difference and its W-quotient."""
-    k = Fraction(k)
-    diff = 1 - 30 * k
+    """(1 - hk, (1 - hk)/2), h = 30 the Coxeter number of E8: the exponent
+    difference and its W-quotient."""
+    diff = 1 - root_system("E", 8).coxeter_number * Fraction(k)
     return diff, diff / 2

@@ -1,11 +1,14 @@
 """Helpers that only the tests use: the Weyl action of a word, the constant
 term, the longest element, reflections in any positive root, a SymH from a
 matrix of numbers, a Localized read back from its JSON, and, as oracles, the
-saturated set by a search that tests its definition and the Fraction,
-ambient and pairing tables that RootSystem does not hold."""
+saturated set by a search that tests its definition, the Fraction, ambient
+and pairing tables that RootSystem does not hold, and the root-factor
+products by repeated Laurent products."""
 from fractions import Fraction
 
-from trigdunkl import RF_ZERO, Localized, SymH, laurent_from_json
+from trigdunkl import (
+    RF_ONE, RF_ZERO, Laurent, Localized, RatFunc, SymH, laurent_from_json, rho,
+)
 from trigdunkl.coeff import coerce
 from trigdunkl.rootsys import _simple_roots2, unit
 
@@ -132,3 +135,54 @@ def alpha_prime(rs, r):
     j = i + sum(a)
     dim = rs.rank + 1
     return tuple((l == i) + (l == j) - Fraction(2, dim) for l in range(dim))
+
+
+# --- root-factor products by repeated Laurent products ---
+
+
+def one_minus_exp_reference(rs, r, power=1):
+    """(1 - e^(-alpha_r))^power, one Laurent product per unit of power."""
+    alpha = rs.pos_wcoords[r]
+    base = Laurent({(0,) * rs.rank: 1, tuple(-a for a in alpha): -1})
+    out = Laurent.one(rs.rank)
+    for _ in range(power):
+        out = out * base
+    return out
+
+
+def weight_function_reference(rs, kvec):
+    """prod_{alpha>0} (2 - e^alpha - e^(-alpha))^{k_alpha}, one three-term
+    factor per positive root and unit of coupling."""
+    ints = kvec.integer_values()
+    out = Laurent.one(rs.rank)
+    for r in range(rs.n_positive):
+        alpha = rs.pos_wcoords[r]
+        factor = Laurent({(0,) * rs.rank: RatFunc.const(2), alpha: -RF_ONE,
+                          tuple(-a for a in alpha): -RF_ONE})
+        for _ in range(ints[rs.pos_class[r]]):
+            out = out * factor
+    return out
+
+
+def half_weight_reference(rs, kvec):
+    """(rho_k, {r: k_alpha}) for even couplings, rho_k read off the RatFunc
+    rho and checked to be a lattice weight."""
+    ints = kvec.integer_values()
+    coords = [v.const_value() for v in rho(rs, kvec)]
+    assert all(c.denominator == 1 for c in coords)
+    powers = {r: ints[c] for r, c in enumerate(rs.pos_class) if ints[c]}
+    return tuple(int(c) for c in coords), powers
+
+
+def den_laurent_reference(rs, F):
+    """The denominator of the localized F as one Laurent element."""
+    out = Laurent.one(rs.rank)
+    for r, m in sorted(F.den.items()):
+        out = out * one_minus_exp_reference(rs, r, m)
+    return out
+
+
+def equals_reference(rs, F, G):
+    """Whether F = G, by cross multiplication with the whole denominators."""
+    return (F.num * den_laurent_reference(rs, G)
+            == G.num * den_laurent_reference(rs, F))

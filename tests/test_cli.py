@@ -277,6 +277,8 @@ def test_special_output_is_unchanged(fam, n):
 
 
 EMPTY = hashlib.sha256(b"").hexdigest()
+_KP_UNREAD = ("error: --kp applies to B, C, F, G and BC_n (n >= 2) systems, "
+              "and to special on A_n\n")
 
 # (argv, exit code, sha256 of stdout, stderr) for every subcommand in both
 # formats and for the usage and domain errors, as the CLI printed them before
@@ -380,6 +382,26 @@ CLI_BATTERY = [
     ("dunkl --type A1 --mu 1 --xi 1 --k2 1/2", 2,
      EMPTY,
      "error: --k2 applies to BC systems only\n"),
+    # --kp where no command reads k' is refused; where one does it is read
+    ("jacobi --type BC1 --mu=-1 --kp 1/3", 2,
+     EMPTY,
+     _KP_UNREAD),
+    ("jacobi --type D4 --mu=-1,0,0,0 --kp 1/3", 2,
+     EMPTY,
+     _KP_UNREAD),
+    ("jacobi --type A2 --mu=-1,0 --kp 1/3", 2,
+     EMPTY,
+     _KP_UNREAD),
+    ("hamiltonian --type A2 --mu=1,0 --kp 5", 2,
+     EMPTY,
+     _KP_UNREAD),
+    ("special --type E6 --kp 7", 2,
+     EMPTY,
+     _KP_UNREAD),
+    ("special --type A2 --kp 1/3", 0,
+     "6e10cbab6a516b8f5f88d92fc63a6d2dc4a63e305a6880119fc0fc58ff9e69c0", ""),
+    ("jacobi --type BC2 --mu=-1,0 --kp 1/3 --format text", 0,
+     "0b709605acc2e1b3acf4a5b07f23918afb0a9863215851d8df35be9bb7e84d46", ""),
     ("dunkl --type A2 --mu 1,0 --xi 1", 2,
      EMPTY,
      "error: --xi needs 2 coordinates, got 1\n"),

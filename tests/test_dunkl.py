@@ -40,7 +40,15 @@ from trigdunkl.laurent import try_divide
 from trigdunkl.rootsys import unit
 from trigdunkl.verify import PROP32_TYPES
 
-from support import gram_fw, reflect_root, symh, w0_act, weyl_act
+from support import (
+    gram_fw,
+    half_weight_reference,
+    one_minus_exp_reference,
+    reflect_root,
+    symh,
+    w0_act,
+    weyl_act,
+)
 
 
 def test_rho_examples():
@@ -714,10 +722,19 @@ def _expanded_half_weight(rs, kvec):
     weight, powers = dunkl.half_weight(rs, kvec)
     out = Laurent.monomial(weight)
     for r, e in powers.items():
-        for _ in range(e):
-            out = out * Laurent({(0,) * rs.rank: 1,
-                                 tuple(-a for a in rs.pos_wcoords[r]): -1})
+        out = out * one_minus_exp_reference(rs, r, e)
     return out
+
+
+@pytest.mark.parametrize("fam,n", [*verify.PROP32_TYPES,
+                                   *(("BC", n) for n in range(1, 5))])
+def test_half_weight_matches_the_rational_rho(fam, n):
+    rs = root_system(fam, n)
+    for k, kp, k2 in itertools.product((0, 2, 4), (0, 2), (0, 2)):
+        kv = couplings(rs, k, kp, k2 if fam == "BC" else None)
+        assert dunkl.half_weight(rs, kv) == half_weight_reference(rs, kv)
+    with pytest.raises(ValueError):
+        dunkl.half_weight(rs, couplings(rs, 1, 2, 2 if fam == "BC" else None))
 
 
 _LOCALIZED_TYPES = [("A", 1), ("A", 2), ("B", 2), ("C", 2), ("G", 2), ("A", 3),

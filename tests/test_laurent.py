@@ -18,9 +18,21 @@ from trigdunkl import (
     root_system,
     weight_function,
 )
-from trigdunkl.laurent import one_minus_exp, try_divide
+from trigdunkl.laurent import one_minus_exp, root_factors, try_divide
+from trigdunkl.verify import PROP32_TYPES
 
-from support import constant_term, localized_from_json, reflect_root, weyl_act
+from support import (
+    constant_term,
+    equals_reference,
+    localized_from_json,
+    one_minus_exp_reference,
+    reflect_root,
+    weight_function_reference,
+    weyl_act,
+)
+
+# the 32 types of the special-exponent report and BC1-BC4
+_ALL_TYPES = [*PROP32_TYPES, *(("BC", n) for n in range(1, 5))]
 
 
 def test_try_divide_examples():
@@ -147,6 +159,76 @@ def test_weight_function_constant_term_is_weyl_order(fam, n):
     rs = root_system(fam, n)
     ct = constant_term(weight_function(rs, couplings(rs, 1, 1)))
     assert ct == RatFunc.const(rs.weyl_order)
+
+
+def _integer_couplings(rs, k):
+    """k on every class; on BC the doubled roots also at 0 and at 1."""
+    if rs.spec.family == "BC":
+        return [couplings(rs, k, k, k2) for k2 in sorted({0, 1, k})]
+    return [couplings(rs, k, k)]
+
+
+# the (type, k) whose delta stays below about 7,000 terms: A6 at k = 1 has
+# 1,392,385, and E8's would not fit in memory
+_EXPANDABLE = ([(fam, n, 0) for fam, n in _ALL_TYPES]
+               + [(fam, n, k) for fam, n in [("A", 1), ("A", 2), ("A", 3),
+                                             ("B", 2), ("C", 2), ("G", 2),
+                                             ("B", 3), ("C", 3), ("BC", 1),
+                                             ("BC", 2)] for k in (1, 2)]
+               + [("A", 4, 1), ("D", 4, 1), ("BC", 3, 1)])
+
+
+@pytest.mark.parametrize("fam,n,k", _EXPANDABLE)
+def test_weight_function_matches_the_factor_loop(fam, n, k):
+    rs = root_system(fam, n)
+    for kv in _integer_couplings(rs, k):
+        assert weight_function(rs, kv) == weight_function_reference(rs, kv)
+
+
+@pytest.mark.parametrize("fam,n", _ALL_TYPES)
+def test_root_factors_of_the_weight_function(fam, n):
+    # delta = (-1)^(sum k_a) e^(sum k_a a) prod (1 - e^-a)^(2 k_a), on every
+    # type: the pair read off class_two_rho against the sum over the roots
+    rs = root_system(fam, n)
+    for k in (0, 1, 2):
+        for kv in _integer_couplings(rs, k):
+            ks = [kv.integer_values()[c] for c in rs.pos_class]
+            weight = tuple(sum(h * w[j] for h, w in zip(ks, rs.pos_wcoords))
+                           for j in range(n))
+            powers = {r: 2 * h for r, h in enumerate(ks) if h}
+            assert root_factors(rs, kv.integer_values()) == (weight, powers)
+
+
+@pytest.mark.parametrize("fam,n", [("A", 2), ("A", 3), ("B", 2), ("G", 2),
+                                   ("BC", 2)])
+def test_one_minus_exp_matches_repeated_products(fam, n):
+    rs = root_system(fam, n)
+    for r in range(rs.n_positive):
+        for power in range(6):
+            assert (one_minus_exp(rs, r, power)
+                    == one_minus_exp_reference(rs, r, power))
+
+
+@pytest.mark.parametrize("fam,n", [("A", 2), ("B", 2), ("G", 2), ("BC", 2)])
+def test_localized_equals_matches_cross_multiplication(fam, n):
+    rs = root_system(fam, n)
+    rng = random.Random(37)
+    verdicts = set()
+    for _ in range(12):
+        x = _random_localized(rs, rng)
+        # the value of x over a larger denominator, and a neighbour of it
+        r, e = rng.randrange(rs.n_positive), rng.randint(1, 2)
+        den = dict(x.den)
+        den[r] = den.get(r, 0) + e
+        lifted = Localized(x.num * one_minus_exp_reference(rs, r, e), den)
+        bumped = Localized(lifted.num + Laurent.monomial((0,) * n), den)
+        for y in (lifted, bumped, _random_localized(rs, rng)):
+            if x.den == y.den:
+                continue
+            verdict = x.equals(y, rs)
+            assert verdict == y.equals(x, rs) == equals_reference(rs, x, y)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_inner_product_examples():

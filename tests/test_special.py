@@ -453,6 +453,13 @@ def test_e8_exponent_difference():
     assert e8_exponent_difference(Fraction(1, 30)) == (0, 0)
 
 
+def test_e8_exponent_difference_is_one_minus_30k():
+    for k in (0, 1, -2, Fraction(1, 6), Fraction(1, 30), Fraction(-7, 12),
+              Fraction(5, 3)):
+        diff = 1 - 30 * Fraction(k)
+        assert e8_exponent_difference(k) == (diff, diff / 2)
+
+
 def test_report_serialization_round_trip():
     from trigdunkl.coeff import parse_ratfunc
     rs, rep = _rep("G", 2)

@@ -19,11 +19,9 @@ ALLOWED_UNUSED = frozenset({
 })
 
 
-# stored by RootSystem.__init__ although no module reads them: the norm of
-# each coupling class, which the golden tables of tests/test_rootsys.py pin,
-# and the Coxeter number, kept for the Schwarz checks to derive the E8
-# exponent difference from
-ALLOWED_UNREAD = frozenset({"class_norms", "coxeter_number"})
+# stored by RootSystem.__init__ although no module reads it: the norm of
+# each coupling class, which the golden tables of tests/test_rootsys.py pin
+ALLOWED_UNREAD = frozenset({"class_norms"})
 
 
 def _modules():
