@@ -192,11 +192,12 @@ def test_root_factors_of_the_weight_function(fam, n):
     rs = root_system(fam, n)
     for k in (0, 1, 2):
         for kv in _integer_couplings(rs, k):
-            ks = [kv.integer_values()[c] for c in rs.pos_class]
+            ints = kv.integer_values()
+            ks = [ints[c] for c in rs.pos_class]
             weight = tuple(sum(h * w[j] for h, w in zip(ks, rs.pos_wcoords))
                            for j in range(n))
             powers = {r: 2 * h for r, h in enumerate(ks) if h}
-            assert root_factors(rs, kv.integer_values()) == (weight, powers)
+            assert root_factors(rs, ints) == (weight, powers)
 
 
 @pytest.mark.parametrize("fam,n", [("A", 2), ("A", 3), ("B", 2), ("G", 2),
