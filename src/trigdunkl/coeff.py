@@ -101,6 +101,8 @@ class Poly:
                     res.pop(m, None)
         return Poly(res)
 
+    __rmul__ = __mul__  # int * Poly
+
     def content(self):
         """Positive gcd of the coefficients (0 for the zero polynomial)."""
         c = 0

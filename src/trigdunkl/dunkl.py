@@ -11,9 +11,8 @@ from .laurent import (
     DivisibilityError,
     Laurent,
     Localized,
-    divided_difference,
+    difference_string,
     is_w_invariant,
-    partial,
     root_factors,
 )
 from .rootsys import pair_with_xi, unit
@@ -91,30 +90,31 @@ def mu_tilde(rs, mu, kvec):
                  for m, col in zip(mu, zip(*_two_shift(rs, mu))))
 
 
+def _rho_shift(rs, xi):
+    """-<2 rho_c, xi> per coupling class c: the rho_k shift of T(xi)."""
+    return [-pair_with_xi(rs, t, xi) for t in rs.class_two_rho]
+
+
 def dunkl_apply(rs, xi, f, kvec):
-    """Dunkl operator for xi (simple-coroot coordinates) applied to f: the
-    divided differences of each coupling class summed with their integer
-    weights <a, xi>, then scaled by k_c once."""
+    """Dunkl operator for xi (simple-coroot coordinates) applied to f on
+    cleared rows: (int, ks[j] p_nu) pairs, 2<nu, xi> and the rho shift on the
+    diagonal and 2<a, xi> on each root's string, reduced once over D Df."""
     xi = tuple(xi)
-    shift = _class_sum(kvec, [pair_with_xi(rs, t, xi) for t in rs.class_two_rho])
-    sums = {}
-    for r in range(rs.n_positive):
-        c = rs.pos_class[r]
-        axi = rs.root_xi(r, xi)
-        if not axi or not kvec.value(c):
-            continue
-        acc = sums.setdefault(c, {})
-        for w, a in divided_difference(rs, r, f).terms.items():
-            s = acc.get(w)
-            acc[w] = a * axi if s is None else s + a * axi
-    out = partial(rs, xi, f, shift=shift).terms
-    for c, acc in sums.items():
-        ka = kvec.value(c)
-        for w, s in acc.items():
-            if s:
-                v = out.get(w)
-                out[w] = ka * s if v is None else v + ka * s
-    return Laurent._raw({w: v for w, v in out.items() if v})
+    Df, ps = clear(list(f.terms.values()))
+    D, ks = clear([RF_ONE / 2] + [kvec.value(c) / 2 for c in range(rs.n_classes)])
+    shift = _rho_shift(rs, xi)
+    roots = [(r, 2 * axi, 1 + c) for r, c in enumerate(rs.pos_class)
+             if ks[1 + c] and (axi := rs.root_xi(r, xi))]
+    rows, den = {}, D * Df
+    for nu, p in zip(f.terms, ps):
+        q = [k * p for k in ks]
+        rows.setdefault(nu, []).extend(
+            zip([2 * pair_with_xi(rs, nu, xi)] + shift, q))
+        for r, a, j in roots:
+            for w, s in difference_string(rs, r, nu, a):
+                rows.setdefault(w, []).append((s, q[j]))
+    return Laurent._raw({w: v for w, row in rows.items()
+                         if (v := over(combine(row), den))})
 
 
 # --- quadratic forms on h* and the degree-2 operators built from them ---
@@ -293,17 +293,15 @@ def conjugation_check(rs, F, kvec):
 def _stencil(rs, xi, nu):
     """T(xi) e^nu as integer rows {w: row}, the e^w coefficient being
     (row[0] + sum_c k_c row[1 + c]) / 2: row[0] = 2<nu, xi> on the diagonal,
-    each root's string the divided difference of 2<a, xi> e^nu, and the
-    rho_k shift -<2 rho_c, xi> on the diagonal of class c."""
-    rows = {nu: [2 * pair_with_xi(rs, nu, xi)]
-            + [-pair_with_xi(rs, t, xi) for t in rs.class_two_rho]}
+    each root's string that of 2<a, xi> e^nu, and the rho_k shift
+    -<2 rho_c, xi> on the diagonal of class c."""
+    rows = {nu: [2 * pair_with_xi(rs, nu, xi)] + _rho_shift(rs, xi)}
     for r in range(rs.n_positive):
         axi = rs.root_xi(r, xi)
         if not axi:
             continue
         c = 1 + rs.pos_class[r]
-        for w, a in divided_difference(
-                rs, r, Laurent._raw({nu: 2 * axi})).terms.items():
+        for w, a in difference_string(rs, r, nu, 2 * axi):
             rows.setdefault(w, [0] * (1 + rs.n_classes))[c] += a
     return rows
 

@@ -2,15 +2,17 @@
 term, the longest element, reflections in any positive root, a SymH from a
 matrix of numbers, a Localized read back from its JSON, and, as oracles, the
 saturated set by a search that tests its definition, the Fraction, ambient
-and pairing tables that RootSystem does not hold, and the root-factor
-products by repeated Laurent products."""
+and pairing tables that RootSystem does not hold, the root-factor
+products by repeated Laurent products, and the Dunkl operator and the
+constant-term pairing summed as RatFuncs."""
 from fractions import Fraction
 
 from trigdunkl import (
     RF_ONE, RF_ZERO, Laurent, Localized, RatFunc, SymH, laurent_from_json, rho,
 )
 from trigdunkl.coeff import coerce
-from trigdunkl.rootsys import _simple_roots2, unit
+from trigdunkl.laurent import divided_difference
+from trigdunkl.rootsys import _simple_roots2, pair_with_xi, unit
 
 
 def weyl_act(rs, word, f):
@@ -66,6 +68,12 @@ def saturated_reference(rs, mu):
                 seen.add(w)
                 queue.append(w)
     return seen
+
+
+def mixed_fraction(rng):
+    """A random nonzero Fraction, its denominator up to 12."""
+    return Fraction(rng.choice((-5, -3, -2, -1, 1, 2, 4, 7)),
+                    rng.randint(1, 12))
 
 
 def symh(quadratic):
@@ -186,3 +194,45 @@ def equals_reference(rs, F, G):
     """Whether F = G, by cross multiplication with the whole denominators."""
     return (F.num * den_laurent_reference(rs, G)
             == G.num * den_laurent_reference(rs, F))
+
+
+# --- the Dunkl operator and the pairing as RatFunc loops ---
+
+
+def dunkl_apply_reference(rs, xi, f, kvec):
+    """T(xi) f: partial(xi) f - <rho_k, xi> f plus the divided differences of
+    each coupling class, summed with their integer weights <a, xi> as
+    RatFuncs and scaled by k_c once."""
+    xi = tuple(xi)
+    sums = {}
+    for r in range(rs.n_positive):
+        c = rs.pos_class[r]
+        axi = rs.root_xi(r, xi)
+        if not axi or not kvec.value(c):
+            continue
+        acc = sums.setdefault(c, {})
+        for w, a in divided_difference(rs, r, f).terms.items():
+            s = acc.get(w)
+            acc[w] = a * axi if s is None else s + a * axi
+    shift = pair_with_xi(rs, rho(rs, kvec), xi)
+    out = {mu: v for mu, c in f.terms.items()
+           if (v := c * (pair_with_xi(rs, mu, xi) - shift))}
+    for c, acc in sums.items():
+        ka = kvec.value(c)
+        for w, s in acc.items():
+            if s:
+                v = out.get(w)
+                out[w] = ka * s if v is None else v + ka * s
+    return Laurent({w: v for w, v in out.items() if v})
+
+
+def inner_product_reference(rs, f, g, delta):
+    """Constant term of f bar(g) delta / |W|, one RatFunc product and sum per
+    pair of terms."""
+    total = RF_ZERO
+    for mu, cf in f.terms.items():
+        for nu, cg in g.terms.items():
+            d = delta.terms.get(tuple(b - a for a, b in zip(mu, nu)))
+            if d is not None:
+                total = total + cf * cg * d
+    return total / rs.weyl_order

@@ -25,20 +25,31 @@ def _checkout(root):
     (root / "src" / "trigdunkl" / "__init__.py").write_text("")
     (root / "BENCHMARK.json").write_text(json.dumps({
         "command": ["python3", "perfbench/run.py"], "run_seconds": 1,
-        "workloads": [{"name": "eigen_symbolic"}]}))
+        "workloads": [{"name": "eigen_symbolic"}],
+        "end_to_end": [{"name": "requests_per_s", "better": "higher"},
+                       {"name": "request_p50_ms", "better": "lower"}]}))
     return root
 
 
-def _fake_run(calls):
-    """A stand-in for subprocess.run with the output each child prints."""
+def _fake_run(calls, rates=None):
+    """A stand-in for subprocess.run with the output each child prints; a
+    run's requests/s is rates[(checkout directory name, seed)], 2.0 by
+    default, and its p50 the inverse in ms."""
+    rates = rates or {}
+
     def run(argv, cwd=None, env=None, **kwargs):
         calls.append((argv, env))
         if argv[0] == "git":
             raise subprocess.CalledProcessError(128, argv)
         if "perfbench/run.py" in argv:
+            seed = int(argv[argv.index("--seed") + 1])
+            rate = rates.get((Path(cwd).name, seed), 2.0)
             out = json.dumps({"correct": True, "attempted": 3, "failed": 0,
-                              "metrics": {"requests_per_s": {
-                                  "unit": "1/s", "value": 2.0}}})
+                              "metrics": {
+                                  "requests_per_s": {"unit": "1/s",
+                                                     "value": rate},
+                                  "request_p50_ms": {"unit": "ms",
+                                                     "value": 1000 / rate}}})
         elif "perfbench/setup_sample.py" in argv:
             out = "0.05"
         elif "-c" in argv and "RootSystem" in argv[argv.index("-c") + 1]:
@@ -91,3 +102,27 @@ def test_a_checkout_with_a_bytecode_cache_is_refused(bench_record, tmp_path,
     assert code == 2 and calls == []
     assert str(cache) in capsys.readouterr().err
     assert not (tmp_path / "a.json").exists()
+
+
+def test_two_checkouts_record_the_ratio_of_each_pair(bench_record, tmp_path,
+                                                     monkeypatch):
+    monkeypatch.setattr(bench_record, "BUILD_PROCESSES", 1)
+    monkeypatch.setattr(bench_record, "SETUP_RUNS", 1)
+    rates = {("a", 1): 2.0, ("b", 1): 3.0, ("a", 2): 4.0, ("b", 2): 2.0,
+             ("a", 3): 2.0, ("b", 3): 2.5}
+    monkeypatch.setattr(subprocess, "run", _fake_run([], rates))
+    a, b = _checkout(tmp_path / "a"), _checkout(tmp_path / "b")
+    assert bench_record.main(["--seeds", "1", "2", "3", "--run", str(a),
+                              str(tmp_path / "a.json"), "--run", str(b),
+                              str(tmp_path / "b.json")]) == 0
+    assert "pairs" not in json.loads((tmp_path / "a.json").read_text())
+    pairs = json.loads((tmp_path / "b.json").read_text())["pairs"]
+    assert pairs["parent"]["commit"] is None
+    rate, p50 = (pairs["workloads"]["eigen_symbolic"][m]
+                 for m in ("requests_per_s", "request_p50_ms"))
+    assert rate == {"better": "higher", "ratios": [1.5, 0.5, 1.25],
+                    "median": 1.25, "change_better": 2, "pairs": 3}
+    assert p50["ratios"] == pytest.approx([2 / 3, 2.0, 0.8])
+    assert p50["median"] == pytest.approx(0.8)
+    assert (p50["better"], p50["change_better"], p50["pairs"]) == (
+        "lower", 2, 3)

@@ -418,6 +418,9 @@ CLI_BATTERY = [
      EMPTY,
      "error: resonant eigen-solve at mu=(-1,): mu~ equals nu~ for a weight"
      " nu below mu\n"),
+    ("hamiltonian --type E8 --mu 1,0,0,0,0,0,0,0 --k 2", 2,
+     EMPTY,
+     "error: a product of root factors passed 100000 terms\n"),
     ("orbit --type A2 --mu 1,0,0", 2,
      EMPTY,
      "error: --mu needs 2 coordinates, got 3\n"),

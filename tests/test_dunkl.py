@@ -41,8 +41,10 @@ from trigdunkl.rootsys import unit
 from trigdunkl.verify import PROP32_TYPES
 
 from support import (
+    dunkl_apply_reference,
     gram_fw,
     half_weight_reference,
+    mixed_fraction,
     one_minus_exp_reference,
     reflect_root,
     symh,
@@ -195,6 +197,52 @@ def test_dunkl_apply_matches_the_per_root_formula(fam, n):
             for xi in xis:
                 assert dunkl_apply(rs, xi, f, kv) == _dunkl_per_root(
                     rs, xi, f, kv), (kv, f, xi)
+    for k in (1, 2):  # numeric, with coefficients of mixed denominators
+        kv = couplings(rs, k, k)
+        for terms in (3, 6):
+            f = Laurent({tuple(rng.randint(-2, 2) for _ in range(n)):
+                         mixed_fraction(rng) for _ in range(terms)})
+            for xi in xis:
+                assert dunkl_apply(rs, xi, f, kv) == _dunkl_per_root(
+                    rs, xi, f, kv), (kv, f, xi)
+
+
+# the types and integer couplings of perfbench's pairing_numeric workload
+_PAIRING_TYPES = [("A", 1), ("A", 2), ("B", 2), ("G", 2), ("A", 3)]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("fam,n", _PAIRING_TYPES)
+def test_dunkl_apply_matches_the_ratfunc_loop(fam, n, k):
+    rs = root_system(fam, n)
+    kv = couplings(rs, k, k)
+    rng = random.Random(f"{fam}{n}{k}")
+    bound = 2 if n < 3 else 1
+    for terms in (1, 3, 5):
+        f = Laurent({tuple(rng.randint(-bound, bound) for _ in range(n)):
+                     mixed_fraction(rng) for _ in range(terms)})
+        # one coefficient a rational function: f is cleared over a Poly
+        g = f + Laurent.monomial(unit(n, 0), 1 / (1 + K))
+        for i in range(n):
+            for h in (f, g):
+                assert dunkl_apply(rs, unit(n, i), h, kv) == \
+                    dunkl_apply_reference(rs, unit(n, i), h, kv), (h, i)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_dunkl_apply_matches_the_ratfunc_loop_at_symbolic_couplings_on_bc(n):
+    rs = root_system("BC", n)
+    rng = random.Random(n)
+    for kv in (couplings(rs), couplings(rs, K, KP, KP),
+               couplings(rs, K, KP, 2)):
+        for _ in range(4):
+            f = Laurent({tuple(rng.randint(-2, 2) for _ in range(n)):
+                         rng.choice((K, 1 - KP, 1 / (1 + K),
+                                     mixed_fraction(rng)))
+                         for _ in range(3)})
+            for i in range(n):
+                assert dunkl_apply(rs, unit(n, i), f, kv) == \
+                    dunkl_apply_reference(rs, unit(n, i), f, kv), (kv, f, i)
 
 
 def test_jacobi_moves_past_a_numerically_vanishing_denominator():
@@ -334,9 +382,11 @@ def _epsilon_zero_positive(monkeypatch):
 
 
 def _halved_divided_difference(monkeypatch):
-    dd = dunkl.divided_difference
-    monkeypatch.setattr(dunkl, "divided_difference",
-                        lambda rs, r, f: dd(rs, r, f).scale(Fraction(1, 2)))
+    # the string that both dunkl_apply and the stencil read, its coefficient
+    # 2<a, xi> halved (even at both call sites, so the halving is exact)
+    string = dunkl.difference_string
+    monkeypatch.setattr(dunkl, "difference_string",
+                        lambda rs, r, nu, c: string(rs, r, nu, c // 2))
 
 
 @pytest.mark.parametrize("defect", [_epsilon_zero_positive,
@@ -361,9 +411,9 @@ def test_eigen_suite_fails_fast_on_a_non_triangular_operator(monkeypatch,
 
 
 def _flipped_rho_shift(monkeypatch):
-    partial = dunkl.partial
-    monkeypatch.setattr(dunkl, "partial", lambda rs, xi, f, shift=0:
-                        partial(rs, xi, f, -shift))
+    shift = dunkl._rho_shift
+    monkeypatch.setattr(dunkl, "_rho_shift",
+                        lambda rs, xi: [-x for x in shift(rs, xi)])
 
 
 @pytest.mark.parametrize("defect", [_epsilon_zero_positive,

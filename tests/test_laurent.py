@@ -5,12 +5,14 @@ import pytest
 
 from trigdunkl import (
     K,
+    KP,
     Laurent,
     Localized,
     RF_ONE,
     RatFunc,
     couplings,
     divided_difference,
+    dunkl_apply,
     inner_product,
     is_w_invariant,
     laurent_from_json,
@@ -18,13 +20,19 @@ from trigdunkl import (
     root_system,
     weight_function,
 )
-from trigdunkl.laurent import one_minus_exp, root_factors, try_divide
+from trigdunkl import laurent
+from trigdunkl.laurent import (
+    ExpansionError, one_minus_exp, root_factors, try_divide,
+)
+from trigdunkl.rootsys import unit
 from trigdunkl.verify import PROP32_TYPES
 
 from support import (
     constant_term,
     equals_reference,
+    inner_product_reference,
     localized_from_json,
+    mixed_fraction,
     one_minus_exp_reference,
     reflect_root,
     weight_function_reference,
@@ -200,6 +208,30 @@ def test_root_factors_of_the_weight_function(fam, n):
             assert root_factors(rs, ints) == (weight, powers)
 
 
+def test_weight_function_on_e8_is_refused():
+    # it would not fit in memory; the refusal comes within the first factors
+    e8 = root_system("E", 8)
+    with pytest.raises(ExpansionError, match="passed 100000 terms"):
+        weight_function(e8, couplings(e8, 1))
+
+
+def test_expansion_cap_boundary(monkeypatch):
+    # the cap holds after every factor: a product that peaks at the cap
+    # passes, and one term less refuses it
+    rs = root_system("B", 3)
+    kv = couplings(rs, 1, 2)
+    f, peak = Laurent.one(3), 0
+    for r in range(rs.n_positive):
+        f = f * one_minus_exp_reference(rs, r, 2 * kv.integer_values()[
+            rs.pos_class[r]])
+        peak = max(peak, len(f.terms))
+    monkeypatch.setattr(laurent, "EXPANSION_CAP", peak)
+    assert weight_function(rs, kv) == weight_function_reference(rs, kv)
+    monkeypatch.setattr(laurent, "EXPANSION_CAP", peak - 1)
+    with pytest.raises(ExpansionError, match=f"passed {peak - 1} terms"):
+        weight_function(rs, kv)
+
+
 @pytest.mark.parametrize("fam,n", [("A", 2), ("A", 3), ("B", 2), ("G", 2),
                                    ("BC", 2)])
 def test_one_minus_exp_matches_repeated_products(fam, n):
@@ -255,6 +287,59 @@ def test_inner_product_hermitian():
                      for _ in range(3)})
         assert inner_product(b2, f, g, kv, delta) == inner_product(
             b2, g, f, kv, delta)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("fam,n", [("A", 1), ("A", 2), ("B", 2), ("G", 2),
+                                   ("A", 3)])
+def test_inner_product_matches_the_ratfunc_loop(fam, n, k):
+    # the types and integer couplings of perfbench's pairing_numeric workload
+    rs = root_system(fam, n)
+    kv = couplings(rs, k, k)
+    delta = weight_function(rs, kv)
+    rng = random.Random(f"{fam}{n}{k}")
+    bound = 2 if n < 3 else 1
+    box = [tuple(rng.randint(-bound, bound) for _ in range(n))
+           for _ in range(9)]
+    zeros = 0
+    for _ in range(6):
+        f = dunkl_apply(rs, unit(n, rng.randrange(n)),
+                        Laurent({w: mixed_fraction(rng) for w in box[:3]}), kv)
+        g = Laurent({w: mixed_fraction(rng) for w in box[3:6]})
+        # g moved along e^w until (f, g) = 0, when (f, e^w) is not 0
+        for w in box:
+            step = inner_product_reference(rs, f, Laurent.monomial(w), delta)
+            if step:
+                h = g - Laurent.monomial(
+                    w, inner_product_reference(rs, f, g, delta) / step)
+                break
+        else:
+            h = g
+        zeros += inner_product(rs, f, h, kv, delta).is_zero()
+        # one coefficient a rational function: that product stays a RatFunc
+        p = f + Laurent.monomial(box[6], 1 / (1 + K))
+        for x, y in ((f, g), (g, f), (f, h), (p, g), (g, p)):
+            assert inner_product(rs, x, y, kv, delta) == \
+                inner_product_reference(rs, x, y, delta), (x, y)
+    assert zeros
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_inner_product_matches_the_ratfunc_loop_at_symbolic_couplings_on_bc(n):
+    # T(xi) f at symbolic couplings, paired against delta at integer ones
+    rs = root_system("BC", n)
+    delta = weight_function(rs, couplings(rs, 1, 1, 1))
+    rng = random.Random(n)
+    for kv in (couplings(rs), couplings(rs, K, KP, KP)):
+        for _ in range(4):
+            f = Laurent({tuple(rng.randint(-2, 2) for _ in range(n)):
+                         mixed_fraction(rng) for _ in range(3)})
+            g = Laurent({tuple(rng.randint(-2, 2) for _ in range(n)):
+                         mixed_fraction(rng) for _ in range(3)})
+            tf = dunkl_apply(rs, unit(n, rng.randrange(n)), f, kv)
+            for x, y in ((tf, g), (g, tf)):
+                assert inner_product(rs, x, y, kv, delta) == \
+                    inner_product_reference(rs, x, y, delta), (x, y)
 
 
 def _random_localized(rs, rng):

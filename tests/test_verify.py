@@ -188,11 +188,12 @@ def test_gram_suites_fail_on_a_perturbed_gram_table(monkeypatch):
 _MUTANTS = {
     "epsilon": (lambda eps: lambda x: 1 if x >= 0 else -1,  # epsilon(0) = +1
                 {"eigen"}),
-    "divided_difference": (  # the divided-difference term halved
-        lambda dd: lambda rs, r, f: dd(rs, r, f).scale(Fraction(1, 2)),
+    "difference_string": (  # the divided-difference term halved: its
+        # coefficient 2<a, xi> is even wherever dunkl reads the string
+        lambda string: lambda rs, r, nu, c: string(rs, r, nu, c // 2),
         {"cross", "hermitian", "thm23", "compat", "eigen"}),
-    "partial": (  # the rho shift with its sign flipped
-        lambda partial: lambda rs, xi, f, shift=0: partial(rs, xi, f, -shift),
+    "_rho_shift": (  # the rho shift with its sign flipped
+        lambda shift: lambda rs, xi: [-x for x in shift(rs, xi)],
         {"eigen", "cross", "thm23", "compat"}),
 }
 _MUTANT_SUITES = ("eigen", "cross", "hermitian", "thm23", "compat")

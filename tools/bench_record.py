@@ -18,7 +18,11 @@ the min over BUILD_PROCESSES fresh processes, each of which loads every
 checkout and alternates them build by build, and per workload the median and
 quartiles of SETUP_RUNS fresh `perfbench/setup_sample.py` set-ups, the
 checkouts alternating run by run, and the per-layer metrics of one traced
-round per workload at seed TRACE_SEED.
+round per workload at seed TRACE_SEED.  With two checkouts the first is the
+parent and the second the change: the change's OUT also gets, per workload
+and end-to-end metric of BENCHMARK.json, the change/parent ratio of each
+alternated pair, their median and the number of pairs where the change is
+better.
 
 Every Python child runs with -B and PYTHONDONTWRITEBYTECODE=1, so that no
 process writes bytecode, and a checkout whose src/ holds a __pycache__ is
@@ -197,6 +201,23 @@ def summarize(results):
             "metrics": metrics}
 
 
+def pair_ratios(parent, change, end_to_end):
+    """Per end-to-end metric, the change/parent ratio of each pair of runs
+    (one seed each), their median and the number of pairs where the change
+    is better."""
+    out = {}
+    for metric in end_to_end:
+        name, higher = metric["name"], metric["better"] == "higher"
+        ratios = [c["metrics"][name]["value"] / p["metrics"][name]["value"]
+                  for p, c in zip(parent, change)]
+        out[name] = {"better": metric["better"], "ratios": ratios,
+                     "median": statistics.median(ratios),
+                     "change_better": sum(r > 1 if higher else r < 1
+                                          for r in ratios),
+                     "pairs": len(ratios)}
+    return out
+
+
 def main(argv=None):
     args = parse_args(argv)
     checkouts = [os.path.abspath(c) for c, _ in args.run]
@@ -236,6 +257,10 @@ def main(argv=None):
             "trace": {w: run_once(c, w, TRACE_SEED, seconds, trace=1)
                       for w in workloads},
         }
+        if len(checkouts) == 2 and c == checkouts[1]:
+            doc["pairs"] = {"parent": identity(checkouts[0]), "workloads": {
+                w: pair_ratios(raw[checkouts[0], w], raw[c, w],
+                               bench["end_to_end"]) for w in workloads}}
         with open(out, "w") as fh:
             json.dump(doc, fh, indent=1)
             fh.write("\n")
