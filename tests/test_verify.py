@@ -3,7 +3,6 @@ injected into the operators they check."""
 import io
 import random
 from contextlib import redirect_stderr, redirect_stdout
-from fractions import Fraction
 
 import pytest
 
