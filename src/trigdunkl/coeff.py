@@ -578,7 +578,15 @@ class Factored:
         return Factored(self.n * other.n, self.q * other.q, fac)
 
     def __truediv__(self, d):
-        return self * Factored.of(RF_ONE / d)
+        """self / d for a nonzero RatFunc, or an int or Poly as combine gives
+        it: 1 / d is den / num, num split once into sign, content and
+        primitive part, the part positively led."""
+        num, den = (d.num, d.den) if d.__class__ is RatFunc else (d, 1)
+        num = _poly(num)
+        g = num.content() if num.lead()[1] > 0 else -num.content()
+        f = _divided(num, g)
+        return self * Factored(den if g > 0 else -den, abs(g),
+                               {} if f.is_one() else {f: 1})
 
     def reduce(self):
         """(the canonical RatFunc of self, self in lowest terms): trial

@@ -3,8 +3,9 @@ eigenvalue data, Jacobi eigenfunctions, invariant operators, the modified
 Laplacian, the quantum Hamiltonian, and the conjugation identity check."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from operator import mul
 
 from .coeff import RF_ONE, RF_ZERO, Factored, clear, coerce, combine, over
 from .laurent import (
@@ -120,12 +121,12 @@ def dunkl_apply(rs, xi, f, kvec):
 # --- quadratic forms on h* and the degree-2 operators built from them ---
 
 
-@dataclass(frozen=True)
-class SymH:
+class SymH(namedtuple("SymH", "quadratic")):
     """Quadratic form p on h*, a symmetric matrix in simple-coroot coordinates:
-    p(lam) = sum_ij quadratic[i][j] lam(a_i^vee) lam(a_j^vee)."""
+    p(lam) = sum_ij quadratic[i][j] lam(a_i^vee) lam(a_j^vee); quadratic is a
+    symmetric matrix of RatFunc."""
 
-    quadratic: tuple  # symmetric matrix of RatFunc
+    __slots__ = ()
 
     @classmethod
     def laplacian(cls, rs):
@@ -231,15 +232,20 @@ def coth_sum(rs, p, F, kvec):
 
 def partial_quadratic(rs, p, F):
     """partial(p) = sum_ij p_ij partial_i partial_j on a localized element."""
+    n = rs.rank
     if not F.den:
-        # diagonal on the group algebra: e^mu -> p(mu) e^mu
+        # diagonal on the group algebra: e^mu -> p(mu) e^mu, p's entries
+        # cleared once over D and p(mu) D one integer combination of them in
+        # y_i y_j, y_i = mu(a_i^vee) = mu_i wt_diag[i], reduced once
+        D, ps = clear([x for row in p.quadratic for x in row])
+        nz = [(divmod(i, n), q) for i, q in enumerate(ps) if q]
         res = {}
         for mu, c in F.num.terms.items():
-            v = p.value_at(rs, mu)
+            y = list(map(mul, mu, rs.wt_diag))
+            v = over(combine((y[i] * y[j], q) for (i, j), q in nz), D)
             if v:
                 res[mu] = c * v
         return Localized(Laurent._raw(res))
-    n = rs.rank
     q = p.quadratic
     derivs = [F.derivative(rs, unit(n, j)) for j in range(n)]
     out = Localized(Laurent.zero())
@@ -339,11 +345,11 @@ def jacobi(rs, mu, kvec):
         two = {nu: [2 * pair_with_xi(rs, nu, xi)]
                + [pair_with_xi(rs, v, xi) for v in vs]
                for nu, vs in two_shift.items()}
-        denoms = {mu: RF_ONE}
+        denoms = {mu: 1}
         for nu in order[1:]:
-            # zero-tested as a RatFunc: at numeric k the classes can cancel
-            d = over(combine(zip([a - b for a, b in zip(two[mu], two[nu])], ks)), 1)
-            if d.is_zero():
+            # zero-tested in integers: at numeric k the classes can cancel
+            d = combine(zip([a - b for a, b in zip(two[mu], two[nu])], ks))
+            if not d:
                 break
             denoms[nu] = d
         else:

@@ -3,6 +3,7 @@ inner product, and the localized fraction ring."""
 from __future__ import annotations
 
 from math import comb, lcm
+from operator import add, sub
 
 from .coeff import RF_ONE, RF_ZERO, RatFunc, coerce, over, parse_ratfunc
 from .rootsys import pair_with_xi
@@ -71,7 +72,7 @@ class Laurent:
 
     def __mul__(self, other):
         if isinstance(other, Laurent):
-            return _collect((tuple(a + b for a, b in zip(mu, nu)), c1 * c2)
+            return _collect((tuple(map(add, mu, nu)), c1 * c2)
                             for mu, c1 in self.terms.items()
                             for nu, c2 in other.terms.items())
         return self.scale(other)
@@ -138,7 +139,7 @@ def try_divide(rs, f, r):
     groups = {}
     for mu, c in f.terms.items():
         t = (mu[j0] - mu[j0] % a0) // a0
-        key = tuple(m - t * a for m, a in zip(mu, alpha))
+        key = tuple(map(sub, mu, map(t.__mul__, alpha)))
         groups.setdefault(key, {})[t] = c
     out = {}
     for key, coeffs in groups.items():
@@ -153,7 +154,7 @@ def try_divide(rs, f, r):
         for t in range(t_max, t_min, -1):
             running = running + coeffs.get(t, RF_ZERO)
             if running:
-                out[tuple(m + t * a for m, a in zip(key, alpha))] = running
+                out[tuple(map(add, key, map(t.__mul__, alpha)))] = running
     return Laurent._raw(out)
 
 
@@ -171,7 +172,7 @@ def difference_string(rs, r, nu, c):
     else:
         return ()
     alpha = rs.pos_wcoords[r]
-    return [(tuple(m + t * a for m, a in zip(nu, alpha)), c) for t in steps]
+    return [(tuple(map(add, nu, map(t.__mul__, alpha))), c) for t in steps]
 
 
 def divided_difference(rs, r, f):
@@ -226,12 +227,14 @@ def inner_product(rs, f, g, kvec, delta=None):
     of their denominators, reduced once; any other product as a RatFunc."""
     dterms = (weight_function(rs, kvec) if delta is None else delta).terms
     n, q, rest = 0, 1, RF_ZERO
+    gterms = list(g.terms.items())
     for mu, cf in f.terms.items():
-        for nu, cg in g.terms.items():
-            d = dterms.get(tuple(b - a for a, b in zip(mu, nu)))
+        fconst = cf.num.__class__ is int
+        for nu, cg in gterms:
+            d = dterms.get(tuple(map(sub, nu, mu)))
             if d is None:
                 continue
-            if cf.is_const() and cg.is_const() and d.is_const():
+            if fconst and cg.num.__class__ is int and d.num.__class__ is int:
                 den = cf.den * cg.den * d.den
                 m = lcm(q, den)
                 n, q = n * (m // q) + cf.num * cg.num * d.num * (m // den), m

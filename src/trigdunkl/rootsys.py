@@ -6,11 +6,11 @@ entries may be int, Fraction, or RatFunc; all operations here are pure.
 """
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
+from operator import mul
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G", "BC")
 
@@ -31,16 +31,15 @@ _RANK_OK = {
     "BC": lambda n: n >= 1,
 }
 
-@dataclass(frozen=True)
-class RootSystemSpec:
-    family: str
-    rank: int
+class RootSystemSpec(namedtuple("RootSystemSpec", "family rank")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if not isinstance(self.rank, int) or not _RANK_OK[self.family](self.rank):
-            raise ValueError(f"invalid rank {self.rank} for family {self.family}")
+    def __new__(cls, family, rank):
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        if not isinstance(rank, int) or not _RANK_OK[family](rank):
+            raise ValueError(f"invalid rank {rank} for family {family}")
+        return super().__new__(cls, family, rank)
 
     def __str__(self):
         return f"{self.family}{self.rank}"
@@ -264,8 +263,7 @@ class RootSystem:
 
     def root_pairing(self, mu, r):
         """<mu, alpha^vee> for the r-th positive root."""
-        row = self.pos_pair[r]
-        return sum(c * m for c, m in zip(row, mu) if c)
+        return sum(map(mul, self.pos_pair[r], mu))
 
     def root_xi(self, r, xi):
         """alpha_r(xi) for xi in simple-coroot coordinates."""

@@ -3,7 +3,7 @@ operator map, monodromy data, the Lorentzian parameter region, and the
 Schwarz-condition arithmetic."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .coeff import RF_ZERO, RatFunc, clear, combine, couplings, over
@@ -13,16 +13,12 @@ from .rootsys import root_system
 INFINITY = "inf"
 
 
-@dataclass(frozen=True)
-class SpecialExponentReport:
-    family: str
-    rank: int
-    exponents: tuple       # n+1 weight-coordinate RatFunc tuples
-    spectral: tuple        # lambda_i = mu_i + rho_k
-    x: RatFunc
-    y: RatFunc
-    a_value: RatFunc
-    kvec: object
+# exponents: n+1 weight-coordinate RatFunc tuples; spectral: lambda_i = mu_i
+# + rho_k; x, y and a_value: RatFuncs; kvec: the CouplingVector
+class SpecialExponentReport(namedtuple(
+        "SpecialExponentReport",
+        "family rank exponents spectral x y a_value kvec")):
+    __slots__ = ()
 
     def to_json(self):
         return {

@@ -2,7 +2,6 @@
 deterministic battery of exact checks and reports per-case verdicts."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
@@ -35,11 +34,11 @@ from .special import (
 )
 
 
-@dataclass
 class Case:
-    case_id: str
-    ok: bool
-    detail: str = ""
+    __slots__ = ("case_id", "ok", "detail")
+
+    def __init__(self, case_id, ok, detail=""):
+        self.case_id, self.ok, self.detail = case_id, ok, detail
 
     def to_json(self):
         out = {"case": self.case_id, "ok": self.ok}
@@ -48,10 +47,11 @@ class Case:
         return out
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    cases: list = field(default_factory=list)
+    __slots__ = ("name", "cases")
+
+    def __init__(self, name, cases=None):
+        self.name, self.cases = name, [] if cases is None else cases
 
     @property
     def ok(self):

@@ -3,8 +3,9 @@ term, the longest element, reflections in any positive root, a SymH from a
 matrix of numbers, a Localized read back from its JSON, and, as oracles, the
 saturated set by a search that tests its definition, the Fraction, ambient
 and pairing tables that RootSystem does not hold, the root-factor
-products by repeated Laurent products, and the Dunkl operator and the
-constant-term pairing summed as RatFuncs."""
+products by repeated Laurent products, and the Dunkl operator, the
+constant-term pairing and the quotient by 1 - e^(-alpha) summed as
+RatFuncs."""
 from fractions import Fraction
 
 from trigdunkl import (
@@ -236,3 +237,29 @@ def inner_product_reference(rs, f, g, delta):
             if d is not None:
                 total = total + cf * cg * d
     return total / rs.weyl_order
+
+
+def try_divide_reference(rs, f, r):
+    """f / (1 - e^(-alpha_r)) or None: f's terms grouped along alpha_r-strings,
+    each string's quotient a RatFunc running sum from its top down."""
+    alpha = rs.pos_wcoords[r]
+    j0 = next(j for j, a in enumerate(alpha) if a)
+    a0 = alpha[j0]
+    groups = {}
+    for mu, c in f.terms.items():
+        t = (mu[j0] - mu[j0] % a0) // a0
+        key = tuple(m - t * a for m, a in zip(mu, alpha))
+        groups.setdefault(key, {})[t] = c
+    out = {}
+    for key, coeffs in groups.items():
+        total = RF_ZERO
+        for c in coeffs.values():
+            total = total + c
+        if total:
+            return None
+        running = RF_ZERO
+        for t in range(max(coeffs), min(coeffs), -1):
+            running = running + coeffs.get(t, RF_ZERO)
+            if running:
+                out[tuple(m + t * a for m, a in zip(key, alpha))] = running
+    return Laurent(out)

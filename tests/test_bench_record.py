@@ -55,7 +55,8 @@ def _fake_run(calls, rates=None):
         elif "-c" in argv and "RootSystem" in argv[argv.index("-c") + 1]:
             out = json.dumps([{"A1": 0.001} for _ in json.loads(argv[-1])])
         else:
-            out = json.dumps({"commute": 0.1})
+            checkouts = json.loads(argv[argv.index("-c") + 2])
+            out = json.dumps([{"commute": 0.1} for _ in checkouts])
         return SimpleNamespace(stdout=out + "\n")
     return run
 
@@ -72,9 +73,9 @@ def test_every_python_child_writes_no_bytecode(bench_record, tmp_path,
                               str(tmp_path / "b.json")])
     assert code == 0
     python = [(argv, env) for argv, env in calls if argv[0] != "git"]
-    # 4 runs, 2 build processes, 2 x 2 set-ups, and one suite timing and
-    # one traced round each
-    assert len(python) == 4 + 2 + 4 + 2 + 2
+    # 4 runs, 2 build processes, 2 x 2 set-ups, one suite timing for both
+    # checkouts and one traced round each
+    assert len(python) == 4 + 2 + 4 + 1 + 2
     traced = [argv for argv, _ in python if "--trace" in argv
               and argv[argv.index("--trace") + 1] == "1"]
     assert len(traced) == 2
@@ -87,6 +88,7 @@ def test_every_python_child_writes_no_bytecode(bench_record, tmp_path,
     rate = doc["workloads"]["eigen_symbolic"]["metrics"]["requests_per_s"]
     assert rate["values"] == [2.0, 2.0]
     assert doc["trace"]["eigen_symbolic"]["correct"] is True
+    assert doc["suite_wall_s"] == {"commute": 0.1}
 
 
 def test_a_checkout_with_a_bytecode_cache_is_refused(bench_record, tmp_path,
@@ -126,3 +128,42 @@ def test_two_checkouts_record_the_ratio_of_each_pair(bench_record, tmp_path,
     assert p50["median"] == pytest.approx(0.8)
     assert (p50["better"], p50["change_better"], p50["pairs"]) == (
         "lower", 2, 3)
+
+
+# a stand-in verify module for checkout {name}: each suite logs the checkout
+# and its name, and its first run sleeps, as a cold run that builds root
+# systems does
+_FAKE_VERIFY = """
+import os, time
+seen = set()
+
+def _suite(suite):
+    def run(types):
+        with open(os.environ["SUITE_LOG"], "a") as fh:
+            fh.write(f"{name}:{{suite}}\\n")
+        if suite not in seen:
+            seen.add(suite)
+            time.sleep(0.2)
+    return run
+
+SUITES = {{suite: _suite(suite) for suite in ("commute", "eigen")}}
+"""
+
+
+def test_suite_times_are_warm_and_alternate_the_checkouts_in_one_process(
+        bench_record, tmp_path, monkeypatch):
+    checkouts = [_checkout(tmp_path / name) for name in ("a", "b")]
+    for c in checkouts:
+        (c / "src" / "trigdunkl" / "verify.py").write_text(
+            _FAKE_VERIFY.format(name=c.name))
+    log = tmp_path / "log"
+    monkeypatch.setenv("SUITE_LOG", str(log))
+    monkeypatch.setattr(bench_record, "SUITE_RUNS", 2)
+    times = bench_record.suite_times([str(c) for c in checkouts])
+    assert [sorted(t) for t in times] == [["commute", "eigen"]] * 2
+    # the cold first run of each suite is not counted
+    assert all(v < 0.1 for t in times for v in t.values()), times
+    assert log.read_text().split() == [
+        "a:commute", "a:eigen", "b:commute", "b:eigen",   # cold, once each
+        "a:commute", "b:commute", "a:eigen", "b:eigen",   # run 1
+        "b:commute", "a:commute", "b:eigen", "a:eigen"]   # run 2, reversed

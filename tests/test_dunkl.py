@@ -822,6 +822,28 @@ def test_localized_operators_match_the_lifted_sums(fam, n):
                 == _lifted_hamiltonian_apply(rs, G, kv).to_json())
 
 
+@pytest.mark.parametrize("fam,n", [("A", 1), ("A", 2), ("B", 2), ("G", 2),
+                                   ("BC", 2)])
+def test_partial_quadratic_on_the_group_algebra_matches_value_at(fam, n):
+    # e^mu -> p(mu) e^mu against SymH.value_at weight by weight: the
+    # Laplacian with numeric and with symbolic coefficients, and a symbolic
+    # p that is not W-invariant, its entries over a Poly denominator
+    rs = root_system(fam, n)
+    rng = random.Random(f"{fam}{n}")
+    skew = symh([[1 / (1 + K) if i == j == 0 else K * (i + j) - KP / 3
+                  for j in range(n)] for i in range(n)])
+    assert n == 1 or not symh_is_invariant(rs, skew)
+    box = list(itertools.product(range(-2, 3), repeat=n))
+    for p in (SymH.laplacian(rs), skew):
+        for coeff in (lambda: mixed_fraction(rng),
+                      lambda: rng.choice((K, 1 / (1 + K))) * mixed_fraction(rng)):
+            f = Laurent({mu: coeff() for mu in rng.sample(box, 5)})
+            ref = Laurent({mu: c * p.value_at(rs, mu)
+                           for mu, c in f.terms.items()})
+            out = dunkl.partial_quadratic(rs, p, Localized(f))
+            assert not out.den and out.num == ref, (p, f)
+
+
 def test_commutativity_spot_checks():
     rng = random.Random(2)
     for fam, n in [("A", 2), ("B", 2), ("G", 2)]:

@@ -35,6 +35,7 @@ from support import (
     mixed_fraction,
     one_minus_exp_reference,
     reflect_root,
+    try_divide_reference,
     weight_function_reference,
     weyl_act,
 )
@@ -57,6 +58,29 @@ def test_try_divide_examples():
         prod = h * Laurent({(0, 0): 1,
                             tuple(-a for a in a2.pos_wcoords[r]): -1})
         assert try_divide(a2, prod, r) == h
+
+
+@pytest.mark.parametrize("fam,n", [("A", 1), ("A", 2), ("B", 2), ("G", 2),
+                                   ("A", 3), ("BC", 2)])
+def test_try_divide_matches_the_running_sum_loop(fam, n):
+    rs = root_system(fam, n)
+    rng = random.Random(f"{fam}{n}")
+    coeffs = (K, 1 - KP, 1 / (1 + K), K * KP / 3)
+    outcomes = set()
+    for _ in range(6):
+        h = Laurent({tuple(rng.randint(-2, 2) for _ in range(n)):
+                     rng.choice(coeffs) * mixed_fraction(rng)
+                     for _ in range(4)})
+        for r in range(rs.n_positive):
+            prod = h * one_minus_exp(rs, r)
+            stray = prod + Laurent.monomial(
+                tuple(rng.randint(-3, 3) for _ in range(n)), rng.choice(coeffs))
+            for f in (prod, stray, h):
+                q = try_divide(rs, f, r)
+                assert q == try_divide_reference(rs, f, r), (f, r)
+                outcomes.add(q is None)
+            assert try_divide(rs, prod, r) == h
+    assert outcomes == {True, False}
 
 
 def _divided_difference_by_division(rs, r, f):

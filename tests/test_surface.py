@@ -1,8 +1,11 @@
 """The package surface is what the package itself uses: every name that
 trigdunkl exports is used by one of its other modules, every table that
 RootSystem stores is read by some module, each but those on the short lists
-below, and no module reaches into another through a private name."""
+below, no module reaches into another through a private name, and the
+import loads neither dataclasses nor inspect."""
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import trigdunkl
@@ -88,3 +91,12 @@ def test_every_root_system_table_is_read():
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     assert "spec" in stored and "gram_fw_int" in stored
     assert stored - read == ALLOWED_UNREAD
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter without site, so that only the package's imports count
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import trigdunkl; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -11,8 +11,9 @@ even seed positions, the second on odd ones.  Each OUT gets, per workload and
 end-to-end metric, the median, quartiles and interquartile range over the
 seeds and every value, plus the seeds, the checkout's commit and a hash of
 its src/, the Python version, the cpu count, the wall time of each verify
-suite in one run of all suites in a fresh process (root systems built on
-first use, as `trigdunkl verify --suite all` does), and the time of one cold
+suite as the min of SUITE_RUNS warm runs in one process that loads every
+checkout and alternates them suite by suite, after one run of every suite
+per checkout that builds its root systems, and the time of one cold
 RootSystem build per type for the 32 special-exponent types and BC1-BC4:
 the min over BUILD_PROCESSES fresh processes, each of which loads every
 checkout and alternates them build by build, and per workload the median and
@@ -40,17 +41,22 @@ import statistics
 import subprocess
 import sys
 
-# every suite of verify.SUITES in order, timed in one process
-_SUITE_TIMES = """
-import json, sys, time
-sys.path.insert(0, "src")
-from trigdunkl.verify import SUITES
-out = {}
-for name, run in SUITES.items():
-    t0 = time.perf_counter()
-    run(None)
-    out[name] = time.perf_counter() - t0
-print(json.dumps(out))
+# the checkouts (argv[1], a JSON list) loaded side by side as packages of
+# their own, trigdunkl_0, trigdunkl_1, ...: modules(name) lists each
+# checkout's module of that name
+_LOAD = """
+import importlib, importlib.util, json, sys, time
+checkouts = json.loads(sys.argv[1])
+for i, c in enumerate(checkouts):
+    name, path = f"trigdunkl_{i}", f"{c}/src/trigdunkl"
+    spec = importlib.util.spec_from_file_location(
+        name, f"{path}/__init__.py", submodule_search_locations=[path])
+    sys.modules[name] = module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+
+def modules(name):
+    return [importlib.import_module(f"trigdunkl_{i}.{name}")
+            for i in range(len(checkouts))]
 """
 
 # fresh processes that time the RootSystem builds of every checkout: on a
@@ -59,19 +65,10 @@ print(json.dumps(out))
 # the same load, and each type keeps its min over the processes
 BUILD_PROCESSES = 10
 
-# one cold RootSystem build per type and checkout, the checkouts (argv[1], a
-# JSON list) loaded side by side as packages of their own and alternated
-# build by build, in 3 rounds over all types: the min per type and checkout
-_BUILD_TIMES = """
-import importlib.util, json, sys, time
-mods = []
-for i, c in enumerate(json.loads(sys.argv[1])):
-    name, path = f"trigdunkl_{i}", f"{c}/src/trigdunkl"
-    spec = importlib.util.spec_from_file_location(
-        name, f"{path}/__init__.py", submodule_search_locations=[path])
-    sys.modules[name] = module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    mods.append(importlib.import_module(f"{name}.rootsys"))
+# one cold RootSystem build per type and checkout, alternated build by build,
+# in 3 rounds over all types: the min per type and checkout
+_BUILD_TIMES = _LOAD + """
+mods = modules("rootsys")
 types = importlib.import_module("trigdunkl_0.verify").PROP32_TYPES
 out = [{} for _ in mods]
 for r in range(3):
@@ -84,6 +81,30 @@ for r in range(3):
 print(json.dumps(out))
 """
 
+# warm runs per suite and checkout: timed once in a fresh process per
+# checkout, eigen read 0.085 -> 0.116 s in BENCH_25/BENCH_26, where warm,
+# alternated runs in one process read 71.8 -> 64.6 ms
+SUITE_RUNS = 3
+
+# every suite of verify.SUITES per checkout, once to build the root systems,
+# then SUITE_RUNS times alternated suite by suite: the min per suite and
+# checkout
+_SUITE_TIMES = _LOAD + """
+suites = [m.SUITES for m in modules("verify")]
+for s in suites:
+    for run in s.values():
+        run(None)
+out = [{} for _ in suites]
+for r in range(int(sys.argv[2])):
+    for name in dict.fromkeys(n for s in suites for n in s):
+        for i in range(len(suites)) if r % 2 == 0 else range(len(suites))[::-1]:
+            if name in suites[i]:
+                t0 = time.perf_counter()
+                suites[i][name](None)
+                t = time.perf_counter() - t0
+                out[i][name] = min(t, out[i].get(name, t))
+print(json.dumps(out))
+"""
 
 # fresh set-up runs per workload and checkout: perfbench's setup_s is the
 # median of a few samples of one checkout, which on a shared 2-core machine
@@ -153,6 +174,12 @@ def run_once(checkout, workload, seed, seconds, trace=0):
                    "--seed", str(seed), "--seconds", str(seconds),
                    "--trace", str(trace)], checkout)
     return json.loads(out.strip().splitlines()[-1])
+
+
+def suite_times(checkouts):
+    """Per checkout, in order, the min per suite of _SUITE_TIMES."""
+    return json.loads(_python(["-c", _SUITE_TIMES, json.dumps(checkouts),
+                               str(SUITE_RUNS)], checkouts[0]))
 
 
 def build_times(checkouts):
@@ -241,8 +268,9 @@ def main(argv=None):
                 sys.stderr.write(f"{w} seed {seed} {c}: {rate:.3f} requests/s\n")
     builds = build_times(checkouts)
     setups = setup_times(checkouts, workloads)
-    for c, (_, out), build, setup in zip(checkouts, args.run, builds, setups):
-        suites = json.loads(_python(["-c", _SUITE_TIMES], c))
+    suites = suite_times(checkouts)
+    for c, (_, out), build, setup, suite in zip(checkouts, args.run, builds,
+                                                setups, suites):
         doc = {
             "benchmark": " ".join(bench["command"]),
             "seconds": seconds,
@@ -251,7 +279,7 @@ def main(argv=None):
             "python": platform.python_version(),
             "cpu_count": os.cpu_count(),
             "workloads": {w: summarize(raw[c, w]) for w in workloads},
-            "suite_wall_s": suites,
+            "suite_wall_s": suite,
             "build_wall_s": build,
             "setup_wall_s": setup,
             "trace": {w: run_once(c, w, TRACE_SEED, seconds, trace=1)
