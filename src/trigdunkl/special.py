@@ -39,85 +39,54 @@ def _case_couplings(rs, kvec):
     return kvec.value(0), kvec.value(1)
 
 
+def _require_reduced(rs, what):
+    if rs.spec.family == "BC":
+        raise ValueError(f"{what} are defined for reduced systems only")
+
+
 def special_exponents(rs, kvec):
-    """The n+1 exponents of the rank n+1 subsystem, with spectral shifts."""
+    """The n+1 exponents of the rank n+1 subsystem, with spectral shifts.
+
+    mu_1 = -x w_1; a breadth-first walk of the Dynkin diagram from node 1
+    gives each node's exponent from its neighbour's by the rho_k-shifted
+    reflection s_j.mu = mu - (mu(a_j^vee) + k_j) a_j, j the one of the two
+    nodes farther from t (the branch node on D and E, node n on a path);
+    mu_(n+1) = s_t.mu_t.  Only (x, y) is read off the case formulas."""
+    _require_reduced(rs, "special exponents")
     family, n = rs.spec.family, rs.rank
-    if family == "BC":
-        raise ValueError("special exponents are defined for reduced systems only")
     k, kp = _case_couplings(rs, kvec)
-
-    def at(pairs):
-        v = [RF_ZERO] * n
-        for idx, c in pairs:
-            if 0 <= idx < n:
-                v[idx] = v[idx] + c
-        return tuple(v)
-
     half = Fraction(1, 2)
     if family == "A":
-        x = (k + kp) * (half * (n + 1))
-        y = (k - kp) * (half * (n + 1))
-        mus = [at([(i - 2, x - i * k), (i - 1, (i - 1) * k - x)])
-               for i in range(1, n + 2)]
+        x, y = (k + kp) * (half * (n + 1)), (k - kp) * (half * (n + 1))
     elif family == "B":
-        x = (n - 2) * k + kp
-        y = 2 * k
-        mus = [at([(i - 2, x - i * k), (i - 1, (i - 1) * k - x)])
-               for i in range(1, n)]
-        mus.append(at([(n - 2, x - n * k), (n - 1, 2 * (n - 1) * k - 2 * x)]))
-        mus.append(at([(n - 2, (n - 2) * k + kp - x),
-                       (n - 1, 2 * x - 2 * (n - 1) * k - 2 * kp)]))
+        x, y = (n - 2) * k + kp, 2 * k
     elif family == "C":
-        x = (n - 2) * k + 2 * kp
-        y = k
-        mus = [at([(i - 2, x - i * k), (i - 1, (i - 1) * k - x)])
-               for i in range(1, n)]
-        mus.append(at([(n - 2, x - n * k), (n - 1, (n - 1) * k - x)]))
-        mus.append(at([(n - 2, (n - 2) * k + 2 * kp - x),
-                       (n - 1, x - (n - 1) * k - 2 * kp)]))
-    elif family == "F":
-        x = k + kp
-        y = 2 * k + kp
-        mus = [
-            at([(0, -(k + kp))]),
-            at([(0, kp - k), (1, -kp)]),
-            at([(1, kp - 2 * k), (2, 2 * k - 2 * kp)]),
-            at([(2, -2 * k), (3, 2 * k - kp)]),
-            at([(3, -(2 * k + kp))]),
-        ]
-    elif family == "G":
-        x = (k + 3 * kp) * half
-        y = (k + kp) * half
-        mus = [
-            at([(0, -x)]),
-            at([(0, x - 2 * k), (1, k - x)]),
-            at([(1, -y)]),
-        ]
+        x, y = (n - 2) * k + 2 * kp, k
     elif family == "D":
-        x = (n - 2) * k
-        y = 2 * k
-        mus = [at([(i - 2, (n - 2 - i) * k), (i - 1, -(n - 1 - i) * k)])
-               for i in range(1, n - 1)]
-        mus.append(at([(n - 2, -2 * k)]))
-        mus.append(at([(n - 1, -2 * k)]))
-        mus.append(mus[n - 3])  # triple node n-2 doubled
-    else:  # E
-        x = 3 * k
-        y = (n - 3) * k
-        table = [
-            [(0, -3 * k)],
-            [(1, -2 * k)],
-            [(0, k), (2, -2 * k)],
-            [(3, -k)],
-            [(4, -2 * k), (5, k)],
-            [(5, -3 * k), (6, 2 * k)],
-            [(6, -4 * k), (7, 3 * k)],
-            [(7, -5 * k)],
-        ]
-        mus = [at(pairs) for pairs in table[:n]]
-        mus.append(mus[3])  # triple node 4 doubled
+        x, y = (n - 2) * k, 2 * k
+    elif family == "E":
+        x, y = 3 * k, (n - 3) * k
+    elif family == "F":
+        x, y = k + kp, 2 * k + kp
+    else:  # G
+        x, y = (k + 3 * kp) * half, (k + kp) * half
+    ks = [kvec.value(rs.pos_class[r]) for r in rs.simple_index]
+
+    def shifted_reflection(j, mu):
+        c = rs.pairing(mu, j) + ks[j]
+        if not c:
+            return mu
+        return tuple(m - c * a if a else m for m, a in zip(mu, rs.alpha_w[j]))
+
+    t, dist, adj = _diagram(rs)
+    mus = [None] * n
+    mus[0] = (-x,) + (RF_ZERO,) * (n - 1)
+    for v, w in _tree_edges(adj, 0):
+        mus[w] = shifted_reflection(max(v, w, key=dist.__getitem__), mus[v])
+    mus.append(shifted_reflection(t, mus[t]))
     rho_k = rho(rs, kvec)
-    spectral = tuple(tuple(a + b for a, b in zip(mu, rho_k)) for mu in mus)
+    spectral = tuple(tuple(a + b if a else b for a, b in zip(mu, rho_k))
+                     for mu in mus)
     # a = (mu_1, mu_(n+1))
     a_val = x * y * Fraction(rs.gram_fw_int[0][n - 1], rs.gram_fw_den)
     return SpecialExponentReport(family, n, tuple(mus), spectral, x, y,
@@ -192,21 +161,24 @@ def verify_quadratic(rs, report):
     }
 
 
-def _triple_node_distances(rs):
+def _tree_edges(adj, root):
+    """The edges (v, w) of a Dynkin diagram, breadth first from root."""
+    order = [(None, root)]
+    for parent, v in order:  # order grows as the walk reaches new nodes
+        order += [(v, w) for w in adj[v] if w != parent]
+    return order[1:]
+
+
+def _diagram(rs):
+    """(t, distances from t, adjacency) of the Dynkin diagram: t is the
+    branch node on D and E and node n on a path."""
     n = rs.rank
     adj = [[j for j in range(n) if j != i and rs.cartan[i][j]] for i in range(n)]
-    triple = next(i for i in range(n) if len(adj[i]) == 3)
-    dist = {triple: 0}
-    frontier = [triple]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    nxt.append(w)
-        frontier = nxt
-    return [dist[i] for i in range(n)]
+    t = next((i for i in range(n) if len(adj[i]) == 3), n - 1)
+    dist = [0] * n
+    for v, w in _tree_edges(adj, t):
+        dist[w] = dist[v] + 1
+    return t, dist, adj
 
 
 def consecutive_relations(rs, report):
@@ -244,26 +216,24 @@ def consecutive_relations(rs, report):
                 ok = False
         verdict["differences"] = ok
     else:
-        d = _triple_node_distances(rs)
+        _, d, _ = _diagram(rs)
         ok = all(
             rs.pairing(lam[i], i) == RatFunc.const(-d[i]) * k
             for i in range(n)
         )
         verdict["diagonal_pairings"] = ok
-    endpoint = (mus[0] == tuple(-report.x if j == 0 else RF_ZERO
-                                for j in range(n)))
-    if family in ("A", "B", "C", "F", "G"):
-        endpoint = endpoint and (
-            mus[n] == tuple(-report.y if j == n - 1 else RF_ZERO
-                            for j in range(n)))
-    verdict["endpoints"] = endpoint
+    # mu_1 = -x w_1, and -y w_n is mu_(n+1) on a path, mu_n on D and E
+    last = mus[n - 1] if family in ("D", "E") else mus[n]
+    verdict["endpoints"] = (
+        mus[0] == tuple(-report.x if j == 0 else RF_ZERO for j in range(n))
+        and last == tuple(-report.y if j == n - 1 else RF_ZERO
+                          for j in range(n)))
     return verdict
 
 
 def dk2_apply(rs, p, F, kvec):
     """The degree-2 operator map applied to a localized element."""
-    if rs.spec.family == "BC":
-        raise ValueError("the degree-2 map is defined for reduced systems only")
+    _require_reduced(rs, "degree-2 operator maps")
     out = coth_sum(rs, p, F, kvec)
     k_extra = kvec.extra if rs.spec.family == "A" and rs.rank >= 2 else RF_ZERO
     for r in range(rs.n_positive if k_extra else 0):
@@ -276,11 +246,6 @@ def dk2_apply(rs, p, F, kvec):
     return out.normalize(rs)
 
 
-def _require_reduced(rs):
-    if rs.spec.family == "BC":
-        raise ValueError("defined for reduced root systems only")
-
-
 def _numeric_couplings(rs, k, kp):
     """The coupling vector at rational (k, k'); k' = None reads as 0."""
     return couplings(rs, Fraction(k), Fraction(kp or 0))
@@ -291,7 +256,7 @@ def monodromy_spec(rs, k, kp=0):
 
     Rotations r stand for the eigenvalue -e^(2 pi i r); no floats anywhere.
     """
-    _require_reduced(rs)
+    _require_reduced(rs, "monodromy predictions")
     kv = _numeric_couplings(rs, k, kp)
     out = []
     for i in range(rs.rank):

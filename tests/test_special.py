@@ -36,9 +36,18 @@ from support import gram_coroot, gram_fw, symh
 HALF = RatFunc.const(Fraction(1, 2))
 
 
-def _rep(fam, n):
+def _rep(fam, n, k=None, kp=None):
     rs = root_system(fam, n)
-    return rs, special_exponents(rs, couplings(rs))
+    return rs, special_exponents(rs, couplings(rs, k, kp))
+
+
+# every type at symbolic couplings (ids "A-1", ...), at k = 1/6 and at
+# (k, k') = (-2/7, 3/5)
+_ALL_COUPLINGS = [pytest.param(fam, n, None, None, id=f"{fam}-{n}")
+                  for fam, n in PROP32_TYPES] + [
+    pytest.param(fam, n, k, kp, id=f"{fam}-{n}-k={k}" + (f",kp={kp}" if kp else ""))
+    for k, kp in ((Fraction(1, 6), None), (Fraction(-2, 7), Fraction(3, 5)))
+    for fam, n in PROP32_TYPES]
 
 
 def test_a2_exponents_match_case_formulas():
@@ -119,11 +128,16 @@ def test_bc_rejected():
         special_exponents(bc1, couplings(bc1, K, None, KP))
     with pytest.raises(ValueError):
         kplus_membership(bc1, Fraction(1, 6))
+    one = Localized.from_laurent(Laurent.one(1))
+    with pytest.raises(ValueError, match="reduced systems only"):
+        dk2_apply(bc1, SymH.laplacian(bc1), one, couplings(bc1))
+    with pytest.raises(ValueError, match="reduced systems only"):
+        monodromy_spec(bc1, Fraction(1, 6))
 
 
-@pytest.mark.parametrize("fam,n", PROP32_TYPES)
-def test_quadratic_all_types(fam, n):
-    rs, rep = _rep(fam, n)
+@pytest.mark.parametrize("fam,n,k,kp", _ALL_COUPLINGS)
+def test_quadratic_all_types(fam, n, k, kp):
+    rs, rep = _rep(fam, n, k, kp)
     v = verify_quadratic(rs, rep)
     assert all(v["quadratic"])
     assert v["a_equals_mu1_mun1"]
@@ -258,9 +272,9 @@ def test_relations_examples():
     assert rs.pairing(rep.spectral[1], 1) == -K
 
 
-@pytest.mark.parametrize("fam,n", PROP32_TYPES)
-def test_relations_all_types(fam, n):
-    rs, rep = _rep(fam, n)
+@pytest.mark.parametrize("fam,n,k,kp", _ALL_COUPLINGS)
+def test_relations_all_types(fam, n, k, kp):
+    rs, rep = _rep(fam, n, k, kp)
     assert all(consecutive_relations(rs, rep).values())
 
 

@@ -15,8 +15,9 @@ SRC = Path(trigdunkl.__file__).resolve().parent
 # exported for callers although no other module of the package uses them:
 # the coupling vector's class and the error of a pole, the type spec, the
 # special-exponent report, the le_plus verdicts that no suite compares with,
-# the reader of Laurent JSON (README, "Library example"), and the divided
-# difference of a Laurent element (the operators read its strings instead)
+# the reader of Laurent JSON (it reads `jacobi --format json` back into a
+# Laurent element), and the divided difference of a Laurent element (the
+# operators read its strings instead)
 ALLOWED_UNUSED = frozenset({
     "CouplingVector", "EvaluationError", "GREATER", "INCOMPARABLE",
     "RootSystemSpec", "SpecialExponentReport", "divided_difference",
