@@ -41,13 +41,14 @@ def _rep(fam, n, k=None, kp=None):
     return rs, special_exponents(rs, couplings(rs, k, kp))
 
 
-# every type at symbolic couplings (ids "A-1", ...), at k = 1/6 and at
-# (k, k') = (-2/7, 3/5)
+# every type at symbolic couplings (ids "A-1", ...), at k = 1/6 with k'
+# symbolic, as `special --k 1/6` reads it, and at (k, k') = (-2/7, 3/5)
+_NUMERIC = {"k=1/6": (Fraction(1, 6), None),
+            "k=-2/7,kp=3/5": (Fraction(-2, 7), Fraction(3, 5))}
 _ALL_COUPLINGS = [pytest.param(fam, n, None, None, id=f"{fam}-{n}")
                   for fam, n in PROP32_TYPES] + [
-    pytest.param(fam, n, k, kp, id=f"{fam}-{n}-k={k}" + (f",kp={kp}" if kp else ""))
-    for k, kp in ((Fraction(1, 6), None), (Fraction(-2, 7), Fraction(3, 5)))
-    for fam, n in PROP32_TYPES]
+    pytest.param(fam, n, k, kp, id=f"{fam}-{n}-{name}")
+    for name, (k, kp) in _NUMERIC.items() for fam, n in PROP32_TYPES]
 
 
 def test_a2_exponents_match_case_formulas():
