@@ -352,6 +352,12 @@ def _sum(n1, d1, n2, d2):
     a, b, c, d = _poly(n1), _poly(d1), _poly(n2), _poly(d2)
     if b == d:
         return _reduce(a + c, b)
+    if b.is_const() and d.is_const():  # over the integer lcm L
+        bv, dv = b.const_value(), d.const_value()
+        g = gcd(bv, dv)
+        L = bv // g * dv
+        # Henrici: only g can share a factor with the new numerator
+        return _reduce(a * (L // bv) + c * (L // dv), _poly(g), _poly(L // g))
     g = poly_gcd(b, d)
     if g.is_one():  # already reduced, since both summands are
         return _finish(a * d + c * b, b * d)
@@ -375,8 +381,12 @@ def _prod(n1, d1, n2, d2):
     if n1.__class__ is int:
         return _scale(n2, d2, n1, d1)
     a, b, c, d = n1, d1, n2, d2
-    if b.is_one() and d.is_one():
-        return _rf(a * c, b)
+    if b.is_const() and d.is_const():  # the integer cross-cancel of _scale
+        bv, dv = b.const_value(), d.const_value()
+        g1 = 1 if dv == 1 else gcd(a.content(), dv)
+        g2 = 1 if bv == 1 else gcd(c.content(), bv)
+        return _rf(_divided(a, g1) * _divided(c, g2),
+                   _poly(bv // g2 * (dv // g1)))
     # cross-cancel keeps products of reduced fractions reduced
     g1 = poly_gcd(a, d)
     if not g1.is_one():

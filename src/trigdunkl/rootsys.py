@@ -9,8 +9,9 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import repeat
 from math import gcd, lcm, prod
-from operator import mul
+from operator import add, floordiv, mod, mul
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G", "BC")
 
@@ -116,28 +117,24 @@ def _positive_acoords(cartan):
     With p the largest integer such that beta - p alpha_i is a root,
     beta + alpha_i is a root iff p - <beta, alpha_i^vee> > 0 (Humphreys,
     Introduction to Lie Algebras and Representation Theory, §10).  Roots are
-    found height by height, so every string below beta is already known.
+    found height by height, so p is known from the depth of beta - alpha_i:
+    p(beta + alpha_i) = p(beta) + 1 along i, and 0 where beta is found from
+    no root below along i.
     """
     n = len(cartan)
     cols = list(zip(*cartan))  # cols[i][j] = <alpha_i, alpha_j^vee>
-    layer = {unit(n, i): cols[i] for i in range(n)}
-    roots = dict(layer)
+    layer = {unit(n, i): (cols[i], [0] * n) for i in range(n)}
+    roots = {beta: sp for beta, (sp, _) in layer.items()}
     while layer:
         above = {}
-        for beta, sp in layer.items():
+        for beta, (sp, depth) in layer.items():
             for i in range(n):
-                p = 0
-                down = list(beta)
-                while True:
-                    down[i] -= 1
-                    if tuple(down) not in roots:
-                        break
-                    p += 1
-                if p > sp[i]:
+                if depth[i] > sp[i]:
                     up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
-                    if up not in roots:
-                        roots[up] = above[up] = tuple(
-                            s + c for s, c in zip(sp, cols[i]))
+                    if up not in above:
+                        roots[up] = sp_up = tuple(map(add, sp, cols[i]))
+                        above[up] = (sp_up, [0] * n)
+                    above[up][1][i] = depth[i] + 1
         layer = above
     return roots
 
@@ -204,18 +201,21 @@ class RootSystem:
         self.coxeter_number = max(self.degrees)
         # (a, <a, alpha_i^vee>, (a, a)) per root, with (a, a) =
         # sum_i a_i <a, alpha_i^vee> (alpha_i, alpha_i) / 2
-        data = [(a, sp, sum(x * c * m for x, c, m in zip(a, sp, norms)) // 2)
+        data = [(a, sp, sum(map(mul, map(mul, a, sp), norms)) // 2)
                 for a, sp in roots.items()]
         if family == "BC":  # the doubles of the short roots
             data += [(tuple(2 * x for x in a), tuple(2 * c for c in sp), 4 * nb)
                      for a, sp, nb in data if nb == norms[n - 1]]
         wcoords, pos_pair, scoords = [], [], []
         for a, sp, nb in data:
-            wcoords.append(tuple(c // d for c, d in zip(sp, diag)))
+            wcoords.append(tuple(map(floordiv, sp, diag)))
             # (a, a) a^vee = sum_l a_l (alpha_l, alpha_l) alpha_l^vee
-            t = [x * m for x, m in zip(a, norms)]
-            pos_pair.append(tuple(d * x // nb for x, d in zip(t, diag)))
-            scoords.append(tuple(_exact_quotient(x, nb) for x in t))
+            t = tuple(map(mul, a, norms))
+            pos_pair.append(tuple(map(floordiv, map(mul, t, diag), repeat(nb))))
+            if any(map(mod, t, repeat(nb))):  # a BC double
+                scoords.append(tuple(_exact_quotient(x, nb) for x in t))
+            else:
+                scoords.append(tuple(map(floordiv, t, repeat(nb))))
         order = sorted(range(len(data)),
                        key=lambda r: (sum(data[r][0]), wcoords[r]))
         self.pos_acoords = tuple(data[r][0] for r in order)
@@ -242,11 +242,11 @@ class RootSystem:
         # class_two_rho[c] = sum of the positive roots of class c (weight coords)
         two_rho = [[0] * n for _ in class_norms]
         for c, w in zip(self.pos_class, self.pos_wcoords):
-            two_rho[c] = [t + x for t, x in zip(two_rho[c], w)]
+            two_rho[c] = list(map(add, two_rho[c], w))
         self.class_two_rho = tuple(tuple(t) for t in two_rho)
 
         index_of = {w: r for r, w in enumerate(self.pos_wcoords)}
-        self.double_root = tuple(index_of.get(tuple(2 * c for c in w))
+        self.double_root = tuple(index_of.get(tuple(map(add, w, w)))
                                  for w in self.pos_wcoords)
 
         # (FW_i, FW_j) = sum_l (FW_i)_l (alpha_l, FW_j), 2 (alpha_l, FW_j) =
@@ -413,25 +413,29 @@ class RootSystem:
         gram lists the nonzero (i, j, q C^vee_ij) with i <= j, q the least
         common denominator of the coroot Gram matrix
         C^vee_ij = 2 cartan[i][j] / (alpha_j, alpha_j).
+
+        Each s is one integer dot product over the roots of its class: of
+        the column w[i] w[j] with the column <FW_l, alpha^vee> (or the
+        alpha' column).
         """
-        n, prime, aps = self.rank, self.n_classes, self._alpha_prime_pairs
-        acc = [{} for _ in range(n)]
-        for r in range(self.n_positive):
-            w = self.pos_wcoords[r]
-            nz = [i for i in range(n) if w[i]]
-            rows = [(self.pos_class[r], self.pos_pair[r])]
-            if aps is not None:
-                rows.append((prime, aps[r]))
-            for c, row in rows:
-                for l, p in enumerate(row):
-                    if p:
-                        terms = acc[l]
-                        for a, i in enumerate(nz):
-                            wp = w[i] * p
-                            for j in nz[a:]:
-                                terms[i, j, c] = terms.get((i, j, c), 0) + wp * w[j]
-        slices = tuple(tuple(key + (s,) for key, s in sorted(terms.items()) if s)
-                       for terms in acc)
+        n, aps = self.rank, self._alpha_prime_pairs
+        classes = [(c, [r for r, d in enumerate(self.pos_class) if d == c],
+                    self.pos_pair) for c in range(self.n_classes)]
+        if aps is not None:
+            classes.append((self.n_classes, range(self.n_positive), aps))
+        slices = [[] for _ in range(n)]
+        for c, roots, pairs in classes:
+            w = list(zip(*(self.pos_wcoords[r] for r in roots)))
+            p = list(zip(*(pairs[r] for r in roots)))
+            for i in range(n):
+                for j in range(i, n):
+                    u = list(map(mul, w[i], w[j]))
+                    if any(u):
+                        for l in range(n):
+                            s = sum(map(mul, u, p[l]))
+                            if s:
+                                slices[l].append((i, j, c, s))
+        slices = tuple(tuple(sorted(terms)) for terms in slices)
         norms = [self.pos_norms[s] for s in self.simple_index]
         q = lcm(*(m // gcd(2 * c, m) for row in self.cartan
                   for c, m in zip(row, norms)))

@@ -103,38 +103,36 @@ def quadratic_residual(rs, v, kvec, a_value):
     G = q C^vee an integer matrix, entry (i, j) is
         y_i y_j + sum_c sum_l (k_c / 2) mu_l S_c[i][j][l]
                 + sum_l (k' / 2) mu_l / (n + 1)^2 A[i][j][l] + (a / q) G_ij.
-    Only the slices l with mu_l != 0 are read.  The few base values y_i y_j,
-    (k_c / 2) mu_l, (k' / 2) mu_l / (n + 1)^2 and a / q are cleared to
-    polynomials over one common denominator D, so that each entry, for
-    i <= j, is an integer combination of them, reduced over D once.
+    Only the slices l with mu_l != 0 are read.  The base values, the nonzero
+    mu_l, the k_c / 2 (with k' / (2 (n + 1)^2)) and a / q, are cleared to
+    polynomials V_l, K_c and A over one common denominator D; with
+    Y_i = V_i <FW_i, a_i^vee>, each entry, for i <= j, is an integer
+    combination of Y_i Y_j, K_c V_l and A D, reduced over D^2 once.
     """
     n = rs.rank
     slices, q, gram = rs.residual_tensors
-    y = [rs.pairing(v, i) for i in range(n)]
     half = Fraction(1, 2)
     ks = [kvec.value(c) * half for c in range(rs.n_classes)]
     ks.append(kvec.extra * Fraction(1, 2 * (n + 1) ** 2))
-    supp = [i for i in range(n) if y[i]]
-    squares = [(i, j) for a, i in enumerate(supp) for j in supp[a:]]
-    linear = [(c, l) for l, x in enumerate(v) if x
-              for c, kc in enumerate(ks) if kc]
-    D, nums = clear([y[i] * y[j] for i, j in squares]
-                     + [ks[c] * v[l] for c, l in linear]
-                     + [a_value * Fraction(1, q)])
-    terms = {}
-    for ij, p in zip(squares, nums):
-        terms[ij] = [(1, p)]
-    base = dict(zip(linear, nums[len(squares):]))
-    for l in {l for _, l in linear}:
+    supp = [l for l in range(n) if v[l]]
+    D, nums = clear([v[l] for l in supp] + ks + [a_value * Fraction(1, q)])
+    V = dict(zip(supp, nums))
+    K = nums[len(supp):-1]
+    Y = {i: V[i] * rs.wt_diag[i] for i in supp}
+    terms = {(i, j): [(1, Y[i] * Y[j])] for a, i in enumerate(supp)
+             for j in supp[a:]}
+    for l in supp:
+        base = [K[c] * V[l] if ks[c] else None for c in range(len(ks))]
         for i, j, c, s in slices[l]:
-            p = base.get((c, l))
-            if p is not None:
-                terms.setdefault((i, j), []).append((s, p))
+            if base[c] is not None:
+                terms.setdefault((i, j), []).append((s, base[c]))
+    AD = nums[-1] * D
     for i, j, g in gram:
-        terms.setdefault((i, j), []).append((g, nums[-1]))
+        terms.setdefault((i, j), []).append((g, AD))
+    DD = D * D
     res = [[RF_ZERO] * n for _ in range(n)]
     for (i, j), ts in terms.items():
-        res[i][j] = res[j][i] = over(combine(ts), D)
+        res[i][j] = res[j][i] = over(combine(ts), DD)
     return SymH(tuple(tuple(row) for row in res))
 
 

@@ -5,7 +5,8 @@ saturated set by a search that tests its definition, the Fraction, ambient
 and pairing tables that RootSystem does not hold, the root-factor
 products by repeated Laurent products, and the Dunkl operator, the
 constant-term pairing and the quotient by 1 - e^(-alpha) summed as
-RatFuncs."""
+RatFuncs, and the root strings and residual tensors by the loops that walk
+down each string and sum one dict entry per root."""
 from fractions import Fraction
 
 from trigdunkl import (
@@ -144,6 +145,67 @@ def alpha_prime(rs, r):
     j = i + sum(a)
     dim = rs.rank + 1
     return tuple((l == i) + (l == j) - Fraction(2, dim) for l in range(dim))
+
+
+# --- root strings and residual tensors by their loops ---
+
+
+def positive_acoords_reference(cartan):
+    """The positive roots, each mapped to <beta, alpha_j^vee>, in the order
+    found: height by height, each alpha_i-string walked down from beta by
+    tuple lookups to find p, and beta + alpha_i kept iff p > <beta,
+    alpha_i^vee>."""
+    n = len(cartan)
+    cols = list(zip(*cartan))
+    layer = {unit(n, i): cols[i] for i in range(n)}
+    roots = dict(layer)
+    while layer:
+        above = {}
+        for beta, sp in layer.items():
+            for i in range(n):
+                p = 0
+                down = list(beta)
+                while True:
+                    down[i] -= 1
+                    if tuple(down) not in roots:
+                        break
+                    p += 1
+                if p > sp[i]:
+                    up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                    if up not in roots:
+                        roots[up] = above[up] = tuple(
+                            s + c for s, c in zip(sp, cols[i]))
+        layer = above
+    return roots
+
+
+def residual_tensor_slices_reference(rs):
+    """The slices of RootSystem.residual_tensors, one dict entry per (root,
+    l, i, j): w_r[i] w_r[j] <FW_l, alpha_r^vee> added under (i, j, class of
+    r), and for A_n, n >= 2, w_r[i] w_r[j] (n + 1)^2 FW_l(alpha'_r) under
+    (i, j, n_classes); each slice sorted, zero sums dropped."""
+    n, prime = rs.rank, rs.n_classes
+    aps = None
+    if rs.spec.family == "A" and n >= 2:
+        aps = [[int(p * (n + 1) ** 2) for p in rs.alpha_prime_pairing(r)]
+               for r in range(rs.n_positive)]
+    acc = [{} for _ in range(n)]
+    for r in range(rs.n_positive):
+        w = rs.pos_wcoords[r]
+        nz = [i for i in range(n) if w[i]]
+        rows = [(rs.pos_class[r], rs.pos_pair[r])]
+        if aps is not None:
+            rows.append((prime, aps[r]))
+        for c, row in rows:
+            for l, p in enumerate(row):
+                if p:
+                    terms = acc[l]
+                    for a, i in enumerate(nz):
+                        wp = w[i] * p
+                        for j in nz[a:]:
+                            terms[i, j, c] = terms.get((i, j, c), 0) + wp * w[j]
+    return tuple(tuple(key + (s,) for key, s in sorted(terms.items()) if s)
+                 for terms in acc)
 
 
 # --- root-factor products by repeated Laurent products ---

@@ -53,7 +53,8 @@ def _fake_run(calls, rates=None):
         elif "perfbench/setup_sample.py" in argv:
             out = "0.05"
         elif "-c" in argv and "RootSystem" in argv[argv.index("-c") + 1]:
-            out = json.dumps([{"A1": 0.001} for _ in json.loads(argv[-1])])
+            out = json.dumps([[{"A1": 0.001}, {"A1": 0.002}]
+                              for _ in json.loads(argv[-1])])
         else:
             checkouts = json.loads(argv[argv.index("-c") + 2])
             out = json.dumps([{"commute": 0.1} for _ in checkouts])
@@ -89,6 +90,8 @@ def test_every_python_child_writes_no_bytecode(bench_record, tmp_path,
     assert rate["values"] == [2.0, 2.0]
     assert doc["trace"]["eigen_symbolic"]["correct"] is True
     assert doc["suite_wall_s"] == {"commute": 0.1}
+    assert (doc["build_wall_s"], doc["tensor_wall_s"]) == ({"A1": 0.001},
+                                                           {"A1": 0.002})
 
 
 def test_a_checkout_with_a_bytecode_cache_is_refused(bench_record, tmp_path,

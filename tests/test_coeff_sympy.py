@@ -8,6 +8,8 @@ import pytest
 from trigdunkl import K, KP, RF_ONE, RF_ZERO, RatFunc, parse_ratfunc
 from trigdunkl.coeff import Poly, clear, combine, over, poly_gcd
 
+from support import mixed_fraction
+
 sympy = pytest.importorskip("sympy")
 _SK, _SKP = sympy.symbols("k kp")
 
@@ -81,6 +83,24 @@ def test_arithmetic_agrees_with_sympy():
             num, den = _num_den(r)
             assert (num.set_domain("QQ") * q - p * den.set_domain("QQ")).is_zero, str(r)
             assert parse_ratfunc(str(r)) == r
+
+
+def test_constant_denominators_agree_with_sympy():
+    """Sums, differences and products of polynomials over Q, each scaled by
+    a random Fraction so that their constant denominators differ: the
+    integer lcm of _sum and the content cross-cancel of _prod."""
+    rng = random.Random("constant denominators")
+    for _ in range(300):
+        (a, (pa, _)), (b, (pb, _)) = (_random_ratfunc(rng, polynomial=True)
+                                      for _ in range(2))
+        fa, fb = mixed_fraction(rng), mixed_fraction(rng)
+        a, b = a * fa, b * fb
+        pa = pa * sympy.Rational(fa.numerator, fa.denominator)
+        pb = pb * sympy.Rational(fb.numerator, fb.denominator)
+        for r, p in [(a + b, pa + pb), (a - b, pa - pb), (a * b, pa * pb)]:
+            _assert_canonical(r)
+            num, den = _num_den(r)
+            assert (num.set_domain("QQ") - p * den.set_domain("QQ")).is_zero, str(r)
 
 
 def _zz(x):

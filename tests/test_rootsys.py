@@ -4,6 +4,7 @@ import json
 import random
 from contextlib import redirect_stdout
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -19,7 +20,7 @@ from trigdunkl import (
     root_system,
 )
 from trigdunkl.cli import main
-from trigdunkl.rootsys import RootSystem, unit
+from trigdunkl.rootsys import RootSystem, _positive_acoords, unit
 from trigdunkl.verify import PROP32_TYPES
 
 from support import (
@@ -28,7 +29,9 @@ from support import (
     gram_coroot,
     gram_fw,
     pos_simple_pair,
+    positive_acoords_reference,
     positive_roots,
+    residual_tensor_slices_reference,
     saturated_reference,
     simple_roots,
     w0_act,
@@ -388,6 +391,32 @@ def test_residual_tensors_are_built_on_first_use():
     tensors = rs.residual_tensors
     assert vars(rs)["residual_tensors"] is tensors
     assert len(vars(rs)["_alpha_prime_pairs"]) == rs.n_positive
+
+
+@pytest.mark.parametrize("fam,n", PROP32_TYPES)
+def test_residual_tensors_match_the_per_root_dict_loop(fam, n):
+    slices = RootSystem(RootSystemSpec(fam, n)).residual_tensors[0]
+    assert slices == residual_tensor_slices_reference(root_system(fam, n))
+
+
+@pytest.mark.parametrize("fam,n", PROP32_TYPES
+                         + tuple(("BC", n) for n in range(1, 5)))
+def test_root_strings_by_depth_match_the_string_walk(fam, n):
+    cartan = root_system(fam, n).cartan
+    assert (list(_positive_acoords(cartan).items())
+            == list(positive_acoords_reference(cartan).items()))
+
+
+@pytest.mark.parametrize("fam,n", [("D", 5), ("E", 6), ("F", 4), ("B", 4)])
+def test_root_strings_by_depth_on_every_sub_diagram(fam, n):
+    """Every node set J, as orbit_size restricts the Cartan matrix to it:
+    reducible diagrams among them, and the empty one."""
+    cartan = root_system(fam, n).cartan
+    for size in range(n + 1):
+        for J in combinations(range(n), size):
+            sub = [[cartan[i][j] for j in J] for i in J]
+            assert (list(_positive_acoords(sub).items())
+                    == list(positive_acoords_reference(sub).items())), J
 
 
 def _fractions(x):

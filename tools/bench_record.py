@@ -13,10 +13,11 @@ seeds and every value, plus the seeds, the checkout's commit and a hash of
 its src/, the Python version, the cpu count, the wall time of each verify
 suite as the min of SUITE_RUNS warm runs in one process that loads every
 checkout and alternates them suite by suite, after one run of every suite
-per checkout that builds its root systems, and the time of one cold
-RootSystem build per type for the 32 special-exponent types and BC1-BC4:
-the min over BUILD_PROCESSES fresh processes, each of which loads every
-checkout and alternates them build by build, and per workload the median and
+per checkout that builds its root systems, the time of one cold RootSystem
+build per type for the 32 special-exponent types and BC1-BC4, and that of
+the residual tensors of each fresh build of the 32 (tensor_wall_s): the min
+over BUILD_PROCESSES fresh processes, each of which loads every checkout
+and alternates them build by build, and per workload the median and
 quartiles of SETUP_RUNS fresh `perfbench/setup_sample.py` set-ups, the
 checkouts alternating run by run, and the per-layer metrics of one traced
 round per workload at seed TRACE_SEED.  With two checkouts the first is the
@@ -65,19 +66,30 @@ def modules(name):
 # the same load, and each type keeps its min over the processes
 BUILD_PROCESSES = 10
 
-# one cold RootSystem build per type and checkout, alternated build by build,
-# in 3 rounds over all types: the min per type and checkout
+# one cold RootSystem build per type and checkout, then the residual tensors
+# of that fresh build on the 32 special-exponent types, alternated build by
+# build, in 3 rounds over all types: per checkout, the min per type of the
+# builds and of the tensors
 _BUILD_TIMES = _LOAD + """
 mods = modules("rootsys")
 types = importlib.import_module("trigdunkl_0.verify").PROP32_TYPES
-out = [{} for _ in mods]
+out = [({}, {}) for _ in mods]
+
+def keep(times, name, t0):
+    t = time.perf_counter() - t0
+    times[name] = min(t, times.get(name, t))
+
 for r in range(3):
     for f, n in types + tuple(("BC", n) for n in range(1, 5)):
         for i in range(len(mods)) if r % 2 == 0 else range(len(mods))[::-1]:
+            builds, tensors = out[i]
             t0 = time.perf_counter()
-            mods[i].RootSystem(mods[i].RootSystemSpec(f, n))
-            t = time.perf_counter() - t0
-            out[i][f"{f}{n}"] = min(t, out[i].get(f"{f}{n}", t))
+            rs = mods[i].RootSystem(mods[i].RootSystemSpec(f, n))
+            keep(builds, f"{f}{n}", t0)
+            if f != "BC":
+                t0 = time.perf_counter()
+                rs.residual_tensors
+                keep(tensors, f"{f}{n}", t0)
 print(json.dumps(out))
 """
 
@@ -183,14 +195,15 @@ def suite_times(checkouts):
 
 
 def build_times(checkouts):
-    """Per checkout, in order, the min per type of _BUILD_TIMES over
-    BUILD_PROCESSES fresh processes."""
-    best = [{} for _ in checkouts]
+    """Per checkout, in order, the (builds, tensors) mins per type of
+    _BUILD_TIMES over BUILD_PROCESSES fresh processes."""
+    best = [({}, {}) for _ in checkouts]
     for _ in range(BUILD_PROCESSES):
         out = _python(["-c", _BUILD_TIMES, json.dumps(checkouts)], checkouts[0])
-        for b, times in zip(best, json.loads(out)):
-            for t, v in times.items():
-                b[t] = min(v, b.get(t, v))
+        for pair, times_pair in zip(best, json.loads(out)):
+            for b, times in zip(pair, times_pair):
+                for t, v in times.items():
+                    b[t] = min(v, b.get(t, v))
     return best
 
 
@@ -269,8 +282,8 @@ def main(argv=None):
     builds = build_times(checkouts)
     setups = setup_times(checkouts, workloads)
     suites = suite_times(checkouts)
-    for c, (_, out), build, setup, suite in zip(checkouts, args.run, builds,
-                                                setups, suites):
+    for c, (_, out), (build, tensors), setup, suite in zip(
+            checkouts, args.run, builds, setups, suites):
         doc = {
             "benchmark": " ".join(bench["command"]),
             "seconds": seconds,
@@ -281,6 +294,7 @@ def main(argv=None):
             "workloads": {w: summarize(raw[c, w]) for w in workloads},
             "suite_wall_s": suite,
             "build_wall_s": build,
+            "tensor_wall_s": tensors,
             "setup_wall_s": setup,
             "trace": {w: run_once(c, w, TRACE_SEED, seconds, trace=1)
                       for w in workloads},
