@@ -12,7 +12,7 @@ parse_ratfunc reads that text back through Python's own parser (ast).
 Sums of many RatFuncs run on cleared denominators: clear brings values over
 their common denominator D, combine sums integer multiples of the cleared
 values, and over reduces the result over D once, so that one gcd (or none,
-in ints) replaces a gcd per addition.
+in ints) replaces a gcd per addition; CouplingVector.halves clears k/2 once.
 """
 from __future__ import annotations
 
@@ -742,14 +742,17 @@ class CouplingVector:
 
     Class 0 is the class of alpha_1; class 1 (if present) that of alpha_n; a
     third class only occurs for BC_n (the doubled roots).  W-invariance is
-    structural: roots in one class share one value.
+    structural: roots in one class share one value.  halves is
+    clear([1/2, k_0/2, ...]), the halved couplings over one D, cleared once
+    here for dunkl_apply, jacobi, rho and mu_tilde to combine in integers.
     """
 
-    __slots__ = ("by_class", "extra")
+    __slots__ = ("by_class", "extra", "halves")
 
     def __init__(self, by_class, extra=None):
         self.by_class = tuple(coerce(v) for v in by_class)
         self.extra = coerce(extra if extra is not None else 0)
+        self.halves = clear([RF_ONE / 2] + [v / 2 for v in self.by_class])
 
     def value(self, class_index):
         return self.by_class[class_index]

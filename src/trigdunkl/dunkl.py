@@ -32,18 +32,12 @@ def epsilon(x):
     return 1 if x > 0 else -1
 
 
-def _class_sum(kvec, twice, const=0):
-    """const + sum_c k_c twice[c] / 2: one RatFunc from integer parts."""
-    total = coerce(const)
-    for c, h in enumerate(twice):
-        if h and kvec.value(c):
-            total = total + kvec.value(c) * Fraction(h, 2)
-    return total
-
-
 def rho(rs, kvec):
-    """Half sum of positive roots weighted by the couplings (weight coords)."""
-    return tuple(_class_sum(kvec, col) for col in zip(*rs.class_two_rho))
+    """Half sum of positive roots weighted by the couplings (weight coords):
+    the integers 2 rho_c combined with kvec.halves, reduced once over D."""
+    D, ks = kvec.halves
+    return tuple(over(combine(zip(col, ks[1:])), D)
+                 for col in zip(*rs.class_two_rho))
 
 
 def gram_pairing(rs, u, v):
@@ -86,8 +80,10 @@ def _two_shift(rs, mu):
 
 def mu_tilde(rs, mu, kvec):
     """The shifted eigenvalue weight: mu + (1/2) sum k_a eps(mu(a^vee)) a,
-    the signed roots summed in integers per coupling class first."""
-    return tuple(_class_sum(kvec, col, m)
+    the signed roots summed in integers per coupling class, then combined
+    with 2 mu_j over kvec.halves and reduced once over D."""
+    D, ks = kvec.halves
+    return tuple(over(combine(zip((2 * m, *col), ks)), D)
                  for m, col in zip(mu, zip(*_two_shift(rs, mu))))
 
 
@@ -98,11 +94,11 @@ def _rho_shift(rs, xi):
 
 def dunkl_apply(rs, xi, f, kvec):
     """Dunkl operator for xi (simple-coroot coordinates) applied to f on
-    cleared rows: (int, ks[j] p_nu) pairs, 2<nu, xi> and the rho shift on the
-    diagonal and 2<a, xi> on each root's string, reduced once over D Df."""
+    cleared rows: (int, ks[j] p_nu) pairs, ks = kvec.halves, 2<nu, xi> and the
+    rho shift on the diagonal and 2<a, xi> on each root's string, over D Df."""
     xi = tuple(xi)
     Df, ps = clear(list(f.terms.values()))
-    D, ks = clear([RF_ONE / 2] + [kvec.value(c) / 2 for c in range(rs.n_classes)])
+    D, ks = kvec.halves
     shift = _rho_shift(rs, xi)
     roots = [(r, 2 * axi, 1 + c) for r, c in enumerate(rs.pos_class)
              if ks[1 + c] and (axi := rs.root_xi(r, xi))]
@@ -332,10 +328,10 @@ def jacobi(rs, mu, kvec):
         return Laurent.monomial(mu)
     allowed = set(order)
     two_shift = {nu: _two_shift(rs, nu) for nu in order}
-    # the halved couplings cleared once, ks = [D / 2, k_1 D / 2, ...]: the
+    # the coupling vector's cleared halves, ks = [D / 2, k_1 D / 2, ...]: the
     # coefficient of a stencil row is combine(zip(row, ks)) over D, and so is
     # each 2<mu~ - nu~, xi>, so D cancels from every quotient of the solve
-    D, ks = clear([RF_ONE / 2] + [kvec.value(c) / 2 for c in range(rs.n_classes)])
+    D, ks = kvec.halves
     # On the moment curve xi(t) = (1, t, ..., t^(n-1)), <mu~ - nu~, xi(t)> is a
     # polynomial of degree < n in t, nonzero unless mu~ = nu~; so at most
     # (n-1)|below| values of t make a denominator vanish.

@@ -242,19 +242,19 @@ def _cross_failures(rs, kv, sat):
         si = rs.simple_index[i]
         dbl = rs.double_root[si]
         k2 = kv.value(rs.pos_class[dbl]) if dbl is not None else RF_ZERO
-        ki = kv.value(rs.pos_class[si])
+        ki = kv.value(rs.pos_class[si]) + 2 * k2  # k_i + 2k_2i
         for jj in range(n):
             xi = unit(n, jj)
             sxi = list(xi)
             sxi[i] -= sum(rs.cartan[j][i] * xi[j] for j in range(n))
-            a_xi = rs.cartan[jj][i]
+            kia = ki * rs.cartan[jj][i]  # (k_i + 2k_2i) a_i(xi)
             for mu in sat:
                 f = Laurent.monomial(mu)
                 t1 = dunkl_apply(rs, xi, f, kv).map_weights(
                     lambda w: reflect(rs, i, w))
                 t2 = dunkl_apply(rs, tuple(sxi),
                                  f.map_weights(lambda w: reflect(rs, i, w)), kv)
-                t3 = f.scale((ki + 2 * k2) * a_xi)
+                t3 = f.scale(kia)
                 yield None if (t1 - t2 + t3).is_zero() else str((i, jj, mu))
 
 

@@ -3,8 +3,8 @@ term, the longest element, reflections in any positive root, a SymH from a
 matrix of numbers, a Localized read back from its JSON, and, as oracles, the
 saturated set by a search that tests its definition, the Fraction, ambient
 and pairing tables that RootSystem does not hold, the root-factor
-products by repeated Laurent products, and the Dunkl operator, the
-constant-term pairing and the quotient by 1 - e^(-alpha) summed as
+products by repeated Laurent products, and rho_k, mu~, the Dunkl operator,
+the constant-term pairing and the quotient by 1 - e^(-alpha) summed as
 RatFuncs, and the root strings and residual tensors by the loops that walk
 down each string and sum one dict entry per root."""
 from fractions import Fraction
@@ -262,6 +262,35 @@ def equals_reference(rs, F, G):
 # --- the Dunkl operator and the pairing as RatFunc loops ---
 
 
+def _half_root_sum(rs, kvec, start, sign):
+    """start + (1/2) sum_{a>0} sign(r) k_a a in weight coordinates: one
+    RatFunc sum per root r and nonzero coordinate of the term sign(r) k_a a_j
+    (each distinct term multiplied once), then halved and added to start once
+    per coordinate."""
+    twice, terms = [RF_ZERO] * rs.rank, {}
+    for r, c in enumerate(rs.pos_class):
+        s = sign(r)
+        for j, a in enumerate(rs.pos_wcoords[r]):
+            if a:
+                t = terms.get((c, s * a))
+                if t is None:
+                    t = terms[c, s * a] = kvec.value(c) * (s * a)
+                twice[j] = twice[j] + t
+    return tuple(coerce(m) + t / 2 for m, t in zip(start, twice))
+
+
+def rho_reference(rs, kvec):
+    """rho_k = (1/2) sum_{a>0} k_a a, summed root by root as RatFuncs."""
+    return _half_root_sum(rs, kvec, (0,) * rs.rank, lambda r: 1)
+
+
+def mu_tilde_reference(rs, mu, kvec):
+    """mu~ = mu + (1/2) sum_{a>0} k_a eps(mu(a^vee)) a, eps(x) = 1 for x > 0
+    and -1 otherwise, summed root by root as RatFuncs."""
+    return _half_root_sum(rs, kvec, mu,
+                          lambda r: 1 if rs.root_pairing(mu, r) > 0 else -1)
+
+
 def dunkl_apply_reference(rs, xi, f, kvec):
     """T(xi) f: partial(xi) f - <rho_k, xi> f plus the divided differences of
     each coupling class, summed with their integer weights <a, xi> as
@@ -277,7 +306,7 @@ def dunkl_apply_reference(rs, xi, f, kvec):
         for w, a in divided_difference(rs, r, f).terms.items():
             s = acc.get(w)
             acc[w] = a * axi if s is None else s + a * axi
-    shift = pair_with_xi(rs, rho(rs, kvec), xi)
+    shift = pair_with_xi(rs, rho_reference(rs, kvec), xi)
     out = {mu: v for mu, c in f.terms.items()
            if (v := c * (pair_with_xi(rs, mu, xi) - shift))}
     for c, acc in sums.items():

@@ -140,6 +140,25 @@ def test_coupling_vectors():
         couplings(a2, Fraction(1, 2)).integer_values()
 
 
+def test_coupling_vector_halves_are_the_halved_couplings_cleared_once():
+    from trigdunkl.coeff import CouplingVector, Poly, over
+    a1, b2 = root_system("A", 1), root_system("B", 2)
+    assert couplings(a1, 1).halves == (2, [1, 1])
+    kvs = (couplings(b2, Fraction(-2, 7), Fraction(3, 5)), couplings(b2),
+           couplings(a1, RF_ONE / (1 + K)))
+    kinds = ((int, int), (int, Poly), (Poly, Poly))
+    for kv, (den, entry) in zip(kvs, kinds):
+        D, ks = kv.halves
+        assert D.__class__ is den and all(k.__class__ is entry for k in ks)
+        assert [over(k, D) for k in ks] == [RF_ONE / 2] + [
+            v / 2 for v in kv.by_class]
+    assert kvs[0].halves == (70, [35, -10, 21])
+    # equality and repr read the couplings alone, as before
+    assert couplings(b2, 1, 2) == CouplingVector((1, 2))
+    assert couplings(b2, 1, 2) != CouplingVector((1, 2), 1)
+    assert repr(couplings(a1, 1)) == "CouplingVector((RatFunc(1),), extra=kp)"
+
+
 def test_printed_forms_are_unchanged():
     assert str(K / (2 * K + 2)) == "(1/2*k) / (k + 1)"
     assert str((K + KP) / (3 * K - 6 * KP)) == "(1/3*k + 1/3*kp) / (k - 2*kp)"

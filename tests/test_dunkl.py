@@ -45,8 +45,10 @@ from support import (
     gram_fw,
     half_weight_reference,
     mixed_fraction,
+    mu_tilde_reference,
     one_minus_exp_reference,
     reflect_root,
+    rho_reference,
     symh,
     w0_act,
     weyl_act,
@@ -134,6 +136,28 @@ def test_mu_tilde_examples():
         assert mu_tilde(rs, mu, kv) == tuple(m + x for m, x in zip(mu, r))
         anti = w0_act(rs, mu)
         assert mu_tilde(rs, anti, kv) == tuple(m - x for m, x in zip(anti, r))
+
+
+# symbolic, integer and Fraction couplings (k, k' = k_2), and k = 1/(1+k)
+# whose cleared halves have a polynomial denominator
+_HALVES_COUPLINGS = ((K, KP), (1, 2), (Fraction(-2, 7), Fraction(3, 5)),
+                     (RF_ONE / (1 + K), KP))
+
+
+@pytest.mark.parametrize("fam,n", GRAM_TYPES)
+def test_rho_and_mu_tilde_match_the_root_by_root_sums(fam, n):
+    rs = root_system(fam, n)
+    if n <= 3:
+        weights = list(itertools.product((-1, 0, 1), repeat=n))
+    else:
+        rng = random.Random(n)
+        weights = [tuple(rng.randint(-2, 2) for _ in range(n))
+                   for _ in range(20)]
+    for k, kp in _HALVES_COUPLINGS:
+        kv = couplings(rs, k, kp, kp)
+        assert rho(rs, kv) == rho_reference(rs, kv)
+        for mu in weights:
+            assert mu_tilde(rs, mu, kv) == mu_tilde_reference(rs, mu, kv), mu
 
 
 def test_dunkl_apply_examples():
