@@ -12,7 +12,8 @@ parse_ratfunc reads that text back through Python's own parser (ast).
 Sums of many RatFuncs run on cleared denominators: clear brings values over
 their common denominator D, combine sums integer multiples of the cleared
 values, and over reduces the result over D once, so that one gcd (or none,
-in ints) replaces a gcd per addition; CouplingVector.halves clears k/2 once.
+in ints) replaces a gcd per addition; CouplingVector.halves clears k/2 once,
+and Factored.clear clears the eigen-solve's factored values with no gcd.
 """
 from __future__ import annotations
 
@@ -127,7 +128,7 @@ class Poly:
         return f"Poly({format_poly(self)})"
 
 
-_ONE = Poly.const(1)
+_ONE, _ZERO = Poly.const(1), Poly.const(0)
 
 
 def _positive(p):
@@ -545,10 +546,15 @@ K = _rf(Poly.var("k"), _ONE)
 KP = _rf(Poly.var("kp"), _ONE)
 
 
+# reduce's point P = (k, kp): f | n in Z[k, kp] implies f(P) | n(P) in Z
+_X, _Y = 2**31 - 1, 2**61 - 1
+_LINEAR = frozenset((_C, (1, 0), (0, 1)))
+
+
 class Factored:
     """n / (q * prod f^e), fac = {f: e} with each f primitive and positively
-    led: sums lift both sides to the lcm of their q and factors, so sums over
-    the linear denominators <mu~ - nu~, xi> of the eigen-solve run no gcd."""
+    led: sums add numerators over one denominator, else lift each side to
+    the lcm of q and factors: the eigen-solve's sums need no gcd."""
 
     __slots__ = ("n", "q", "fac")
 
@@ -575,6 +581,8 @@ class Factored:
         return Factored(_ONE)._lift(self.q, self.fac)
 
     def __add__(self, other):
+        if self.q == other.q and self.fac == other.fac:
+            return Factored(self.n + other.n, self.q, self.fac)
         q = self.q * other.q // gcd(self.q, other.q)
         fac = dict(self.fac)
         for f, e in other.fac.items():
@@ -600,23 +608,35 @@ class Factored:
 
     def reduce(self):
         """(the canonical RatFunc of self, self in lowest terms): trial
-        division by linear, so irreducible, factors; a factor of higher degree
-        (from non-polynomial couplings) goes through the gcd of over."""
-        if any(sum(f.lead()[0]) > 1 for f in self.fac):
+        division by linear, so irreducible, factors while f(P) | n(P);
+        a factor of higher degree (non-polynomial couplings) goes via over."""
+        if any(not f.terms.keys() <= _LINEAR for f in self.fac):
             r = over(self.n, self._den())
             return r, Factored.of(r)
-        n, fac = self.n, dict(self.fac)
-        for f in fac:
-            try:
-                while fac[f]:
+        n, fac = self.n, {}
+        v = sum(c * _X**a * _Y**b for (a, b), c in n.terms.items())
+        for f, e in self.fac.items():
+            t = f.terms
+            w = t.get((1, 0), 0) * _X + t.get((0, 1), 0) * _Y + t.get(_C, 0)
+            while e and (v % w == 0 if w else v == 0):
+                try:
                     n = poly_divexact(n, f)
-                    fac[f] -= 1
-            except ArithmeticError:
-                pass
+                except ArithmeticError:
+                    break
+                v, e = v // w if w else v, e - 1
+            if e:
+                fac[f] = e
         g = gcd(n.content(), self.q)
-        out = Factored(_divided(n, g), self.q // g,
-                       {f: e for f, e in fac.items() if e})
+        out = Factored(_divided(n, g), self.q // g, fac)
         return _finish(out.n, out._den()), out
+
+    @staticmethod
+    def clear(cs):
+        """(D, [c * D for c in cs]) for Factored values cs, with no gcd: D is
+        the denominator of a sum of zeros over theirs, so their lcm when the
+        factors are pairwise coprime (distinct linear ones, as from reduce)."""
+        top = sum((Factored(_ZERO, c.q, c.fac) for c in cs), Factored(_ZERO))
+        return top._den(), [c._lift(top.q, top.fac) for c in cs]
 
 
 def clear(cs):

@@ -315,6 +315,15 @@ def _triangular(nu, rows, two, allowed):
             and all(x.__class__ is int for row in rows.values() for x in row))
 
 
+class _Eigenfunction(Laurent):
+    """jacobi's E(mu), with factored: {nu: its e^nu coefficient as Factored}."""
+
+    __slots__ = ("factored",)
+
+    def __init__(self, coeffs, factored):
+        self.terms, self.factored = coeffs, factored
+
+
 def jacobi(rs, mu, kvec):
     """The eigenfunction e^mu + (lower <_+ terms) of all Dunkl operators."""
     mu = tuple(mu)
@@ -325,7 +334,7 @@ def jacobi(rs, mu, kvec):
     order = [nu for _, _, nu in sorted(keyed)]
     order = order[order.index(mu):]  # mu and the weights below it
     if len(order) == 1:
-        return Laurent.monomial(mu)
+        return _Eigenfunction({mu: RF_ONE}, {mu: Factored.of(RF_ONE)})
     allowed = set(order)
     two_shift = {nu: _two_shift(rs, nu) for nu in order}
     # the coupling vector's cleared halves, ks = [D / 2, k_1 D / 2, ...]: the
@@ -350,7 +359,7 @@ def jacobi(rs, mu, kvec):
             denoms[nu] = d
         else:
             # running[w]: e^w coefficient of T(xi) on the part of E solved so far
-            coeffs, running = {}, {mu: Factored.of(RF_ONE)}
+            coeffs, factored, running = {}, {}, {mu: Factored.of(RF_ONE)}
             for nu in order:
                 s = running.pop(nu, None)
                 if s is None:
@@ -358,7 +367,7 @@ def jacobi(rs, mu, kvec):
                 c, cf = (s / denoms[nu]).reduce()
                 if not c:
                     continue
-                coeffs[nu] = c
+                coeffs[nu], factored[nu] = c, cf
                 rows = _stencil(rs, xi, nu)
                 # e^mu's row also through dunkl_apply, the operator the suites check
                 if not _triangular(nu, rows, two[nu], allowed) or (
@@ -375,7 +384,7 @@ def jacobi(rs, mu, kvec):
                     if a:
                         term = Factored(cf.n * a, cf.q, cf.fac)
                         running[w] = running[w] + term if w in running else term
-            return Laurent(coeffs)
+            return _Eigenfunction(coeffs, factored)
     raise ResonanceError(
         f"resonant eigen-solve at mu={mu}: mu~ equals nu~ for a weight nu "
         "below mu")

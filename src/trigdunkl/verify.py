@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .coeff import K, KP, RF_ZERO, RatFunc, clear, couplings, over
+from .coeff import K, KP, RF_ZERO, Factored, RatFunc, couplings, over
 from .dunkl import (
     SymH,
     TriangularityError,
@@ -177,26 +177,27 @@ def _attempt(error, fn, *args):
 
 
 def _eigen_failure(rs, kv, mu):
-    """The first failing check on E(mu): leading term, support, eigenvalue."""
+    """The first failing check on E(mu): leading term, support, eigenvalue,
+    on N = D E, the solve's factored coefficients cleared with no gcd."""
     E, why = _attempt(TriangularityError, jacobi, rs, mu, kv)
     if why:
         return why
-    if E.terms.get(mu) != RatFunc.const(1):
+    D, ns = Factored.clear(list(E.factored.values()))
+    N = Laurent._raw({w: over(p, 1) for w, p in zip(E.factored, ns)})
+    if N.terms.get(mu) != over(D, 1):
         return f"mu={mu}: leading coefficient is not 1"
-    nu = _above(rs, E, mu)
+    nu = _above(rs, N, mu)
     if nu is not None:
         return f"mu={mu}: support weight {list(nu)} is not <=+ mu"
-    # T(xi) is Q(k, k')-linear: E is an eigenfunction iff D E is, D clearing
-    # E's denominators, and D E sums without a gcd; a failure shows E itself
-    DE = Laurent._raw({w: over(p, 1) for w, p in
-                       zip(E.terms, clear(list(E.terms.values()))[1])})
     mt = mu_tilde(rs, mu, kv)
     for xi in (unit(rs.rank, i) for i in range(rs.rank)):
-        ev = pair_with_xi(rs, mt, xi)
-        detail = (dunkl_apply(rs, xi, DE, kv) != DE.scale(ev)
-                  and _sides(dunkl_apply(rs, xi, E, kv), E.scale(ev)))
-        if detail:
-            return f"mu={mu}: {detail}"
+        lhs = dunkl_apply(rs, xi, N, kv).terms
+        rhs = N.scale(pair_with_xi(rs, mt, xi)).terms
+        if lhs != rhs:
+            w = min(w for w in lhs.keys() | rhs.keys()
+                    if lhs.get(w) != rhs.get(w))
+            return (f"mu={mu}: xi={list(xi)}, D E at e^{list(w)}: "
+                    + _sides(lhs.get(w, RF_ZERO), rhs.get(w, RF_ZERO)))
     return None
 
 

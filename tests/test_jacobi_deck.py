@@ -1,5 +1,6 @@
-"""The eigen-solve over the benchmark's 120-weight deck: pinned output and
-canonical coefficients, and the factored coefficient form it sums in."""
+"""The eigen-solve over the benchmark's 120-weight deck: pinned output,
+canonical coefficients and their cleared form, and the factored coefficient
+form it sums in."""
 import hashlib
 import json
 import random
@@ -8,7 +9,8 @@ from itertools import product
 from math import gcd
 
 from trigdunkl import K, KP, RF_ONE, RF_ZERO, couplings, jacobi, root_system
-from trigdunkl.coeff import Factored, poly_gcd
+from trigdunkl import coeff
+from trigdunkl.coeff import Factored, Poly, clear, poly_gcd
 from trigdunkl.verify import _eigen_failure
 
 # the weight boxes of the benchmark's eigen_symbolic workload:
@@ -49,6 +51,20 @@ def test_deck_output_is_pinned_and_canonical():
     assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == DECK_SHA256
 
 
+def test_cleared_form_is_the_eigenfunction_over_its_lcm():
+    # the eigen suite checks T(xi) N = <mu~, xi> N on N = D E as the solve's
+    # factored coefficients give it, never E itself: D E = N, coefficient by
+    # coefficient, and D the lcm that clear finds by gcd, cover that step
+    for name, mu, E in _deck():
+        D, ns = Factored.clear(list(E.factored.values()))
+        assert list(E.factored) == list(E.terms), (name, mu)
+        for c, n in zip(E.terms.values(), ns):
+            assert D * c.num == n * c.den, (name, mu, c)
+        assert D.lead()[1] > 0
+        lcm = clear(list(E.terms.values()))[0]
+        assert D == (lcm if isinstance(lcm, Poly) else Poly.const(lcm))
+
+
 def _linear(rng):
     while True:
         f = (rng.randint(-3, 3) * K + rng.randint(-3, 3) * KP
@@ -73,6 +89,24 @@ def test_factored_sums_agree_with_ratfunc_arithmetic():
         c, cf = fac.reduce()
         _assert_canonical(c)
         assert c == ref and cf.reduce()[0] == ref
+    # reduce divides by f only while f's value at the evaluation point divides
+    # the numerator's: a form that vanishes there, a factor that cancels
+    # twice and one that cancels only partly, alone, in a sum over an equal
+    # denominator and in one over an unequal denominator
+    zero_at = coeff._Y * K - coeff._X * KP  # primitive, and 0 at the point
+    g, h = K + 2, KP - 3
+    for f in (zero_at, 2 * K + 3 * KP - 1):
+        for num, dens in ((f * f * g, (f, f, h)), (f * g, (f, f, f)),
+                          (f * h * g, (f, h, h, g))):
+            ref, fac = num, Factored.of(num)
+            for d in dens:
+                ref, fac = ref / d, fac / d
+            other = Factored.of(K) / f / h
+            for total, ftotal in ((ref, fac), (ref + ref, fac + fac),
+                                  (ref + K / (f * h), fac + other)):
+                c, cf = ftotal.reduce()
+                _assert_canonical(c)
+                assert c == total and cf.reduce()[0] == total
 
 
 def test_non_polynomial_couplings_stay_canonical():

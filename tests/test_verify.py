@@ -1,7 +1,9 @@
 """The verify suites report their first counterexample when a defect is
 injected into the operators they check."""
+import inspect
 import io
 import random
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -17,19 +19,23 @@ from trigdunkl import (
     pair_with_xi,
     root_system,
 )
-from trigdunkl import dunkl, verify
+from trigdunkl import dunkl, rootsys, verify
+from trigdunkl.coeff import RF_ONE, Factored
 from trigdunkl.cli import main
 from trigdunkl.rootsys import RootSystem, RootSystemSpec, unit
 
 
 def test_eigen_reports_its_first_failing_check(monkeypatch):
     # a stray term e^(2|mu|+2) breaks the support of E(mu) first, and then
-    # the eigen-equation; the support failure is the one reported
+    # the eigen-equation; the support failure is the one reported.  The check
+    # reads E's factored coefficients, so the term goes there
     solve = verify.jacobi
 
     def defective(rs, mu, kv):
+        E = solve(rs, mu, kv)
         stray = tuple(2 * abs(m) + 2 for m in mu)
-        return solve(rs, mu, kv) + Laurent.monomial(stray)
+        E.factored = {**E.factored, stray: Factored.of(RF_ONE)}
+        return E
 
     monkeypatch.setattr(verify, "jacobi", defective)
     res = verify.run_eigen({"A1"})
@@ -50,7 +56,8 @@ _DEFECT_FIRST_FAILURE = {
     "hermitian": ("A2:(T f, g) = (f, T g) at k=1",
                   "lhs = RatFunc(0); rhs = RatFunc(-1/3)"),
     "eigen": ("A2:T E(mu) = mu~ E(mu), |coords|<=2",
-              "mu=(-2, -2): lhs = (-k)*e[-4, 2] + (-2*k)*e[-3, 0]"),
+              "mu=(-2, -2): xi=[1, 0], D E at e^[-3, 2]: lhs = "
+              "RatFunc(2*k^4 + 11*k^3 + 20*k^2 + 12*k); rhs = RatFunc(0)"),
 }
 
 
@@ -90,7 +97,7 @@ def test_dunkl_operators_are_linear_over_the_coupling_field(fam, n):
                     == dunkl_apply(rs, xi, f, kv).scale(D))
 
 
-def test_eigen_fails_on_an_altered_coefficient_with_the_unscaled_detail(
+def test_eigen_fails_on_an_altered_coefficient_with_the_cleared_detail(
         monkeypatch):
     solve = verify.jacobi
 
@@ -98,7 +105,8 @@ def test_eigen_fails_on_an_altered_coefficient_with_the_unscaled_detail(
         E = solve(rs, mu, kv)
         if len(E.terms) > 1:  # move one coefficient below the top by 1
             nu = min(w for w in E.terms if w != tuple(mu))
-            E = E + Laurent.monomial(nu)
+            E.factored = {**E.factored,
+                          nu: E.factored[nu] + Factored.of(RF_ONE)}
         return E
 
     monkeypatch.setattr(verify, "jacobi", altered)
@@ -106,13 +114,43 @@ def test_eigen_fails_on_an_altered_coefficient_with_the_unscaled_detail(
     assert not res.ok
     first = res.first_failure()
     assert first.case_id == "A1:T E(mu) = mu~ E(mu), |coords|<=2"
+    # E(-2) = e^-2 + 2k/(k + 2) e^0 + k/(k + 2) e^2, cleared by D = k + 2:
+    # the sides at e^0 of T(xi) applied to D E with D added at e^0
     a1 = root_system("A", 1)
     kv = couplings(a1)
-    E = altered(a1, (-2,), kv)
+    E = solve(a1, (-2,), kv)
+    D = K + 2
+    N = Laurent({w: c * D for w, c in E.terms.items()}) + Laurent.monomial(
+        (0,), D)
     ev = pair_with_xi(a1, mu_tilde(a1, (-2,), kv), (1,))
-    assert first.detail == "mu=(-2,): " + verify._sides(
-        dunkl_apply(a1, (1,), E, kv), E.scale(ev))
-    assert first.detail.startswith("mu=(-2,): lhs = ")
+    lhs, rhs = dunkl_apply(a1, (1,), N, kv), N.scale(ev)
+    assert lhs.terms[(0,)] != rhs.terms[(0,)]
+    assert first.detail == "mu=(-2,): xi=[1], D E at e^[0]: " + verify._sides(
+        lhs.terms[(0,)], rhs.terms[(0,)])
+
+
+def test_eigen_fails_promptly_on_a_defective_root_system(monkeypatch):
+    # with the root-string depth not incremented, _positive_acoords drops
+    # roots (B2 keeps 3 of 4); the eigen suite must fail, not run unbounded
+    source = inspect.getsource(rootsys._positive_acoords)
+    mutant = source.replace("above[up][1][i] = depth[i] + 1",
+                            "above[up][1][i] = depth[i]")
+    assert mutant != source
+    namespace = dict(vars(rootsys))
+    exec(mutant, namespace)
+    monkeypatch.setattr(rootsys, "_positive_acoords",
+                        namespace["_positive_acoords"])
+    root_system.cache_clear()
+    try:
+        assert root_system("B", 2).n_positive == 3
+        start = time.perf_counter()
+        res = verify.run_eigen({"B2"})
+        elapsed = time.perf_counter() - start
+    finally:
+        monkeypatch.undo()
+        root_system.cache_clear()
+    assert not res.ok and elapsed < 2, elapsed
+    assert root_system("B", 2).n_positive == 4
 
 
 def test_conjugation_suite_fails_on_a_dropped_k2_or_an_off_rho_norm(monkeypatch):
