@@ -659,8 +659,8 @@ def clear(cs):
 
 
 def combine(terms):
-    """The sum of s * p over the (int s, p) in terms, the p all ints or all
-    Polys, as clear gives them: an int or a Poly."""
+    """The sum of s * p over the (int s, p) in terms, the p ints or Polys, as
+    clear gives them: an int when every p is an int, else a Poly."""
     total, acc = 0, None
     for s, p in terms:
         if p.__class__ is int:
@@ -672,6 +672,8 @@ def combine(terms):
             acc[m] = acc.get(m, 0) + s * c
     if acc is None:
         return total
+    if total:
+        acc[_C] = acc.get(_C, 0) + total
     return Poly({m: c for m, c in acc.items() if c})
 
 

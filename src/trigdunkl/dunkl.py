@@ -32,29 +32,37 @@ def epsilon(x):
     return 1 if x > 0 else -1
 
 
+def rho_row(rs, ks):
+    """D rho_k: each 2 rho_c times ks[c] = D k_c / 2, in integers."""
+    return tuple(combine(zip(col, ks)) for col in zip(*rs.class_two_rho))
+
+
 def rho(rs, kvec):
     """Half sum of positive roots weighted by the couplings (weight coords):
-    the integers 2 rho_c combined with kvec.halves, reduced once over D."""
+    rho_row over kvec.halves, reduced once over D."""
     D, ks = kvec.halves
-    return tuple(over(combine(zip(col, ks[1:])), D)
-                 for col in zip(*rs.class_two_rho))
+    return tuple(over(p, D) for p in rho_row(rs, ks[1:]))
+
+
+def gram_form(rs, u, v):
+    """sum_ij u_i G_ij v_j, G = rs.gram_fw_int, for rows u, v of ints or
+    Polys: D^2 rs.gram_fw_den (u, v) for h* vectors cleared over D."""
+    G = rs.gram_fw_int
+    jv = [(j, q) for j, q in enumerate(v) if q]
+    return combine((1, p * combine((G[i][j], q) for j, q in jv))
+                   for i, p in enumerate(u) if p)
 
 
 def gram_pairing(rs, u, v):
     """(u, v) for h* vectors in weight coordinates: the nonzero entries
-    cleared once over a common D (coeff.clear), G v D formed as integer
-    combinations of G = rs.gram_fw_int, and sum_i u_i D (G v D)_i reduced
-    once over D^2 rs.gram_fw_den."""
-    G = rs.gram_fw_int
-    iu = [i for i, x in enumerate(u) if x]
-    iv = [j for j, x in enumerate(v) if x]
-    if not iu or not iv:
+    cleared once over a common D (coeff.clear), gram_form of the cleared
+    rows reduced once over D^2 rs.gram_fw_den."""
+    if not any(u) or not any(v):
         return RF_ZERO
-    D, ps = clear([coerce(u[i]) for i in iu] + [coerce(v[j]) for j in iv])
-    pv = ps[len(iu):]
-    total = combine((1, p * combine((G[i][j], q) for j, q in zip(iv, pv)))
-                    for i, p in zip(iu, ps))
-    return over(total, D * D * rs.gram_fw_den)
+    D, ps = clear([coerce(x) for x in (*u, *v) if x])
+    it = iter(ps)
+    cu, cv = ([next(it) if x else 0 for x in w] for w in (u, v))
+    return over(gram_form(rs, cu, cv), D * D * rs.gram_fw_den)
 
 
 def norm_sq(rs, v):

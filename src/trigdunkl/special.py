@@ -6,19 +6,23 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .coeff import RF_ZERO, RatFunc, clear, combine, couplings, over
-from .dunkl import SymH, coth_sum, gram_pairing, rho
+from .coeff import RF_ZERO, clear, combine, couplings, over
+from .dunkl import SymH, coth_sum, gram_form, rho, rho_row
 from .rootsys import root_system
 
 INFINITY = "inf"
 
 
-# exponents: n+1 weight-coordinate RatFunc tuples; spectral: lambda_i = mu_i
-# + rho_k; x, y and a_value: RatFuncs; kvec: the CouplingVector
+# x, y, a_value: RatFuncs; kvec: the CouplingVector; rows and spectral_rows:
+# the n+1 mu_i and lambda_i = mu_i + rho_k in weight coordinates, times D;
+# cleared: D x, D y, D a, D k'/2, then each D k_c/2; all ints, or Polys in
+# k, k'.  exponents and spectral reduce the rows when read
 class SpecialExponentReport(namedtuple(
         "SpecialExponentReport",
-        "family rank exponents spectral x y a_value kvec")):
+        "family rank x y a_value kvec D rows spectral_rows cleared")):
     __slots__ = ()
+    exponents = property(lambda self: _reduced(self.rows, self.D))
+    spectral = property(lambda self: _reduced(self.spectral_rows, self.D))
 
     def to_json(self):
         return {
@@ -29,6 +33,10 @@ class SpecialExponentReport(namedtuple(
             "y": str(self.y),
             "a": str(self.a_value),
         }
+
+
+def _reduced(rows, D):
+    return tuple(tuple(over(c, D) for c in row) for row in rows)
 
 
 def _case_couplings(rs, kvec):
@@ -44,6 +52,21 @@ def _require_reduced(rs, what):
         raise ValueError(f"{what} are defined for reduced systems only")
 
 
+def _reflect(rs, j, row, shift=0):
+    """The row of s_j.mu - (shift / D) a_j for the row of mu, cleared over D:
+    shift = D k_j gives the rho_k-shifted reflection."""
+    c = combine(((rs.wt_diag[j], row[j]), (1, shift)))
+    if not c:
+        return row
+    return tuple(combine(((1, m), (-a, c))) if a else m
+                 for m, a in zip(row, rs.alpha_w[j]))
+
+
+def _same(u, v):
+    """Whether two cleared rows agree (0 and the zero Poly are equal)."""
+    return all(a == b or not combine(((1, a), (-1, b))) for a, b in zip(u, v))
+
+
 def special_exponents(rs, kvec):
     """The n+1 exponents of the rank n+1 subsystem, with spectral shifts.
 
@@ -51,7 +74,9 @@ def special_exponents(rs, kvec):
     gives each node's exponent from its neighbour's by the rho_k-shifted
     reflection s_j.mu = mu - (mu(a_j^vee) + k_j) a_j, j the one of the two
     nodes farther from t (the branch node on D and E, node n on a path);
-    mu_(n+1) = s_t.mu_t.  Only (x, y) is read off the case formulas."""
+    mu_(n+1) = s_t.mu_t.  Only (x, y) is read off the case formulas, and a is
+    x y (FW_1, FW_n); x, y, a and the halved couplings are cleared once over
+    one D, and the walk and lambda_i = mu_i + rho_k run on the cleared rows."""
     _require_reduced(rs, "special exponents")
     family, n = rs.spec.family, rs.rank
     k, kp = _case_couplings(rs, kvec)
@@ -70,31 +95,27 @@ def special_exponents(rs, kvec):
         x, y = k + kp, 2 * k + kp
     else:  # G
         x, y = (k + 3 * kp) * half, (k + kp) * half
-    ks = [kvec.value(rs.pos_class[r]) for r in rs.simple_index]
-
-    def shifted_reflection(j, mu):
-        c = rs.pairing(mu, j) + ks[j]
-        if not c:
-            return mu
-        return tuple(m - c * a if a else m for m, a in zip(mu, rs.alpha_w[j]))
-
-    t, dist, adj = _diagram(rs)
-    mus = [None] * n
-    mus[0] = (-x,) + (RF_ZERO,) * (n - 1)
-    for v, w in _tree_edges(adj, 0):
-        mus[w] = shifted_reflection(max(v, w, key=dist.__getitem__), mus[v])
-    mus.append(shifted_reflection(t, mus[t]))
-    rho_k = rho(rs, kvec)
-    spectral = tuple(tuple(a + b if a else b for a, b in zip(mu, rho_k))
-                     for mu in mus)
-    # a = (mu_1, mu_(n+1))
     a_val = x * y * Fraction(rs.gram_fw_int[0][n - 1], rs.gram_fw_den)
-    return SpecialExponentReport(family, n, tuple(mus), spectral, x, y,
-                                 a_val, kvec)
+    D, cleared = clear([x, y, a_val, kp * half]
+                       + [v * half for v in kvec.by_class])
+    shifts = [2 * cleared[4 + rs.pos_class[r]] for r in rs.simple_index]
+    t, dist, adj = _diagram(rs)
+    rows = [(-cleared[0],) + (0,) * (n - 1)] + [None] * (n - 1)
+    for v, w in _tree_edges(adj, 0):
+        j = max(v, w, key=dist.__getitem__)
+        rows[w] = _reflect(rs, j, rows[v], shifts[j])
+    rows.append(_reflect(rs, t, rows[t], shifts[t]))
+    rho_k = rho_row(rs, cleared[4:])
+    spectral = tuple(tuple(combine(((1, a), (1, b))) if a else b
+                           for a, b in zip(row, rho_k)) for row in rows)
+    return SpecialExponentReport(family, n, x, y, a_val, kvec, D, tuple(rows),
+                                 spectral, tuple(cleared))
 
 
-def quadratic_residual(rs, v, kvec, a_value):
-    """mu^2 + (1/2) sum mu(k a^vee [+ k' a']) a^2 + a C^vee, as a SymH.
+def _residual_numerators(rs, rows, D, consts):
+    """Each entry (i, j), i <= j, of the quadratic residual of each row, as
+    its numerator over q (n + 1)^2 D^2: rows are weights cleared over D, and
+    consts (A, kp, *ks) are D a, D k'/2 (the A_n extra modulus) and the D k_c/2.
 
     Read off the integer tensors of RootSystem.residual_tensors: with
     y_i = mu(a_i^vee), w_r the weight coordinates of the positive root r,
@@ -103,59 +124,62 @@ def quadratic_residual(rs, v, kvec, a_value):
     G = q C^vee an integer matrix, entry (i, j) is
         y_i y_j + sum_c sum_l (k_c / 2) mu_l S_c[i][j][l]
                 + sum_l (k' / 2) mu_l / (n + 1)^2 A[i][j][l] + (a / q) G_ij.
-    Only the slices l with mu_l != 0 are read.  The base values, the nonzero
-    mu_l, the k_c / 2 (with k' / (2 (n + 1)^2)) and a / q, are cleared to
-    polynomials V_l, K_c and A over one common denominator D; with
-    Y_i = V_i <FW_i, a_i^vee>, each entry, for i <= j, is an integer
-    combination of Y_i Y_j, K_c V_l and A D, reduced over D^2 once.
-    """
-    n = rs.rank
+    Scaled by q (n + 1)^2 D^2, with Y_i = D y_i, each is an integer
+    combination of Y_i Y_j, (D k_c / 2) D mu_l, (D k' / 2) D mu_l and A D.
+    Only the slices l with mu_l != 0 are read."""
+    n, (A, kp, *ks) = rs.rank, consts
     slices, q, gram = rs.residual_tensors
-    half = Fraction(1, 2)
-    ks = [kvec.value(c) * half for c in range(rs.n_classes)]
-    ks.append(kvec.extra * Fraction(1, 2 * (n + 1) ** 2))
-    supp = [l for l in range(n) if v[l]]
-    D, nums = clear([v[l] for l in supp] + ks + [a_value * Fraction(1, q)])
-    V = dict(zip(supp, nums))
-    K = nums[len(supp):-1]
-    Y = {i: V[i] * rs.wt_diag[i] for i in supp}
-    terms = {(i, j): [(1, Y[i] * Y[j])] for a, i in enumerate(supp)
-             for j in supp[a:]}
-    for l in supp:
-        base = [K[c] * V[l] if ks[c] else None for c in range(len(ks))]
-        for i, j, c, s in slices[l]:
-            if base[c] is not None:
-                terms.setdefault((i, j), []).append((s, base[c]))
-    AD = nums[-1] * D
-    for i, j, g in gram:
-        terms.setdefault((i, j), []).append((g, AD))
-    DD = D * D
+    s, n2 = q * (n + 1) ** 2, (n + 1) ** 2
+    K = [s * k for k in ks] + [q * kp]  # the A_n extra class is the last
+    AD = A * D
+    out = []
+    for row in rows:
+        supp = [l for l in range(n) if row[l]]
+        Y = {i: row[i] * rs.wt_diag[i] for i in supp}
+        terms = {(i, j): [(s, Y[i] * Y[j])] for a, i in enumerate(supp)
+                 for j in supp[a:]}
+        for l in supp:
+            base = [k * row[l] if k else None for k in K]
+            for i, j, c, t in slices[l]:
+                if base[c] is not None:
+                    terms.setdefault((i, j), []).append((t, base[c]))
+        for i, j, g in gram:
+            terms.setdefault((i, j), []).append((n2 * g, AD))
+        out.append({ij: combine(ts) for ij, ts in terms.items()})
+    return out
+
+
+def quadratic_residual(rs, v, kvec, a_value):
+    """mu^2 + (1/2) sum mu(k a^vee [+ k' a']) a^2 + a C^vee, as a SymH: v,
+    a, k'/2 and the k_c/2 cleared over one D, the numerators of
+    _residual_numerators each reduced once over q (n + 1)^2 D^2."""
+    n, half = rs.rank, Fraction(1, 2)
+    D, nums = clear(list(v) + [a_value, kvec.extra * half]
+                    + [c * half for c in kvec.by_class])
+    [entries] = _residual_numerators(rs, [nums[:n]], D, nums[n:])
+    den = rs.residual_tensors[1] * (n + 1) ** 2 * D * D
     res = [[RF_ZERO] * n for _ in range(n)]
-    for (i, j), ts in terms.items():
-        res[i][j] = res[j][i] = over(combine(ts), DD)
-    return SymH(tuple(tuple(row) for row in res))
+    for (i, j), p in entries.items():
+        res[i][j] = res[j][i] = over(p, den)
+    return SymH(tuple(tuple(r) for r in res))
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
 
 
 def verify_quadratic(rs, report):
-    """Check every exponent kills the quadratic, a = (mu_1, mu_(n+1)) by one
-    gram_pairing, and that a generic weight does not satisfy the equation."""
-    kvec = report.kvec
-    per_exponent = tuple(
-        quadratic_residual(rs, mu, kvec, report.a_value).is_zero()
-        for mu in report.exponents
-    )
-    a_pairing_ok = gram_pairing(rs, report.exponents[0],
-                                report.exponents[-1]) == report.a_value
-    generic = tuple(RatFunc.const(p) for p in _PRIMES[:rs.rank])
-    exactness = not quadratic_residual(rs, generic, kvec,
-                                       report.a_value).is_zero()
+    """Check every exponent kills the quadratic, a = (mu_1, mu_(n+1)), and
+    that a generic weight does not satisfy the equation: zero tests of the
+    residual numerators and of gram_form on the report's cleared rows."""
+    D, rows, consts = report.D, report.rows, report.cleared[2:]
+    generic = tuple(D * p for p in _PRIMES[:rs.rank])
+    *per_exponent, last = _residual_numerators(rs, rows + (generic,), D, consts)
+    a_pairing = gram_form(rs, rows[0], rows[-1])
     return {
-        "quadratic": list(per_exponent),
-        "a_equals_mu1_mun1": a_pairing_ok,
-        "exactness": exactness,
+        "quadratic": [not any(e.values()) for e in per_exponent],
+        "a_equals_mu1_mun1": not combine(
+            ((1, a_pairing), (-rs.gram_fw_den, D * consts[0]))),
+        "exactness": any(last.values()),
     }
 
 
@@ -180,52 +204,42 @@ def _diagram(rs):
 
 
 def consecutive_relations(rs, report):
-    """Type-specific relations among consecutive exponents / spectral points."""
+    """Type-specific relations among consecutive exponents / spectral points,
+    as zero tests of integer combinations of the report's cleared data."""
     family, n = rs.spec.family, rs.rank
-    k, kp = _case_couplings(rs, report.kvec)
-    lam = report.spectral
-    mus = report.exponents
+    mus, lam = report.rows, report.spectral_rows
+    dx, dy, _, kp, k = report.cleared[:5]
     verdict = {}
     if family in ("A", "B", "C", "F", "G"):
         verdict["spectral_chain"] = all(
-            rs.reflect_weight(i, lam[i]) == lam[i + 1] for i in range(n))
-        diffs_expected = None
-        if family == "A":
-            diffs_expected = [(report.x - (i + 1) * k, i) for i in range(n)]
-        elif family in ("B", "C"):
-            diffs_expected = [(report.x - (i + 1) * k, i) for i in range(n - 1)]
+            _same(_reflect(rs, i, lam[i]), lam[i + 1]) for i in range(n))
+        # D times the coefficient of a_i in mu_(i+1) - mu_i, in halved constants
+        if family in ("A", "B", "C"):
+            coefs = [((1, dx), (-2 * (i + 1), k))
+                     for i in range(n if family == "A" else n - 1)]
             if family == "B":
-                diffs_expected.append(
-                    (2 * report.x - 2 * (n - 1) * k - kp, n - 1))
-            else:
-                diffs_expected.append((report.x - (n - 1) * k - kp, n - 1))
+                coefs.append(((2, dx), (-4 * (n - 1), k), (-2, kp)))
+            elif family == "C":
+                coefs.append(((1, dx), (-2 * (n - 1), k), (-2, kp)))
         elif family == "F":
-            diffs_expected = [(kp, 0), (kp - k, 1), (kp - 2 * k, 2),
-                              (-2 * k, 3)]
-        elif family == "G":
-            half = Fraction(1, 2)
-            diffs_expected = [((3 * kp - k) * half, 0), ((kp - k) * half, 1)]
-        ok = True
-        for idx, (coef, i) in enumerate(diffs_expected):
-            alpha_i = rs.alpha_w[i]
-            expected = tuple(coef * a if a else RF_ZERO for a in alpha_i)
-            got = tuple(b - a for a, b in zip(mus[idx], mus[idx + 1]))
-            if got != expected:
-                ok = False
-        verdict["differences"] = ok
+            coefs = [((2, kp),), ((2, kp), (-2, k)), ((2, kp), (-4, k)),
+                     ((-4, k),)]
+        else:  # G
+            coefs = [((3, kp), (-1, k)), ((1, kp), (-1, k))]
+        verdict["differences"] = all(
+            _same(mus[i + 1], [combine(((1, m), (a, c))) if a else m
+                               for m, a in zip(mus[i], rs.alpha_w[i])])
+            for i, c in enumerate(map(combine, coefs)))
     else:
         _, d, _ = _diagram(rs)
-        ok = all(
-            rs.pairing(lam[i], i) == RatFunc.const(-d[i]) * k
-            for i in range(n)
-        )
-        verdict["diagonal_pairings"] = ok
+        verdict["diagonal_pairings"] = not any(
+            combine(((rs.wt_diag[i], lam[i][i]), (2 * d[i], k)))
+            for i in range(n))
     # mu_1 = -x w_1, and -y w_n is mu_(n+1) on a path, mu_n on D and E
     last = mus[n - 1] if family in ("D", "E") else mus[n]
     verdict["endpoints"] = (
-        mus[0] == tuple(-report.x if j == 0 else RF_ZERO for j in range(n))
-        and last == tuple(-report.y if j == n - 1 else RF_ZERO
-                          for j in range(n)))
+        _same(mus[0], (-dx,) + (0,) * (n - 1))
+        and _same(last, (0,) * (n - 1) + (-dy,)))
     return verdict
 
 

@@ -5,19 +5,20 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .coeff import K, KP, RF_ZERO, Factored, RatFunc, couplings, over
+from .coeff import K, KP, RF_ZERO, Factored, RatFunc, combine, couplings, over
 from .dunkl import (
     SymH,
     TriangularityError,
     conjugation_check,
     dunkl_apply,
+    gram_form,
     invariant_apply,
     jacobi,
     lk_apply,
     mu_tilde,
     norm_sq,
-    rho,
     rho_norm,
+    rho_row,
 )
 from .laurent import Laurent, Localized, orbit_sum, weight_function, inner_product
 from .rootsys import EQUAL, LESS, pair_with_xi, reflect, root_system, unit
@@ -399,11 +400,15 @@ def run_compat(types=None):
             res.add(f"{rs.spec}:dk2(C) = invariant(C) on orbit sum of {list(mu)}",
                     ok, why or "")
     for (rs,) in _systems(PROP32_TYPES, types):
-        kv = couplings(rs)
-        rep = special_exponents(rs, kv)
-        target = norm_sq(rs, rho(rs, kv)) - rep.a_value * rs.rank
-        ok = all(norm_sq(rs, lam) == target for lam in rep.spectral)
-        res.add(f"{rs.spec}:C(lambda_i) = C(rho) - a n", ok)
+        rep = special_exponents(rs, couplings(rs))
+        # D^2 gram_fw_den times each side, on the rows cleared over D
+        rho_k = rho_row(rs, rep.cleared[4:])
+        target = ((1, gram_form(rs, rho_k, rho_k)),
+                  (-rs.rank * rs.gram_fw_den, rep.D * rep.cleared[2]))
+        ok = not any(combine(((-1, gram_form(rs, lam, lam)), *target))
+                     for lam in rep.spectral_rows)
+        res.add(f"{rs.spec}:C(lambda_i) = C(rho) - a n", ok, "" if ok else
+                f"C(lambda_i) = {[str(norm_sq(rs, lam)) for lam in rep.spectral]}")
     return res
 
 

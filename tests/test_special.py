@@ -1,4 +1,5 @@
 import copy
+import sys
 from fractions import Fraction
 
 import pytest
@@ -27,8 +28,10 @@ from trigdunkl import (
     special_exponents,
     verify_quadratic,
 )
-from trigdunkl import verify
-from trigdunkl.special import quadratic_residual
+from trigdunkl import coeff, verify
+from trigdunkl.coeff import combine
+from trigdunkl.dunkl import gram_pairing
+from trigdunkl.special import _diagram, _tree_edges, quadratic_residual
 from trigdunkl.verify import PROP32_TYPES
 
 from support import gram_coroot, gram_fw, symh
@@ -483,3 +486,151 @@ def test_report_serialization_round_trip():
     assert parse_ratfunc(doc["a"]) == rep.a_value
     back = [tuple(parse_ratfunc(c) for c in mu) for mu in doc["exponents"]]
     assert tuple(back) == rep.exponents
+
+
+# --- the report's cleared rows: the verdicts read them, printing reduces them
+
+_MUTANT_TYPES = [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("E", 6), ("F", 4),
+                 ("G", 2)]
+_SYMBOLIC_AND_SIXTH = [None, Fraction(1, 6)]
+
+
+def _plus(p, q):
+    """p + q for cleared entries (ints or Polys)."""
+    return combine(((1, p), (1, q)))
+
+
+def _bump_row(rows, i, j, by):
+    """rows with coordinate j of row i raised by `by`."""
+    return rows[:i] + (tuple(_plus(c, by) if m == j else c
+                             for m, c in enumerate(rows[i])),) + rows[i + 1:]
+
+
+def _bump_a(rep):
+    """The report with its cleared a raised by D, that is a by 1."""
+    dx, dy, A, *rest = rep.cleared
+    return rep._replace(cleared=(dx, dy, _plus(A, rep.D), *rest))
+
+
+def _casimir_verdict(monkeypatch, rs, rep):
+    """compat's C(lambda_i) = C(rho) - a n case, run on the report rep."""
+    monkeypatch.setattr(verify, "special_exponents", lambda rs_, kv: rep)
+    cases = verify.run_compat({f"{rs.spec.family}{rs.rank}"}).cases
+    [case] = [c for c in cases if c.case_id.endswith("C(rho) - a n")]
+    return case.ok
+
+
+@pytest.mark.parametrize("k", _SYMBOLIC_AND_SIXTH, ids=["symbolic", "k=1/6"])
+@pytest.mark.parametrize("fam,n", _MUTANT_TYPES)
+def test_each_cleared_verdict_can_be_false(monkeypatch, fam, n, k):
+    rs, rep = _rep(fam, n, k)
+    for i in range(n + 1):
+        # mu_i + w_j, and lambda_i with it; j = i reaches D and E's diagonal
+        # pairing <lambda_i, a_i^vee>, and j = n - 1 their endpoint -y w_n
+        j = min(i, n - 1)
+        bumped = rep._replace(rows=_bump_row(rep.rows, i, j, rep.D),
+                              spectral_rows=_bump_row(rep.spectral_rows, i, j,
+                                                      rep.D))
+        quadratic = verify_quadratic(rs, bumped)["quadratic"]
+        assert quadratic == [m != i for m in range(n + 1)], (i, quadratic)
+        relations = consecutive_relations(rs, bumped)
+        if fam in ("D", "E") and i == n:
+            # no relation reads mu_(n+1) = s_t.mu_t on D and E
+            assert all(relations.values())
+        else:
+            assert not all(relations.values()), (i, relations)
+    bad_a = _bump_a(rep)
+    assert not verify_quadratic(rs, bad_a)["a_equals_mu1_mun1"]
+    assert not _casimir_verdict(monkeypatch, rs, bad_a)
+    assert _casimir_verdict(monkeypatch, rs, rep)
+
+
+def _reference_walk(rs, rep, kv):
+    """The exponents and spectral points walked in RatFunc arithmetic from
+    mu_1 = -x w_1, as special_exponents' docstring states them."""
+    n = rs.rank
+    ks = [kv.value(rs.pos_class[r]) for r in rs.simple_index]
+
+    def shifted(j, mu):
+        c = rs.pairing(mu, j) + ks[j]
+        return tuple(m - c * a for m, a in zip(mu, rs.alpha_w[j]))
+
+    t, dist, adj = _diagram(rs)
+    mus = [(-rep.x,) + (RF_ZERO,) * (n - 1)] + [None] * (n - 1)
+    for v, w in _tree_edges(adj, 0):
+        mus[w] = shifted(max(v, w, key=dist.__getitem__), mus[v])
+    mus.append(shifted(t, mus[t]))
+    r = rho(rs, kv)
+    return tuple(mus), tuple(tuple(a + b for a, b in zip(mu, r)) for mu in mus)
+
+
+_THREE_COUPLINGS = {"symbolic": (None, None), "k=1/6": (Fraction(1, 6), None),
+                    "k=K/(K+1),kp=1/3": (K / (K + 1), Fraction(1, 3))}
+
+
+@pytest.mark.parametrize("name", _THREE_COUPLINGS)
+@pytest.mark.parametrize("fam,n", PROP32_TYPES)
+def test_rows_reduce_to_the_printed_values(monkeypatch, fam, n, name):
+    """The verdicts read rows; what is printed is the rows reduced.  The two
+    agree: the printed points are the RatFunc walk, the Casimir case agrees
+    with norm_sq on printed spectral points and a = (mu_1, mu_(n+1)) with
+    gram_pairing on printed exponents, on the report and on mutants."""
+    rs, rep = _rep(fam, n, *_THREE_COUPLINGS[name])
+    kv = rep.kvec
+    assert (rep.exponents, rep.spectral) == _reference_walk(rs, rep, kv)
+    target = norm_sq(rs, rho(rs, kv)) - rep.a_value * n
+    for r, expected in (
+            (rep, True),
+            (rep._replace(spectral_rows=_bump_row(rep.spectral_rows, n, n - 1,
+                                                  rep.D)), False)):
+        printed = all(norm_sq(rs, lam) == target for lam in r.spectral)
+        assert _casimir_verdict(monkeypatch, rs, r) == printed == expected
+    for r, expected in ((rep, True),
+                        (rep._replace(rows=_bump_row(rep.rows, 0, 0, rep.D)),
+                         False)):
+        printed = gram_pairing(rs, r.exponents[0], r.exponents[-1]) \
+            == r.a_value
+        assert verify_quadratic(rs, r)["a_equals_mu1_mun1"] == printed \
+            == expected
+
+
+def _counting(counts, name, fn):
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_the_verdicts_reduce_nothing(monkeypatch):
+    """No over call in special_exponents, verify_quadratic and
+    consecutive_relations, and no clear or RatFunc arithmetic in the two
+    verdicts, counted at every binding of the package as perfbench's tracer
+    wraps them: the verdicts decide on the cleared rows."""
+    cases = [(rs, couplings(rs, k)) for rs in map(root_system, *zip(*PROP32_TYPES))
+             for k in _SYMBOLIC_AND_SIXTH]
+    for rs, _ in cases:
+        rs.residual_tensors  # built once per root system, outside the count
+    counts = dict.fromkeys(("over", "clear", "ratfunc"), 0)
+    originals = {name: getattr(coeff, name) for name in ("over", "clear")}
+    for key, module in sorted(sys.modules.items()):
+        if key == "trigdunkl" or key.startswith("trigdunkl."):
+            for name, fn in originals.items():
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name,
+                                        _counting(counts, name, fn))
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+               "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+               "__pow__"):
+        monkeypatch.setattr(RatFunc, op,
+                            _counting(counts, "ratfunc", RatFunc.__dict__[op]))
+    reps = [(rs, special_exponents(rs, kv)) for rs, kv in cases]
+    assert len(reps) == 64
+    assert counts["over"] == 0 and counts["clear"] == 64  # one per report
+    counts.update(dict.fromkeys(counts, 0))
+    for rs, rep in reps:
+        v = verify_quadratic(rs, rep)
+        assert all(v["quadratic"]) and v["a_equals_mu1_mun1"]
+        assert all(consecutive_relations(rs, rep).values())
+    assert counts == {"over": 0, "clear": 0, "ratfunc": 0}
+    reps[0][1].to_json()  # printing reduces: the counter sees it
+    assert counts["over"] > 0
