@@ -300,19 +300,24 @@ def conjugation_check(rs, F, kvec):
 # --- Jacobi eigenfunctions by the triangular eigen-solve ---
 
 
-def _stencil(rs, xi, nu):
+def _xi_data(rs, xi):
+    """What T(xi) reads of xi alone: the rho_k shift, and (r, 2<a, xi>,
+    1 + class) for each positive root a = a_r with <a, xi> != 0."""
+    return _rho_shift(rs, xi), [(r, 2 * axi, 1 + c)
+                                for r, c in enumerate(rs.pos_class)
+                                if (axi := rs.root_xi(r, xi))]
+
+
+def _stencil(rs, xi, nu, data):
     """T(xi) e^nu as integer rows {w: row}, the e^w coefficient being
     (row[0] + sum_c k_c row[1 + c]) / 2: row[0] = 2<nu, xi> on the diagonal,
     each root's string that of 2<a, xi> e^nu, and the rho_k shift
-    -<2 rho_c, xi> on the diagonal of class c."""
-    rows = {nu: [2 * pair_with_xi(rs, nu, xi)] + _rho_shift(rs, xi)}
-    for r in range(rs.n_positive):
-        axi = rs.root_xi(r, xi)
-        if not axi:
-            continue
-        c = 1 + rs.pos_class[r]
-        for w, a in difference_string(rs, r, nu, 2 * axi):
-            rows.setdefault(w, [0] * (1 + rs.n_classes))[c] += a
+    -<2 rho_c, xi> on the diagonal of class c; data is _xi_data(rs, xi)."""
+    shift, roots = data
+    rows = {nu: [2 * pair_with_xi(rs, nu, xi)] + shift}
+    for r, a, c in roots:
+        for w, s in difference_string(rs, r, nu, a):
+            rows.setdefault(w, [0] * (1 + rs.n_classes))[c] += s
     return rows
 
 
@@ -368,6 +373,7 @@ def jacobi(rs, mu, kvec):
         else:
             # running[w]: e^w coefficient of T(xi) on the part of E solved so far
             coeffs, factored, running = {}, {}, {mu: Factored.of(RF_ONE)}
+            data = _xi_data(rs, xi)
             for nu in order:
                 s = running.pop(nu, None)
                 if s is None:
@@ -376,7 +382,7 @@ def jacobi(rs, mu, kvec):
                 if not c:
                     continue
                 coeffs[nu], factored[nu] = c, cf
-                rows = _stencil(rs, xi, nu)
+                rows = _stencil(rs, xi, nu, data)
                 # e^mu's row also through dunkl_apply, the operator the suites check
                 if not _triangular(nu, rows, two[nu], allowed) or (
                         nu == mu and dunkl_apply(rs, xi, Laurent.monomial(mu),

@@ -39,12 +39,22 @@ def _reduced(rows, D):
     return tuple(tuple(over(c, D) for c in row) for row in rows)
 
 
-def _case_couplings(rs, kvec):
-    """The (k, k') pair of the case formulas, read off the coupling vector:
-    k' is the A_n extra modulus on one-class types (0 on D and E)."""
-    if rs.n_classes == 1:
-        return kvec.value(0), kvec.extra
-    return kvec.value(0), kvec.value(1)
+def _case_xy(rs, k, kp):
+    """(x, y) of the case formulas at (k, k'), RatFuncs or Fractions."""
+    family, n, half = rs.spec.family, rs.rank, Fraction(1, 2)
+    if family == "A":
+        return (k + kp) * (half * (n + 1)), (k - kp) * (half * (n + 1))
+    if family == "B":
+        return (n - 2) * k + kp, 2 * k
+    if family == "C":
+        return (n - 2) * k + 2 * kp, k
+    if family == "D":
+        return (n - 2) * k, 2 * k
+    if family == "E":
+        return 3 * k, (n - 3) * k
+    if family == "F":
+        return k + kp, 2 * k + kp
+    return (k + 3 * kp) * half, (k + kp) * half  # G
 
 
 def _require_reduced(rs, what):
@@ -79,22 +89,10 @@ def special_exponents(rs, kvec):
     one D, and the walk and lambda_i = mu_i + rho_k run on the cleared rows."""
     _require_reduced(rs, "special exponents")
     family, n = rs.spec.family, rs.rank
-    k, kp = _case_couplings(rs, kvec)
+    # k' is the A_n extra modulus on one-class types (0 on D and E)
+    kp = kvec.extra if rs.n_classes == 1 else kvec.value(1)
+    x, y = _case_xy(rs, kvec.value(0), kp)
     half = Fraction(1, 2)
-    if family == "A":
-        x, y = (k + kp) * (half * (n + 1)), (k - kp) * (half * (n + 1))
-    elif family == "B":
-        x, y = (n - 2) * k + kp, 2 * k
-    elif family == "C":
-        x, y = (n - 2) * k + 2 * kp, k
-    elif family == "D":
-        x, y = (n - 2) * k, 2 * k
-    elif family == "E":
-        x, y = 3 * k, (n - 3) * k
-    elif family == "F":
-        x, y = k + kp, 2 * k + kp
-    else:  # G
-        x, y = (k + 3 * kp) * half, (k + kp) * half
     a_val = x * y * Fraction(rs.gram_fw_int[0][n - 1], rs.gram_fw_den)
     D, cleared = clear([x, y, a_val, kp * half]
                        + [v * half for v in kvec.by_class])
@@ -258,18 +256,13 @@ def dk2_apply(rs, p, F, kvec):
     return out.normalize(rs)
 
 
-def _numeric_couplings(rs, k, kp):
-    """The coupling vector at rational (k, k'); k' = None reads as 0."""
-    return couplings(rs, Fraction(k), Fraction(kp or 0))
-
-
 def monodromy_spec(rs, k, kp=0):
     """Predicted per-generator eigenvalue multisets of the special system.
 
     Rotations r stand for the eigenvalue -e^(2 pi i r); no floats anywhere.
     """
     _require_reduced(rs, "monodromy predictions")
-    kv = _numeric_couplings(rs, k, kp)
+    kv = couplings(rs, Fraction(k), Fraction(kp or 0))
     out = []
     for i in range(rs.rank):
         ki = kv.value(rs.pos_class[rs.simple_index[i]]).const_value()
@@ -288,9 +281,10 @@ def kplus_membership(rs, k, kp=0):
     """Whether (k, k') lies in the Lorentzian coupling region, plus (x, y):
     -1/2 < k, k' < 1/2 and 0 < x, y < 1, with the (x, y) of
     special_exponents and k' read as 0 on D and E."""
-    rep = special_exponents(rs, _numeric_couplings(rs, k, kp))
-    k, kp = (c.const_value() for c in _case_couplings(rs, rep.kvec))
-    x, y = rep.x.const_value(), rep.y.const_value()
+    _require_reduced(rs, "special exponents")
+    k = Fraction(k)
+    kp = Fraction(0 if rs.spec.family in ("D", "E") else kp or 0)
+    x, y = _case_xy(rs, k, kp)
     half = Fraction(1, 2)
     ok = (-half < k < half and -half < kp < half and 0 < x < 1 and 0 < y < 1)
     return ok, x, y

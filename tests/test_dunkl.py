@@ -469,8 +469,8 @@ def test_jacobi_checks_the_stencil_of_mu_against_the_operator(monkeypatch):
     kv = couplings(b2)
     stencil = dunkl._stencil
 
-    def bumped(rs, xi, nu):
-        rows = stencil(rs, xi, nu)
+    def bumped(rs, xi, nu, data):
+        rows = stencil(rs, xi, nu, data)
         if nu == mu:
             rows[next(w for w in rows if w != mu)][1] += 2
         return rows
@@ -500,9 +500,10 @@ def _stencil_couplings(rs):
 
 @pytest.mark.parametrize("fam,n,bound", _EIGEN_BOXES)
 def test_stencil_at_the_couplings_is_dunkl_apply(fam, n, bound):
-    """_stencil(rs, xi, nu), row by row (row[0] + sum_c k_c row[1 + c]) / 2,
-    is T(xi) e^nu, with <nu~, xi> on the diagonal, at the simple coroots
-    and the moment-curve points xi(t), t = 2, 3."""
+    """_stencil(rs, xi, nu, _xi_data(rs, xi)), row by row
+    (row[0] + sum_c k_c row[1 + c]) / 2, is T(xi) e^nu, with <nu~, xi> on
+    the diagonal, at the simple coroots and the moment-curve points xi(t),
+    t = 2, 3."""
     rs = root_system(fam, n)
     xis = [unit(n, i) for i in range(n)]
     xis += [tuple(t**i for i in range(n)) for t in (2, 3)]
@@ -510,7 +511,7 @@ def test_stencil_at_the_couplings_is_dunkl_apply(fam, n, bound):
         for nu in itertools.product(range(-bound, bound + 1), repeat=n):
             nt = mu_tilde(rs, nu, kv)
             for xi in xis:
-                rows = dunkl._stencil(rs, xi, nu)
+                rows = dunkl._stencil(rs, xi, nu, dunkl._xi_data(rs, xi))
                 assert all(x.__class__ is int
                            for row in rows.values() for x in row)
                 value = Laurent({w: (row[0] + sum(

@@ -3,6 +3,7 @@ injected into the operators they check."""
 import inspect
 import io
 import random
+import re
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -78,6 +79,35 @@ def test_suite_fails_on_a_dunkl_defect(monkeypatch, suite):
     first = res.first_failure()
     assert first.case_id == case_id
     assert first.detail.startswith(detail)
+
+
+@pytest.mark.parametrize("suite", sorted(_DEFECT_FIRST_FAILURE))
+def test_a_simple_coroot_meets_each_monomial_once_per_suite(monkeypatch, suite):
+    # the operator suites read one table of T(a_i^v) e^mu per type and
+    # couplings: none applies a simple coroot to the same monomial twice
+    apply, seen = verify.dunkl_apply, []
+
+    def counted(rs, xi, f, kv):
+        if sorted(xi) == [0] * (rs.rank - 1) + [1] and list(
+                f.terms.values()) == [RF_ONE]:
+            seen.append((str(rs.spec), tuple(xi), *f.terms, repr(kv)))
+        return apply(rs, xi, f, kv)
+
+    monkeypatch.setattr(verify, "dunkl_apply", counted)
+    assert verify.run_suite(suite).ok
+    repeated = {key for key in seen if seen.count(key) > 1}
+    assert seen and not repeated, sorted(repeated)[:3]
+
+
+def test_commute_names_two_coroots_on_rank_two_and_up():
+    # a self-commutator compares one computation with itself; rank 1 keeps
+    # its one, so that a commute run on A1 or BC1 alone still has a case
+    ids = [c.case_id for c in verify.run_commute().cases]
+    for case_id in ids:
+        i, j = re.findall(r"T\(a(\d+)\^v\)", case_id)
+        assert (i != j) == (not case_id.startswith(("A1:", "BC1:"))), case_id
+    assert [i for i in ids if i.startswith(("A1:", "BC1:"))] == [
+        "A1:[T(a1^v),T(a1^v)]", "BC1:[T(a1^v),T(a1^v)]"]
 
 
 @pytest.mark.parametrize("fam,n", [("A", 1), ("A", 2), ("B", 2), ("BC", 1)])
